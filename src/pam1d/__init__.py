@@ -13,8 +13,8 @@ almost-sure decay rate.
 
 import os
 
-# Cap BLAS/LAPACK thread pools before numpy is first imported; PAM1D_THREADS
-# also bounds the worker pools used by the experiment battery.
+# PAM1D_THREADS caps the BLAS/LAPACK thread pools; it only sets their thread
+# variables, so it must be seen before numpy is first imported.
 _threads = os.environ.get("PAM1D_THREADS")
 if _threads:
     for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
@@ -29,11 +29,11 @@ from .potential import (Field, LowerTailSpec, PotentialSpec, XI_CLAMP,
 from .scales import (ScaleParams, alpha, b_scale, b_star, gamma_box,
                      invert_G, r_box)
 from .lattice import (PointSolution, SolveResult, SpectralData,
-                      TridiagonalOperator, full_spectrum, hamiltonian,
+                      TridiagonalOperator, hamiltonian,
                       principal_eigpair, solve_adaptive, solve_box,
                       solve_point_log, truncation_product)
-from .montecarlo import (FkResult, WalkPath, best_screening_bound,
-                         fk_estimate, screening_lower_bound, simulate_walk)
+from .montecarlo import (FkResult, best_screening_bound, fk_estimate,
+                         screening_lower_bound)
 from .variational import (ChiResult, ShapeFunction, VariationalConfig,
                           brute_legendre, chi_tilde, eig_continuum,
                           functional_H, legendre_L)

@@ -27,7 +27,6 @@ __all__ = [
     "SolveResult",
     "hamiltonian",
     "principal_eigpair",
-    "full_spectrum",
     "solve_box",
     "solve_point_log",
     "solve_adaptive",
@@ -35,7 +34,6 @@ __all__ = [
 ]
 
 DENSE_LIMIT = 20000
-SOLVE_CLAMP = 1e8
 _RELIABLE = 1e-6  # dense eigenvector entries below this are treated as noise
 
 
@@ -43,20 +41,15 @@ _RELIABLE = 1e-6  # dense eigenvector entries below this are treated as noise
 class TridiagonalOperator:
     """kappa*Laplacian + xi on z + Q_R with Dirichlet boundary.
 
-    ``diag`` carries the representation diagonal, with heavy sites at the
-    field-level clamp.  Spectral computations use ``solve_diag``, where the
-    clamp is tightened to -SOLVE_CLAMP: the tightening moves any eigenvalue
-    by less than kappa^2 / SOLVE_CLAMP, far below the roundoff (machine
-    epsilon times the matrix norm) that diagonalizing the looser clamp would
-    force on every eigenvalue.
+    Heavy sites enter ``diag`` at the field-level clamp -XI_CLAMP, which
+    keeps the matrix norm, and with it the eigenvalue roundoff, bounded.
     """
 
     z: int
     R: int
     kappa: float
-    diag: np.ndarray        # xi(z+x) - 2 kappa, heavy sites at -XI_CLAMP
-    solve_diag: np.ndarray  # same with the clamp tightened to -SOLVE_CLAMP
-    clamped: np.ndarray     # mask of sites entered as -XI_CLAMP
+    diag: np.ndarray     # xi(z+x) - 2 kappa, heavy sites at -XI_CLAMP
+    clamped: np.ndarray  # mask of sites entered as -XI_CLAMP
 
     @property
     def n(self) -> int:
@@ -66,7 +59,7 @@ class TridiagonalOperator:
         return np.full(self.n - 1, self.kappa)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        out = self.solve_diag * v
+        out = self.diag * v
         out[:-1] += self.kappa * v[1:]
         out[1:] += self.kappa * v[:-1]
         return out
@@ -74,13 +67,11 @@ class TridiagonalOperator:
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Eigen-data of a box operator; ``principal`` is the largest eigenvalue."""
+    """Principal eigenpair of a box operator, with its residual."""
 
-    eigenvalues: np.ndarray
     principal: float
     eigvec: np.ndarray
     residual: float
-    vectors: np.ndarray | None = None
 
 
 def hamiltonian(field: Field, z: int, R: int, kappa: float) -> TridiagonalOperator:
@@ -90,7 +81,6 @@ def hamiltonian(field: Field, z: int, R: int, kappa: float) -> TridiagonalOperat
         raise ValueError(f"R must be >= 0, got {R}")
     xi, clamped = field.xi_clamped(z - R, z + R)
     return TridiagonalOperator(z=z, R=R, kappa=kappa, diag=xi - 2.0 * kappa,
-                               solve_diag=np.maximum(xi, -SOLVE_CLAMP) - 2.0 * kappa,
                                clamped=clamped)
 
 
@@ -133,111 +123,72 @@ def _shoot_log_multi(diag: np.ndarray, kappa: float, lams: np.ndarray,
     return logabs, signs
 
 
-def _log_entry(vecs: np.ndarray, lams: np.ndarray, diag: np.ndarray, kappa: float,
-               x_idx: int) -> tuple[np.ndarray, np.ndarray, dict]:
-    """log|v_j(x)| and sign for each column, shooting where the entry is noise.
+def _shot_log_entries(op: TridiagonalOperator, lams: np.ndarray, vecs: np.ndarray,
+                      rows: np.ndarray, cols: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """log|v_j(i)| and sign of the entries (i, j) = (rows[k], cols[k]).
 
-    Returns (logabs, sign, passes) where passes caches the two shooting passes
-    for reuse.
+    The columns of ``vecs`` are eigenvectors of ``op`` with eigenvalues
+    ``lams``.  Each entry is rebuilt from the recurrence solution shot from
+    the Dirichlet end on its side of the column's peak, scaled to match the
+    peak entry; this recovers entries that are noise in the dense vector.
     """
-    n, m = vecs.shape
-    anchors = np.argmax(np.abs(vecs), axis=0)
-    logv = np.full(m, np.nan)
-    sgn = np.ones(m)
-    direct = np.abs(vecs[x_idx, :]) >= _RELIABLE
-    logv[direct] = np.log(np.abs(vecs[x_idx, direct]))
-    sgn[direct] = np.sign(vecs[x_idx, direct])
-    passes: dict = {}
-    need = ~direct
-    if need.any():
-        left_pass = right_pass = None
-        for j in np.nonzero(need)[0]:
-            a = anchors[j]
-            anchor_log = math.log(abs(vecs[a, j]))
-            anchor_sign = 1.0 if vecs[a, j] >= 0 else -1.0
-            if x_idx == a:
-                logv[j], sgn[j] = anchor_log, anchor_sign
-                continue
-            if x_idx < a:
-                if left_pass is None:
-                    left_pass = _shoot_log_multi(diag, kappa, lams[need], True)
-                    passes["left"] = (left_pass, np.nonzero(need)[0])
-                la, ls = left_pass
-                col = int(np.searchsorted(np.nonzero(need)[0], j))
-                logv[j] = la[x_idx, col] - la[a, col] + anchor_log
-                sgn[j] = ls[x_idx, col] * ls[a, col] * anchor_sign
-            else:
-                if right_pass is None:
-                    right_pass = _shoot_log_multi(diag, kappa, lams[need], False)
-                    passes["right"] = (right_pass, np.nonzero(need)[0])
-                ra, rs = right_pass
-                col = int(np.searchsorted(np.nonzero(need)[0], j))
-                logv[j] = ra[x_idx, col] - ra[a, col] + anchor_log
-                sgn[j] = rs[x_idx, col] * rs[a, col] * anchor_sign
-    return logv, sgn, passes
+    used, c = np.unique(cols, return_inverse=True)
+    peaks = np.argmax(np.abs(vecs[:, used]), axis=0)
+    peak_vals = vecs[peaks, used]
+    peak_log = np.array([math.log(abs(p)) for p in peak_vals])
+    peak_sign = np.where(peak_vals >= 0, 1.0, -1.0)
+    a = peaks[c]
+    logv = np.empty(len(rows))
+    sgn = np.empty(len(rows))
+    for from_left, side in ((True, rows <= a), (False, rows > a)):
+        if side.any():
+            logs, signs = _shoot_log_multi(op.diag, op.kappa, lams[used], from_left)
+            i, j, p = rows[side], c[side], a[side]
+            logv[side] = logs[i, j] - logs[p, j] + peak_log[j]
+            sgn[side] = signs[i, j] * signs[p, j] * peak_sign[j]
+    return logv, sgn
 
 
 # ---------------------------------------------------------------------------
 # Eigenpairs
 
 
-def _top_eigenpairs(op: TridiagonalOperator, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """k largest eigenpairs via Sturm-sequence bisection + inverse iteration."""
+def _eigpairs(op: TridiagonalOperator, first: int, stop: int
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs first..stop-1 counted from the top, largest first.
+
+    Sturm-sequence bisection + inverse iteration on the requested index range.
+    """
     n = op.n
-    k = min(k, n)
-    w, v = eigh_tridiagonal(op.solve_diag, op.offdiag(), select="i",
-                            select_range=(n - k, n - 1), lapack_driver="stebz")
-    return w, v
-
-
-def _hybrid_principal(op: TridiagonalOperator, lam: float, v: np.ndarray) -> np.ndarray:
-    """Replace noise-level tail entries of the principal vector by shot tails."""
-    v = v.copy()
-    if v[np.argmax(np.abs(v))] < 0:
-        v = -v
-    a = int(np.argmax(v))
-    small = v < _RELIABLE * v[a]
-    if small.any():
-        lams = np.array([lam])
-        logs_l, signs_l = _shoot_log_multi(op.solve_diag, op.kappa, lams, True)
-        logs_r, signs_r = _shoot_log_multi(op.solve_diag, op.kappa, lams, False)
-        anchor_log = math.log(v[a])
-        for i in np.nonzero(small)[0]:
-            if i < a:
-                lv = logs_l[i, 0] - logs_l[a, 0] + anchor_log
-            elif i > a:
-                lv = logs_r[i, 0] - logs_r[a, 0] + anchor_log
-            else:
-                continue
-            v[i] = math.exp(max(lv, -744.0))
-    v = np.maximum(v, 1e-320)
-    return v / math.sqrt(float(v @ v))
+    w, v = eigh_tridiagonal(op.diag, op.offdiag(), select="i",
+                            select_range=(n - stop, n - 1 - first),
+                            lapack_driver="stebz")
+    order = np.argsort(w)[::-1]
+    return w[order], v[:, order]
 
 
 def principal_eigpair(op: TridiagonalOperator) -> SpectralData:
-    """Principal Dirichlet eigenpair; eigenvector strictly positive."""
-    w, v = _top_eigenpairs(op, 1)
-    lam = float(w[-1])
-    vec = _hybrid_principal(op, lam, v[:, -1])
+    """Principal Dirichlet eigenpair; eigenvector strictly positive.
+
+    Entries below _RELIABLE times the peak are rebuilt by shooting.
+    """
+    w, v = _eigpairs(op, 0, 1)
+    vec = v[:, 0]
+    if vec[np.argmax(np.abs(vec))] < 0:
+        vec = -vec
+    small = np.nonzero(vec < _RELIABLE * vec.max())[0]
+    if small.size:
+        logv, _ = _shot_log_entries(op, w, vec[:, None], small,
+                                    np.zeros(small.size, dtype=int))
+        vec[small] = [math.exp(max(lv, -744.0)) for lv in logv]
+    vec = np.maximum(vec, 1e-320)
+    vec = vec / math.sqrt(float(vec @ vec))
     hv = op.matvec(vec)
     lam = float(vec @ hv)  # Rayleigh refinement: the clamped rows carry
     # negligible weight, so the quotient is accurate to relative precision
     res = float(np.linalg.norm(hv - lam * vec))
-    return SpectralData(eigenvalues=np.array([lam]), principal=lam, eigvec=vec,
-                        residual=res)
-
-
-def full_spectrum(op: TridiagonalOperator) -> SpectralData:
-    """Complete orthonormal eigendecomposition (dense path)."""
-    if op.n > DENSE_LIMIT:
-        raise ValueError(f"box dimension {op.n} exceeds dense limit {DENSE_LIMIT}")
-    w, v = eigh_tridiagonal(op.solve_diag, op.offdiag())
-    vec = _hybrid_principal(op, float(w[-1]), v[:, -1])
-    hv = op.matvec(vec)
-    lam = float(vec @ hv)
-    res = float(np.linalg.norm(hv - lam * vec))
-    return SpectralData(eigenvalues=w, principal=lam, eigvec=vec,
-                        residual=res, vectors=v)
+    return SpectralData(principal=lam, eigvec=vec, residual=res)
 
 
 # ---------------------------------------------------------------------------
@@ -245,12 +196,17 @@ def full_spectrum(op: TridiagonalOperator) -> SpectralData:
 
 
 def solve_box(field: Field, z: int, R: int, kappa: float, t: float) -> np.ndarray:
-    """u_R(t, .) on z + Q_R by spectral expansion; entries clipped at 0."""
+    """u_R(t, .) on z + Q_R by dense spectral expansion; entries clipped at 0.
+
+    The full eigendecomposition makes this the reference for the pruned
+    log-space solver on boxes where u stays in double range.
+    """
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
     op = hamiltonian(field, z, R, kappa)
-    spec = full_spectrum(op)
-    w, v = spec.eigenvalues, spec.vectors
+    if op.n > DENSE_LIMIT:
+        raise ValueError(f"box dimension {op.n} exceeds dense limit {DENSE_LIMIT}")
+    w, v = eigh_tridiagonal(op.diag, op.offdiag())
     with np.errstate(under="ignore"):
         coef = np.exp(t * w) * (v.T @ np.ones(op.n))
     u = v @ coef
@@ -299,13 +255,17 @@ def solve_point_log(field: Field, z: int, R: int, kappa: float, t: float,
     best = -math.inf
     while k_done < n:
         k_new = min(n, k_done + batch)
-        w, v = eigh_tridiagonal(op.solve_diag, op.offdiag(), select="i",
-                                select_range=(n - k_new, n - 1 - k_done),
-                                lapack_driver="stebz")
-        # returned ascending; walk from the top down
-        order = np.argsort(w)[::-1]
-        w, v = w[order], v[:, order]
-        logv, sgn, _ = _log_entry(v, w, op.solve_diag, op.kappa, x_idx)
+        w, v = _eigpairs(op, k_done, k_new)
+        at_x = v[x_idx]
+        direct = np.abs(at_x) >= _RELIABLE
+        logv = np.empty(len(w))
+        sgn = np.empty(len(w))
+        logv[direct] = np.log(np.abs(at_x[direct]))
+        sgn[direct] = np.sign(at_x[direct])
+        shot = np.nonzero(~direct)[0]
+        if shot.size:
+            logv[shot], sgn[shot] = _shot_log_entries(
+                op, w, v, np.full(shot.size, x_idx), shot)
         ip = v.T @ ones
         for j in range(len(w)):
             lam = float(w[j])
@@ -353,7 +313,7 @@ class SolveResult:
     u: float
     R: int
     principal: float
-    clamped_sites: int
+    clamped_sites: int  # sites of the final box held at -XI_CLAMP
     converged: bool
 
 
@@ -376,20 +336,15 @@ def solve_adaptive(spec: PotentialSpec, seed: int, t: float, rtol: float,
         if prev is not None:
             rel = abs(math.expm1(min(prev - sol.log_u, 0.0)))
             stable = stable + 1 if rel < rtol else 0
-            if stable >= 2:
-                clamped = int(hamiltonian(fld, 0, R, kappa).clamped.sum())
-                return SolveResult(log_u=sol.log_u,
-                                   u=math.exp(sol.log_u) if sol.log_u > -744 else 0.0,
-                                   R=R, principal=sol.principal,
-                                   clamped_sites=clamped, converged=True)
+        if stable >= 2 or 2 * R > r_cap:
+            break
         prev = sol.log_u
-        if 2 * R > r_cap:
-            clamped = int(hamiltonian(fld, 0, R, kappa).clamped.sum())
-            return SolveResult(log_u=sol.log_u,
-                               u=math.exp(sol.log_u) if sol.log_u > -744 else 0.0,
-                               R=R, principal=sol.principal,
-                               clamped_sites=clamped, converged=False)
         R *= 2
+    return SolveResult(log_u=sol.log_u,
+                       u=math.exp(sol.log_u) if sol.log_u > -744 else 0.0,
+                       R=R, principal=sol.principal,
+                       clamped_sites=int(fld.xi_clamped(-R, R)[1].sum()),
+                       converged=stable >= 2)
 
 
 def truncation_product(field: Field, b: float, R: int) -> tuple[float, float]:

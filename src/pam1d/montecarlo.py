@@ -27,52 +27,11 @@ from .lattice import hamiltonian, principal_eigpair
 from .potential import Field
 
 __all__ = [
-    "WalkPath",
-    "simulate_walk",
     "fk_estimate",
     "FkResult",
     "screening_lower_bound",
     "best_screening_bound",
 ]
-
-
-@dataclass(frozen=True)
-class WalkPath:
-    """A continuous-time simple random walk trajectory on the integers.
-
-    ``times[i]`` is the jump instant into ``sites[i+1]``; the walk occupies
-    ``sites[0]`` on [0, times[0]).
-    """
-
-    sites: np.ndarray
-    times: np.ndarray
-    t: float
-    kappa: float
-
-    def position(self, s: float) -> int:
-        if not 0 <= s <= self.t:
-            raise ValueError(f"s = {s} outside [0, {self.t}]")
-        return int(self.sites[np.searchsorted(self.times, s, side="right")])
-
-
-def simulate_walk(kappa: float, t: float, seed: int, z: int = 0) -> WalkPath:
-    """One rate-2*kappa nearest-neighbour walk on [0, t] started at z."""
-    if kappa <= 0:
-        raise ValueError(f"kappa must be > 0, got {kappa}")
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    rng = np.random.default_rng(seed)
-    rate = 2.0 * kappa
-    jumps = [0.0]
-    while True:
-        nxt = jumps[-1] + rng.exponential(1.0 / rate)
-        if nxt > t:
-            break
-        jumps.append(nxt)
-    n_jumps = len(jumps) - 1
-    steps = rng.choice((-1, 1), size=n_jumps)
-    sites = z + np.concatenate(([0], np.cumsum(steps)))
-    return WalkPath(sites=sites, times=np.array(jumps[1:]), t=t, kappa=kappa)
 
 
 @dataclass(frozen=True)

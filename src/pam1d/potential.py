@@ -41,9 +41,10 @@ __all__ = [
     "spec_to_json",
 ]
 
-# Magnitude at which heavy sites enter linear algebra; sites below -XI_CLAMP
-# act as absorbing walls for every time step a double can resolve.
-XI_CLAMP = 1e12
+# Magnitude at which heavy sites enter linear algebra.  It bounds the matrix
+# norm, and so the eigenvalue roundoff; point values of u still depend on it
+# through wall crossings, whose amplitude is about kappa / XI_CLAMP.
+XI_CLAMP = 1e8
 
 _QUAD_RTOL = 1e-12
 _LOG_CUTOFF = 1400.0  # exp(-1400) is far below double underflow
@@ -272,16 +273,15 @@ class Field:
         return self.heavy[i : j + 1], self.values[i : j + 1]
 
     def xi_clamped(self, lo: int, hi: int, clamp: float = XI_CLAMP) -> tuple[np.ndarray, np.ndarray]:
-        """xi values on [lo, hi] with heavy sites clamped at -clamp.
+        """xi values on [lo, hi] clamped at -clamp: max(xi, -clamp).
 
         Returns (xi, clamped_mask); clamped sites are those with
         -xi > clamp before clamping.
         """
         heavy, vals = self.slice(lo, hi)
-        log_clamp = math.log(clamp)
-        clamped = heavy & (vals > log_clamp)
-        xi = np.where(heavy, -np.exp(np.minimum(vals, log_clamp)), vals)
-        return xi, clamped
+        xi = np.where(heavy, -np.exp(np.minimum(vals, math.log(clamp))), vals)
+        clamped = xi < -clamp
+        return np.maximum(xi, -clamp), clamped
 
     def log_neg_or1(self, lo: int, hi: int) -> np.ndarray:
         """W' = log(-xi v 1), exact in the dual representation."""

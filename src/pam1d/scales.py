@@ -2,8 +2,7 @@
 
 Under the canonical gauge ``alpha_t = t^nu`` with ``nu = (1-gamma)/(3-gamma)``
 the implicit time scale ``b_t`` defined by ``b_t / alpha(b_t)^2 = -log G(t)``
-collapses to the closed form ``(-log G(t))^{1/(1-2 nu)}``; a bisection route
-is kept for non-canonical alpha.
+collapses to the closed form ``(-log G(t))^{1/(1-2 nu)}``.
 
 Note on the exponent ``beta = 2 nu / (1 - 2 nu)``: direct algebra from the
 canonical ``nu`` gives ``beta = 2(1-gamma)/(1+gamma)``.  A second printed form
@@ -70,22 +69,13 @@ def alpha(params: ScaleParams, t: float) -> float:
     return t ** params.nu
 
 
-def b_scale(spec: PotentialSpec, params: ScaleParams, t: float, method: str = "closed") -> float:
+def b_scale(spec: PotentialSpec, params: ScaleParams, t: float) -> float:
     """Time scale b_t solving b / alpha(b)^2 = -log G(t)."""
     g = cumulant_G(spec, t)
     if g >= math.exp(-1.0):
         raise ValueError(f"t = {t} below tmin (G(t) = {g} >= 1/e)")
     target = -math.log(g)
-    if method == "closed":
-        b = target ** (1.0 / (1.0 - 2.0 * params.nu))
-    elif method == "bisect":
-        f = lambda b: b / alpha(params, b) ** 2 - target
-        hi = 2.0
-        while f(hi) < 0:
-            hi *= 2.0
-        b = optimize.brentq(f, 1e-12, hi, rtol=1e-14)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    b = target ** (1.0 / (1.0 - 2.0 * params.nu))
     ident = b / alpha(params, b) ** 2
     if abs(ident - target) > 1e-10 * abs(target):
         raise ArithmeticError(f"scale identity violated: {ident} vs {target}")

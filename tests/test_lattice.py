@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from pam1d.lattice import (SOLVE_CLAMP, full_spectrum, hamiltonian,
-                           principal_eigpair, solve_adaptive, solve_box,
-                           solve_point_log, truncation_product)
+from pam1d.lattice import (hamiltonian, principal_eigpair, solve_adaptive,
+                           solve_box, solve_point_log, truncation_product)
 from pam1d.potential import Field, XI_CLAMP, sample_field
 
 from conftest import constant_field, make_spec, zero_field
@@ -15,7 +14,6 @@ from conftest import constant_field, make_spec, zero_field
 def _dense_matrix(field, z, R, kappa):
     """Small dense form of kappa*Laplacian + xi with the solver clamp."""
     xi, _ = field.xi_clamped(z - R, z + R)
-    xi = np.maximum(xi, -SOLVE_CLAMP)
     n = 2 * R + 1
     m = np.diag(xi - 2.0 * kappa)
     m += np.diag(np.full(n - 1, kappa), 1) + np.diag(np.full(n - 1, kappa), -1)
@@ -49,14 +47,22 @@ class TestHamiltonian:
         assert np.allclose(np.abs(pe.eigvec), sine, atol=1e-10)
 
     def test_clamp_representation(self):
-        # heavy sites with W > log(XI_CLAMP) enter the representation
-        # diagonal exactly at -XI_CLAMP
-        fld = Field(lo=-1, hi=1, heavy=np.array([False, True, False]),
-                    values=np.array([0.0, 1000.0, 0.0]))
-        op = hamiltonian(fld, 0, 1, 1.0)
-        assert op.diag[1] == pytest.approx(-XI_CLAMP - 2.0, rel=1e-12)
-        assert op.clamped[1]
-        assert op.solve_diag[1] == -SOLVE_CLAMP - 2.0
+        # heavy sites with W > log(XI_CLAMP) enter the diagonal exactly at
+        # -XI_CLAMP, the moderately heavy W = 20 (between log 1e8 and
+        # log 1e12) as well as the extreme W = 1000
+        kappa = 1.5
+        fld = Field(lo=-2, hi=2,
+                    heavy=np.array([False, True, False, True, False]),
+                    values=np.array([0.0, 1000.0, 0.0, 20.0, 0.0]))
+        op = hamiltonian(fld, 0, 2, kappa)
+        assert op.clamped.tolist() == [False, True, False, True, False]
+        for i in (1, 3):
+            assert op.diag[i] == -XI_CLAMP - 2.0 * kappa
+            e = np.zeros(5)
+            e[i] = 1.0
+            col = op.matvec(e)
+            assert col[i] == -XI_CLAMP - 2.0 * kappa
+            assert col[i - 1] == col[i + 1] == kappa
 
     def test_invalid_args(self):
         fld = zero_field(-5, 5)
@@ -72,14 +78,6 @@ class TestHamiltonian:
         m = _dense_matrix(fld, 0, 8, 1.0)
         v = rng.standard_normal(17)
         assert np.allclose(op.matvec(v), m @ v, atol=1e-12)
-
-    def test_full_spectrum_matches_dense(self):
-        rng = np.random.default_rng(1)
-        fld = _random_light_field(rng, -10, 10)
-        op = hamiltonian(fld, 0, 10, 1.0)
-        sd = full_spectrum(op)
-        ref = np.linalg.eigvalsh(_dense_matrix(fld, 0, 10, 1.0))
-        assert np.allclose(np.sort(sd.eigenvalues), ref, atol=1e-10)
 
 
 class TestSolveBox:

@@ -4,38 +4,46 @@ import numpy as np
 import pytest
 
 from pam1d.lattice import hamiltonian, principal_eigpair, solve_box
-from pam1d.montecarlo import (best_screening_bound, fk_estimate,
-                              screening_lower_bound, simulate_walk)
+from pam1d.montecarlo import (_occupation_batch, best_screening_bound,
+                              fk_estimate, screening_lower_bound)
 from pam1d.potential import Field, sample_field
 
 from conftest import constant_field, make_spec, zero_field
 
 
+def _walks(kappa, t, seed, n):
+    """n walks from the generator fk_estimate samples, with its jump budget."""
+    rate = 2.0 * kappa
+    max_jumps = int(rate * t + 12.0 * math.sqrt(rate * t + 1.0) + 30)
+    return _occupation_batch(kappa, t, max_jumps, np.random.default_rng(seed), n)
+
+
 class TestSimulateWalk:
     def test_zero_time_no_jumps(self):
-        path = simulate_walk(1.0, 0.0, 0)
-        assert len(path.times) == 0
-        assert path.sites.tolist() == [0]
-        assert path.position(0.0) == 0
-        assert path.kappa == 1.0
+        steps, holds, counts = _walks(1.0, 0.0, 0, 5)
+        assert counts.tolist() == [0] * 5
+        assert np.all(holds == 0.0)
 
     def test_deterministic_given_seed(self):
-        a = simulate_walk(1.0, 5.0, 42)
-        b = simulate_walk(1.0, 5.0, 42)
-        assert np.array_equal(a.sites, b.sites)
-        assert np.array_equal(a.times, b.times)
+        a = _walks(1.0, 5.0, 42, 50)
+        b = _walks(1.0, 5.0, 42, 50)
+        for x, y in zip(a, b):
+            assert np.array_equal(x, y)
 
     def test_path_structure(self):
-        path = simulate_walk(0.7, 10.0, 3)
-        assert np.all(np.diff(path.times) > 0)
-        assert np.all(np.abs(np.diff(path.sites)) == 1)
-        assert len(path.sites) == len(path.times) + 1
+        t = 10.0
+        steps, holds, counts = _walks(0.7, t, 3, 200)
+        assert np.all(np.abs(steps) == 1)
+        assert np.all(holds >= 0.0)
+        # holding times fill [0, t] and vanish beyond the jump count
+        assert np.allclose(holds.sum(axis=1), t, rtol=1e-12)
+        beyond = np.arange(holds.shape[1]) > counts[:, None]
+        assert np.all(holds[beyond] == 0.0)
 
     def test_mean_jump_count(self):
         # number of jumps by time t is Poisson(2 kappa t)
         kappa, t, n = 1.0, 3.0, 3000
-        counts = np.array([len(simulate_walk(kappa, t, s).times)
-                           for s in range(n)])
+        _, _, counts = _walks(kappa, t, 0, n)
         mean = 2 * kappa * t
         sigma = math.sqrt(mean / n)
         assert abs(counts.mean() - mean) < 4 * sigma
@@ -43,8 +51,9 @@ class TestSimulateWalk:
     def test_variance_of_position(self):
         # Var X(t) = 2 kappa t for the rate-2kappa walk with +-1 steps
         kappa, t, n = 0.5, 4.0, 3000
-        finals = np.array([simulate_walk(kappa, t, s).position(t)
-                           for s in range(n)])
+        steps, _, counts = _walks(kappa, t, 0, n)
+        taken = np.arange(steps.shape[1]) < counts[:, None]
+        finals = np.sum(np.where(taken, steps, 0), axis=1)
         var = 2 * kappa * t
         # fourth-moment bound for the stderr of a variance estimate
         sigma = math.sqrt((3 * var ** 2 + var) / n)
