@@ -216,6 +216,8 @@ def _cmd_solve(args) -> None:
         "R": int(res.R),
         "lambda": float(res.principal),
         "clamped_sites": int(res.clamped_sites),
+        "modes_used": int(res.modes_used),
+        "sign_ok": bool(res.sign_ok),
     })
 
 

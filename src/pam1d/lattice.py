@@ -89,37 +89,47 @@ def hamiltonian(field: Field, z: int, R: int, kappa: float) -> TridiagonalOperat
 
 
 def _shoot_log_multi(diag: np.ndarray, kappa: float, lams: np.ndarray,
-                     from_left: bool) -> tuple[np.ndarray, np.ndarray]:
+                     from_left: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Log-magnitude and sign of the recurrence solution with one Dirichlet end.
 
     Solves kappa v[i+1] = (lam + 2 kappa - xi[i]) v[i] - kappa v[i-1] for all
     shifts ``lams`` at once, starting from v = (0, 1) at the boundary.
-    Shooting from the boundary toward the interior follows the growing
-    solution, so the decaying eigenvector tail is obtained with relative
-    accuracy.  Returns arrays of shape (n, m).
+    Column j is shot from the left end where ``from_left[j]``, else from the
+    right end over the reversed diagonal; both kinds run in one sweep over
+    the rows.  Shooting from the boundary toward the interior follows the
+    growing solution, so the decaying eigenvector tail is obtained with
+    relative accuracy.  Returns arrays of shape (n, m) in sweep order: row k
+    of column j is k sites in from that column's own end.
     """
     n, m = len(diag), len(lams)
-    d = diag[::1] if from_left else diag[::-1]
-    logabs = np.empty((n, m))
-    signs = np.empty((n, m))
+    buf = np.where(from_left, diag[:, None], diag[::-1, None])
+    np.subtract(lams, buf, out=buf)
+    buf /= kappa  # the recurrence coefficient of each row
     prev = np.zeros(m)
     cur = np.ones(m)
     scale = np.zeros(m)
+    starts, scales = [0], [scale]
     for i in range(n):
-        logabs[i] = scale + np.log(np.maximum(np.abs(cur), 1e-320))
-        signs[i] = np.where(cur >= 0.0, 1.0, -1.0)
-        nxt = ((lams - d[i]) / kappa) * cur - prev
+        nxt = buf[i] * cur - prev
+        buf[i] = cur  # the coefficient is used; the row now holds v
         prev, cur = cur, nxt
-        mag = np.maximum(np.abs(cur), np.abs(prev))
-        big = mag > 1e100
-        if big.any():
+        # prev was tested as cur one row earlier, so testing cur alone finds
+        # every column with mag > 1e100; NaN enters too, but leaves big False
+        if not np.abs(cur).max() <= 1e100:
+            mag = np.maximum(np.abs(cur), np.abs(prev))
+            big = mag > 1e100
             f = np.where(big, mag, 1.0)
             cur = cur / f
             prev = prev / f
             scale = scale + np.where(big, np.log(f), 0.0)
-    if not from_left:
-        logabs = logabs[::-1]
-        signs = signs[::-1]
+            starts.append(i + 1)
+            scales.append(scale)
+    signs = np.where(buf >= 0.0, 1.0, -1.0)
+    np.abs(buf, out=buf)
+    np.maximum(buf, 1e-320, out=buf)
+    logabs = np.log(buf, out=buf)
+    for a, b, s in zip(starts, starts[1:] + [n], scales):
+        logabs[a:b] += s  # rows a..b-1 were reached at scale s
     return logabs, signs
 
 
@@ -132,6 +142,7 @@ def _shot_log_entries(op: TridiagonalOperator, lams: np.ndarray, vecs: np.ndarra
     ``lams``.  Each entry is rebuilt from the recurrence solution shot from
     the Dirichlet end on its side of the column's peak, scaled to match the
     peak entry; this recovers entries that are noise in the dense vector.
+    Only the (column, side) pairs with a requested entry are shot.
     """
     used, c = np.unique(cols, return_inverse=True)
     peaks = np.argmax(np.abs(vecs[:, used]), axis=0)
@@ -139,14 +150,15 @@ def _shot_log_entries(op: TridiagonalOperator, lams: np.ndarray, vecs: np.ndarra
     peak_log = np.array([math.log(abs(p)) for p in peak_vals])
     peak_sign = np.where(peak_vals >= 0, 1.0, -1.0)
     a = peaks[c]
-    logv = np.empty(len(rows))
-    sgn = np.empty(len(rows))
-    for from_left, side in ((True, rows <= a), (False, rows > a)):
-        if side.any():
-            logs, signs = _shoot_log_multi(op.diag, op.kappa, lams[used], from_left)
-            i, j, p = rows[side], c[side], a[side]
-            logv[side] = logs[i, j] - logs[p, j] + peak_log[j]
-            sgn[side] = signs[i, j] * signs[p, j] * peak_sign[j]
+    left = rows <= a
+    # pair code 2 * column + 1 for the right side; one shot column per pair
+    pairs, q = np.unique(2 * c + ~left, return_inverse=True)
+    logs, signs = _shoot_log_multi(op.diag, op.kappa, lams[used][pairs // 2],
+                                   pairs % 2 == 0)
+    i = np.where(left, rows, op.n - 1 - rows)
+    p = np.where(left, a, op.n - 1 - a)
+    logv = logs[i, q] - logs[p, q] + peak_log[c]
+    sgn = signs[i, q] * signs[p, q] * peak_sign[c]
     return logv, sgn
 
 
@@ -322,6 +334,8 @@ class SolveResult:
     R: int
     principal: float
     clamped_sites: int  # sites of the final box held at -XI_CLAMP
+    modes_used: int     # spectral modes summed by the final point solve
+    sign_ok: bool       # False if that sum cancelled and log_u is its positive part
     converged: bool
 
 
@@ -352,6 +366,7 @@ def solve_adaptive(spec: PotentialSpec, seed: int, t: float, rtol: float,
                        u=math.exp(sol.log_u) if sol.log_u > -744 else 0.0,
                        R=R, principal=sol.principal,
                        clamped_sites=int(fld.xi_clamped(-R, R)[1].sum()),
+                       modes_used=sol.modes_used, sign_ok=sol.sign_ok,
                        converged=stable >= 2)
 
 

@@ -48,6 +48,7 @@ XI_CLAMP = 1e8
 
 _QUAD_RTOL = 1e-12
 _LOG_CUTOFF = 1400.0  # exp(-1400) is far below double underflow
+_LOG_POW_MAX = 709.78  # just below log of the largest double
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +412,11 @@ def _log_frechet_laplace(spec: PotentialSpec, ell: float) -> float:
 
     def log_f(y):
         y = np.maximum(y, 1e-300)
-        return -y - c * y ** (-1.0 / a)
+        # near the floor y**(-1/a) exceeds the double range; there log_f is
+        # at its limit -inf, so the power is not formed
+        pw = np.power(y, -1.0 / a, out=np.full_like(y, np.inf),
+                      where=np.log(y) > -a * _LOG_POW_MAX)
+        return -y - c * pw
 
     peak = (c / a) ** (a / (1.0 + a)) if c > 0 else 1.0
     return _log_integral(log_f, 0.0, math.inf, max(peak, 1e-12))

@@ -84,7 +84,10 @@ class TestSolve:
                            "--t", "5", "--deterministic")
         assert code == 0
         obj = json.loads(out)
-        assert list(obj) == ["u", "log_u", "R", "lambda", "clamped_sites"]
+        assert list(obj) == ["u", "log_u", "R", "lambda", "clamped_sites",
+                             "modes_used", "sign_ok"]
+        assert 1 <= obj["modes_used"] <= 2 * obj["R"] + 1
+        assert obj["sign_ok"] is True
         assert obj["u"] == pytest.approx(math.exp(obj["log_u"]))
         assert obj["log_u"] <= 0.0
 

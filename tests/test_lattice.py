@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from pam1d.lattice import (hamiltonian, principal_eigpair, solve_adaptive,
-                           solve_box, solve_point_log, truncation_product)
+from pam1d.lattice import (_shoot_log_multi, hamiltonian, principal_eigpair,
+                           solve_adaptive, solve_box, solve_point_log,
+                           truncation_product)
 from pam1d.potential import Field, XI_CLAMP, sample_field
 
 from conftest import constant_field, make_spec, zero_field
@@ -165,6 +166,82 @@ class TestSolvePointLog:
         assert abs(logs[2] - logs[1]) < 1e-5
 
 
+class TestTailRebuildOracle:
+    """Shot tails on both sides of the peak against a 40-digit eigsy.
+
+    Each box has 25 sites, none at the clamp, and a principal vector with
+    entries below 1e-6 of its peak on both sides of it; at x = -R/2 and
+    x = R/2 some modes have dense entries below 1e-6, so both shooting
+    directions are used.  The error is the norm-times-epsilon roundoff of
+    the stebz/stein eigenpairs.  Over the 63 such boxes among seeds 0-299
+    (gamma 0 and 0.5) the largest errors were 7.7 eps*norm in log v,
+    1.6 eps*norm in log u and 6.5e-16 relative in lambda; the tolerances
+    are four to six times these.
+    """
+
+    BOXES = [(0.0, 8), (0.0, 10), (0.5, 167), (0.5, 239)]
+
+    def test_shooting_against_exact_recurrence(self):
+        # every row of a sweep that rescales several times, with columns
+        # shot from both ends; over seeds 0-39 the largest error was 13 eps
+        # relative to max(1, |log v|)
+        mpmath = pytest.importorskip("mpmath")
+        lams = np.array([-0.5, -1.5, -3.0, -3.0])
+        from_left = np.array([True, False, True, False])
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            n = 200
+            diag = np.where(rng.random(n) < 0.3,
+                            -np.exp(rng.uniform(5.0, 15.0, n)),
+                            -rng.uniform(0.0, 4.0, n)) - 2.0
+            logs, signs = _shoot_log_multi(diag, 1.0, lams, from_left)
+            assert logs.max() > 2 * math.log(1e100)
+            exact_log = np.empty((n, len(lams)))
+            exact_sign = np.empty((n, len(lams)))
+            with mpmath.workdps(40):
+                for j, lam in enumerate(lams):
+                    d = diag if from_left[j] else diag[::-1]
+                    prev, cur = mpmath.mpf(0), mpmath.mpf(1)
+                    for i in range(n):
+                        exact_log[i, j] = float(mpmath.log(abs(cur)))
+                        exact_sign[i, j] = 1.0 if cur >= 0 else -1.0
+                        prev, cur = cur, (mpmath.mpf(lam) - d[i]) * cur - prev
+            np.testing.assert_array_equal(signs, exact_sign)
+            np.testing.assert_allclose(logs, exact_log, rtol=1e-14, atol=1e-14)
+
+    def test_against_exact_eigendecomposition(self):
+        mpmath = pytest.importorskip("mpmath")
+        R, n, eps = 12, 25, np.finfo(float).eps
+        for gamma, seed in self.BOXES:
+            fld = sample_field(make_spec(gamma, 1.0), -R, R, seed)
+            op = hamiltonian(fld, 0, R, 1.0)
+            assert not op.clamped.any()
+            norm = float(np.max(np.abs(op.diag)))
+            dense = _dense_matrix(fld, 0, R, 1.0)
+            pe = principal_eigpair(op)
+            a = int(np.argmax(pe.eigvec))
+            small = pe.eigvec < 1e-6 * pe.eigvec[a]
+            assert small[:a].any() and small[a + 1:].any()
+            with mpmath.workdps(40):
+                E, Q = mpmath.eigsy(mpmath.matrix(dense.tolist()))
+                k = max(range(n), key=lambda j: E[j])
+                sgn = 1 if mpmath.fsum(Q[:, k]) > 0 else -1
+                log_vec = [float(mpmath.log(sgn * Q[i, k])) for i in range(n)]
+                ip = [mpmath.fsum(Q[:, j]) for j in range(n)]
+                vecs = np.linalg.eigh(dense)[1]
+                for x in (-R // 2, R // 2):
+                    assert (np.abs(vecs[x + R]) < 1e-6).any()
+                    for t in (1.0, 4.0):
+                        u = mpmath.fsum(Q[x + R, j] * mpmath.exp(t * E[j]) * ip[j]
+                                        for j in range(n))
+                        sol = solve_point_log(fld, 0, R, 1.0, t, x)
+                        assert sol.log_u == pytest.approx(
+                            float(mpmath.log(u)), rel=0.0, abs=8 * eps * norm)
+            assert pe.principal == pytest.approx(float(E[k]), rel=4e-15)
+            np.testing.assert_allclose(np.log(pe.eigvec), log_vec, rtol=0.0,
+                                       atol=32 * eps * norm)
+
+
 class TestSolveAdaptive:
     def test_converged_and_consistent(self):
         spec = make_spec(0.0, 1.0)
@@ -176,6 +253,15 @@ class TestSolveAdaptive:
         fld = sample_field(spec, -res.R, res.R, 0)
         direct = solve_point_log(fld, 0, res.R, 1.0, 20.0)
         assert direct.log_u == pytest.approx(res.log_u, abs=1e-9)
+
+    def test_reports_final_point_solve(self):
+        spec = make_spec(0.5, 1.0)
+        res = solve_adaptive(spec, 2, 30.0, 1e-6)
+        fld = sample_field(spec, -res.R, res.R, 2)
+        direct = solve_point_log(fld, 0, res.R, 1.0, 30.0)
+        assert res.modes_used == direct.modes_used
+        assert 1 <= res.modes_used <= 2 * res.R + 1
+        assert res.sign_ok is True and direct.sign_ok is True
 
     def test_cap_reported(self):
         spec = make_spec(0.0, 1.0)

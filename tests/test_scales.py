@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -31,6 +32,17 @@ class TestAlphaBeta:
         nu = params.nu
         assert params.beta == pytest.approx(2 * nu / (1 - 2 * nu))
         assert params.beta == pytest.approx(2 * (1 - gamma) / (1 + gamma))
+
+    def test_frechet_cumulant_warning_free(self):
+        # the Frechet Laplace integrand is evaluated down to y = 1e-300,
+        # where y**(-1/a) exceeds the double range; its limit is used there
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            params = ScaleParams.from_spec(make_spec(0.25, 1.0))
+            ratios = [alpha(params, 2 * t) / alpha(params, t)
+                      for t in (10.0, 1e3, 1e6)]
+        assert ratios == pytest.approx([2.0 ** params.nu] * 3)
+        assert params.beta == pytest.approx(1.2)
 
     def test_nu_range(self):
         for gamma in (0.0, 0.3, 0.7, 0.99):
