@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import solve_adaptive
-from .potential import (PotentialSpec, cumulant_H, g_tilde, g_tilde_inverse,
-                        sample_field)
+from .potential import (PotentialSpec, canonical_A, cumulant_H, g_tilde,
+                        g_tilde_inverse, sample_field)
 from .scales import ScaleParams, alpha, b_scale, gamma_box, invert_G
 
 __all__ = [
@@ -36,15 +36,12 @@ __all__ = [
 class ExperimentConfig:
     spec: PotentialSpec
     kappa: float = 1.0
-    eta: float = 0.8
     seeds: tuple = tuple(range(20))
     rtol: float = 1e-4
 
     def __post_init__(self):
         if self.kappa <= 0:
             raise ValueError(f"kappa must be > 0, got {self.kappa}")
-        if not 0.0 < self.eta < 1.0:
-            raise ValueError(f"eta must be in (0,1), got {self.eta}")
 
 
 def t_grid(spec: PotentialSpec, n_lo: int, n_hi: int) -> np.ndarray:
@@ -100,19 +97,17 @@ def rate_curve(cfg: ExperimentConfig, t_values: np.ndarray,
                      rho=np.array(cols[6]), converged=np.array(cols[7], bool))
 
 
-def check_assumption_H(spec: PotentialSpec, t_values, y_grid=None,
-                       A: float | None = None) -> dict:
+def check_assumption_H(spec: PotentialSpec, t_values, y_grid=None) -> dict:
     """Collapse of the rescaled cumulant onto the limit power law.
 
     Computes d(t) = max_y |alpha_t^3 / t * H(t y / alpha_t) + A y^gamma| on
-    a y-grid; the deviations should decrease along increasing t.
+    a y-grid, with A = canonical_A(spec); the deviations should decrease
+    along increasing t.
     """
-    from .potential import canonical_A
     if y_grid is None:
         y_grid = np.linspace(0.2, 3.0, 15)
     y_grid = np.asarray(y_grid, float)
-    if A is None:
-        A = canonical_A(spec)
+    A = canonical_A(spec)
     devs = []
     curves = []
     for t in t_values:
@@ -158,64 +153,62 @@ def check_lln(spec: PotentialSpec, b: float, n_values, seeds) -> dict:
             "frac_gt_10": (stats > 10.0).mean(axis=0)}
 
 
-def _g_hat_eta(spec: PotentialSpec, eta: float, x: np.ndarray, x0: float,
-               theta_prime: float = 0.5) -> np.ndarray:
-    """Concavified tail scale: 1/G^ is linear below x0 and shifted 1/G~ above.
+_X0 = 1.0  # concavification point of 1/G^_eta, and log of the threshold a
 
-    The linear piece has the right derivative of 1/G~ at x0, making 1/G^
+
+def _g_hat_eta(spec: PotentialSpec, eta: float, x: np.ndarray) -> np.ndarray:
+    """Concavified tail scale: 1/G^ is linear below _X0 and shifted 1/G~ above.
+
+    The linear piece has the right derivative of 1/G~ at _X0, making 1/G^
     positive, increasing and concave on all of (0, infinity).
     """
     x = np.asarray(x, float)
-    dx = 1e-6 * x0
-    d0 = (1.0 / g_tilde(spec, eta, x0 + dx, theta_prime)
-          - 1.0 / g_tilde(spec, eta, x0, theta_prime)) / dx
-    inv = np.where(x <= x0, d0 * np.maximum(x, 1e-300), 0.0)
-    big = x > x0
+    dx = 1e-6 * _X0
+    d0 = (1.0 / g_tilde(spec, eta, _X0 + dx)
+          - 1.0 / g_tilde(spec, eta, _X0)) / dx
+    inv = np.where(x <= _X0, d0 * np.maximum(x, 1e-300), 0.0)
+    big = x > _X0
     if np.any(big):
-        vals = np.array([1.0 / g_tilde(spec, eta, xi, theta_prime)
+        vals = np.array([1.0 / g_tilde(spec, eta, xi)
                          for xi in np.atleast_1d(x[big])])
         inv = inv.copy()
-        inv[big] = vals + d0 * x0 - 1.0 / g_tilde(spec, eta, x0, theta_prime)
+        inv[big] = vals + d0 * _X0 - 1.0 / g_tilde(spec, eta, _X0)
     return 1.0 / inv
 
 
-def estimate_rho(spec: PotentialSpec, eta: float, x0: float = 1.0,
-                 n_samples: int = 200_000, seed: int = 0,
-                 theta_prime: float = 0.5) -> float:
+def estimate_rho(spec: PotentialSpec, eta: float,
+                 n_samples: int = 200_000) -> float:
     """Monte Carlo estimate of rho = 2 <1/G^_eta(Y_a)>, Y_a = log(-xi v a).
 
-    The threshold a = e^{x0} matches the concavification point, so
-    1/G^_eta(Y_a) vanishes only where the site is light enough.
+    Samples the field of seed 0.  The threshold a = e^{_X0} matches the
+    concavification point, so 1/G^_eta(Y_a) vanishes only where the site is
+    light enough.
     """
-    fld = sample_field(spec, 1, n_samples, seed)
-    wp = fld.log_neg_or1(1, n_samples)
-    a_log = x0
-    y = np.maximum(wp, a_log)
-    vals = 1.0 / _g_hat_eta(spec, eta, y, x0, theta_prime)
+    fld = sample_field(spec, 1, n_samples, 0)
+    y = np.maximum(fld.log_neg_or1(1, n_samples), _X0)
+    vals = 1.0 / _g_hat_eta(spec, eta, y)
     return 2.0 * float(vals.mean())
 
 
-def check_last(spec: PotentialSpec, eta: float, n_values, seeds,
-               rho: float | None = None, x0: float = 1.0,
-               theta_prime: float = 0.5) -> tuple[dict, float]:
+def check_last(spec: PotentialSpec, eta: float, n_values,
+               seeds) -> tuple[dict, float]:
     """Converse normalized sums, per seed and per n, with the rho used.
 
-    U_n = sum_{x=1}^n log(-xi(x) v 1) / G~_eta^{-1}(rho/n); the limsup is at
-    most 1, so for n large the statistic concentrates below 1.  Returns
-    ({"n", "stats", "frac_le_1p2"}, rho).  Requires an infinite log-moment
-    lower tail, matching check_lln.
+    U_n = sum_{x=1}^n log(-xi(x) v 1) / G~_eta^{-1}(rho/n), with rho from
+    estimate_rho; the limsup is at most 1, so for n large the statistic
+    concentrates below 1.  Returns ({"n", "stats", "frac_le_1p2"}, rho).
+    Requires an infinite log-moment lower tail, matching check_lln.
     """
     if not spec.lower.has_infinite_log_moment():
         raise ValueError(
             "lower tail has a finite log-moment; the upper-bound statement "
             "does not apply to this spec")
-    if rho is None:
-        rho = estimate_rho(spec, eta, x0=x0, theta_prime=theta_prime)
+    rho = estimate_rho(spec, eta)
     n_values = [int(n) for n in np.atleast_1d(n_values)]
     seeds = list(seeds)
     stats = np.empty((len(seeds), len(n_values)))
     for j, n in enumerate(n_values):
-        norm = g_tilde_inverse(spec, eta, rho / n, theta_prime)
+        norm = g_tilde_inverse(spec, eta, rho / n)
         for i, seed in enumerate(seeds):
             fld = sample_field(spec, 1, n, seed)
             stats[i, j] = float(fld.log_neg_or1(1, n).sum()) / norm
@@ -225,21 +218,20 @@ def check_last(spec: PotentialSpec, eta: float, n_values, seeds,
 
 
 def check_microbox(spec: PotentialSpec, psi, eps: float, eta: float,
-                   t_values, seeds, rho: float | None = None,
-                   theta_prime: float = 0.5) -> np.ndarray:
+                   t_values, seeds) -> np.ndarray:
     """Frequency of a favourable microbox in the macrobox, per time.
 
     For each t and seed, scans all centres y in the macrobox Q_{gamma_t} for
     a window on which the potential dominates the rescaled profile,
     xi(y+z) >= psi(z/alpha)/alpha^2 - eps/(2 alpha^2) for all |z| <= R*alpha
-    (restricted to supp psi when gamma = 0), with alpha = alpha(b_t).
-    Returns the success fraction over seeds for each t.
+    (restricted to supp psi when gamma = 0), with alpha = alpha(b_t) and
+    the rho of gamma_t from estimate_rho.  Returns the success fraction over
+    seeds for each t.
 
     Requires the profile budget L(psi) < 1 and eta in (L(psi), 1): a budget
     at or above 1 makes the sought windows too rare for the macrobox scale,
     and eta below the budget breaks the normalizer ordering.
     """
-    from .potential import canonical_A
     from .variational import legendre_L
 
     budget = legendre_L(psi, canonical_A(spec), spec.gamma)
@@ -249,13 +241,12 @@ def check_microbox(spec: PotentialSpec, psi, eps: float, eta: float,
         raise ValueError(
             f"eta must be in (L(psi), 1) = ({budget:.6g}, 1), got {eta}")
     params = ScaleParams.from_spec(spec)
-    if rho is None:
-        rho = estimate_rho(spec, eta, theta_prime=theta_prime)
+    rho = estimate_rho(spec, eta)
     freqs = []
     for t in t_values:
         b = b_scale(spec, params, t)
         a = alpha(params, b)
-        g = gamma_box(spec, params, eta, rho, t, theta_prime)
+        g = gamma_box(spec, params, eta, rho, t)
         half = int(math.ceil(psi.R * a))
         z = np.arange(-half, half + 1)
         thr = psi(z / a) / a ** 2 - eps / (2.0 * a ** 2)
@@ -267,9 +258,7 @@ def check_microbox(spec: PotentialSpec, psi, eps: float, eta: float,
         hits = 0
         for seed in seeds:
             fld = sample_field(spec, centre_lo - half, centre_hi + half, seed)
-            heavy, vals = fld.slice(centre_lo - half, centre_hi + half)
-            with np.errstate(over="ignore"):
-                xi = np.where(heavy, -np.exp(np.minimum(vals, 700.0)), vals)
+            xi = fld.xi(centre_lo - half, centre_hi + half)
             ok = np.ones(centre_hi - centre_lo + 1, bool)
             for k in np.nonzero(active)[0]:
                 seg = xi[k: k + centre_hi - centre_lo + 1]

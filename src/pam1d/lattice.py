@@ -291,13 +291,7 @@ def solve_point_log(field: Field, z: int, R: int, kappa: float, t: float,
             lam = float(w[j])
             if principal is None:
                 principal = lam
-                vx = v[:, j]
-                a = int(np.argmax(np.abs(vx)))
-                flip = -1.0 if vx[a] < 0 else 1.0
                 log_e_center = float(logv[j])
-                # orientation: principal vector taken positive
-                sgn[j] *= flip
-                ip[j] *= flip
             term_sign = sgn[j] * (1.0 if ip[j] >= 0 else -1.0)
             mag = abs(ip[j])
             lt = t * lam + logv[j] + (math.log(mag) if mag > 0 else -math.inf)

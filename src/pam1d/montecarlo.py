@@ -33,6 +33,8 @@ __all__ = [
     "best_screening_bound",
 ]
 
+_BATCH = 4096  # paths per vectorized batch; it fixes the order of RNG draws
+
 
 @dataclass(frozen=True)
 class FkResult:
@@ -66,11 +68,10 @@ def _occupation_batch(kappa: float, t: float, max_jumps: int,
 
 
 def fk_estimate(field: Field, kappa: float, t: float, n_samples: int,
-                seed: int, box: int | None = None, z: int = 0,
-                batch: int = 4096) -> FkResult:
-    """Feynman-Kac estimate of u(t, z) by direct path simulation.
+                seed: int, box: int | None = None) -> FkResult:
+    """Feynman-Kac estimate of u(t, 0) by direct path simulation.
 
-    With ``box`` set, paths leaving z + [-box, box] are killed (contribute 0),
+    With ``box`` set, paths leaving [-box, box] are killed (contribute 0),
     making the estimate an unbiased lower bound of the full-space value.
     Without a box the field must cover the range actually visited, else a
     ValueError is raised.
@@ -83,19 +84,20 @@ def fk_estimate(field: Field, kappa: float, t: float, n_samples: int,
     # generous Poisson tail budget for the jump count
     max_jumps = int(rate * t + 12.0 * math.sqrt(rate * t + 1.0) + 30)
     rng = np.random.default_rng(seed)
+    xi_field = field.xi(field.lo, field.hi)
     total = 0.0
     total_sq = 0.0
     exited = 0
     done = 0
     while done < n_samples:
-        b = min(batch, n_samples - done)
+        b = min(_BATCH, n_samples - done)
         steps, holds, counts = _occupation_batch(kappa, t, max_jumps, rng, b)
-        pos = z + np.concatenate([np.zeros((b, 1), dtype=np.int64),
-                                  np.cumsum(steps, axis=1)], axis=1)
+        pos = np.concatenate([np.zeros((b, 1), dtype=np.int64),
+                              np.cumsum(steps, axis=1)], axis=1)
         live = np.arange(max_jumps + 1) <= counts[:, None]
         vis = pos[live]
         if box is not None:
-            inside = np.abs(pos - z) <= box
+            inside = np.abs(pos) <= box
             alive = np.cumprod(inside | ~live, axis=1).astype(bool)
             killed = ~alive[np.arange(b), counts]
             exited += int(killed.sum())
@@ -105,11 +107,7 @@ def fk_estimate(field: Field, kappa: float, t: float, n_samples: int,
             raise ValueError(
                 f"walk visited [{vis.min()}, {vis.max()}] outside the sampled "
                 f"field [{field.lo}, {field.hi}]")
-        idx = np.clip(pos - field.lo, 0, field.hi - field.lo)
-        heavy = field.heavy[idx]
-        vals = field.values[idx]
-        with np.errstate(over="ignore"):
-            xi = np.where(heavy, -np.exp(np.minimum(vals, 700.0)), vals)
+        xi = xi_field[np.clip(pos - field.lo, 0, field.hi - field.lo)]
         log_w = np.sum(np.where(live, xi * holds, 0.0), axis=1)
         if box is not None:
             log_w = np.where(killed, -np.inf, log_w)
@@ -182,11 +180,7 @@ def screening_lower_bound(field: Field, kappa: float, t: float, y: int, R: int,
             f"crossing budget sum r_x = {budget:.6g} exceeds the split "
             f"time s = {s:.6g}; strategy infeasible")
     # waiting penalty at the centre until time s, with the exact potential
-    c_heavy, c_val = (a.item() for a in field.slice(y, y))
-    if c_heavy:
-        xi_c = -math.exp(min(c_val, 700.0))
-    else:
-        xi_c = c_val
+    xi_c = field.xi(y, y).item()
     log_wait = (xi_c - 2.0 * kappa) * s
     op = hamiltonian(field, y, R, kappa)
     pe = principal_eigpair(op)

@@ -30,6 +30,7 @@ __all__ = [
     "PotentialSpec",
     "Field",
     "XI_CLAMP",
+    "W_CAP",
     "sample_field",
     "cumulant_H",
     "cumulant_G",
@@ -45,6 +46,11 @@ __all__ = [
 # norm, and so the eigenvalue roundoff; point values of u still depend on it
 # through wall crossings, whose amplitude is about kappa / XI_CLAMP.
 XI_CLAMP = 1e8
+# Largest W decoded to xi = -e^W; heavier sites decode to -e^W_CAP, which
+# stays in double range and already kills anything it multiplies.
+W_CAP = 700.0
+# Log-log regularization exponent theta' of the minorant G~_eta.
+THETA_PRIME = 0.5
 
 _QUAD_RTOL = 1e-12
 _LOG_CUTOFF = 1400.0  # exp(-1400) is far below double underflow
@@ -273,16 +279,20 @@ class Field:
         i, j = self.index(lo), self.index(hi)
         return self.heavy[i : j + 1], self.values[i : j + 1]
 
-    def xi_clamped(self, lo: int, hi: int, clamp: float = XI_CLAMP) -> tuple[np.ndarray, np.ndarray]:
-        """xi values on [lo, hi] clamped at -clamp: max(xi, -clamp).
+    def xi(self, lo: int, hi: int) -> np.ndarray:
+        """xi values on [lo, hi]: exact, with heavy sites capped at -e^W_CAP."""
+        heavy, vals = self.slice(lo, hi)
+        return np.where(heavy, -np.exp(np.minimum(vals, W_CAP)), vals)
+
+    def xi_clamped(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """xi values on [lo, hi] clamped at -XI_CLAMP: max(xi, -XI_CLAMP).
 
         Returns (xi, clamped_mask); clamped sites are those with
-        -xi > clamp before clamping.
+        -xi > XI_CLAMP before clamping, read from W on heavy sites.
         """
         heavy, vals = self.slice(lo, hi)
-        xi = np.where(heavy, -np.exp(np.minimum(vals, math.log(clamp))), vals)
-        clamped = xi < -clamp
-        return np.maximum(xi, -clamp), clamped
+        clamped = np.where(heavy, vals > math.log(XI_CLAMP), vals < -XI_CLAMP)
+        return np.maximum(self.xi(lo, hi), -XI_CLAMP), clamped
 
     def log_neg_or1(self, lo: int, hi: int) -> np.ndarray:
         """W' = log(-xi v 1), exact in the dual representation."""
@@ -355,6 +365,7 @@ def _log_integral(log_f, lo: float, hi: float, peak: float) -> float:
     if lo < peak and math.isfinite(lo):
         if drop(lo) < -_LOG_CUTOFF:
             a = optimize.brentq(lambda x: drop(x) + _LOG_CUTOFF, lo, peak, xtol=1e-12, rtol=1e-12)
+    # trim right edge; a peak at 0 can be narrower than any absolute xtol
     b = hi
     if not math.isfinite(hi):
         step = max(abs(peak), 1.0)
@@ -362,9 +373,9 @@ def _log_integral(log_f, lo: float, hi: float, peak: float) -> float:
         while drop(b) > -_LOG_CUTOFF:
             step *= 2.0
             b = peak + step
-        b = optimize.brentq(lambda x: drop(x) + _LOG_CUTOFF, peak, b, rtol=1e-12)
+        b = optimize.brentq(lambda x: drop(x) + _LOG_CUTOFF, peak, b, xtol=1e-300, rtol=1e-12)
     elif hi > peak and drop(hi) < -_LOG_CUTOFF:
-        b = optimize.brentq(lambda x: drop(x) + _LOG_CUTOFF, peak, hi, rtol=1e-12)
+        b = optimize.brentq(lambda x: drop(x) + _LOG_CUTOFF, peak, hi, xtol=1e-300, rtol=1e-12)
 
     def f(x):
         return np.exp(log_f(np.atleast_1d(x)) - m)
@@ -392,34 +403,44 @@ def _logsumexp(terms: list[float]) -> float:
 
 
 def _log_heavy_laplace(spec: PotentialSpec, ell: float) -> float:
-    """log E[exp(-ell * e^W)] over the heavy branch."""
+    """log E[exp(-ell * e^W)] over the heavy branch, in d = W - w_lo.
+
+    The peak value -c = -ell e^{w_lo} is taken out, so quadrature sees
+    -c expm1(d), small near the peak, not differences of values near -c.
+    """
     lt = spec.lower
     if lt.variant == "bounded" and lt.wmax == 0.0:
         return -ell  # W = 0, xi = -1
     w_lo, w_hi = lt.w_support()
+    c = ell * math.exp(w_lo)
 
-    def log_f(w):
+    def log_f(d):
         # cap the exponent; anything below the cutoff never matters
-        return -ell * np.exp(np.minimum(w, 710.0)) + lt.log_density_w(w)
+        return -c * np.expm1(np.minimum(d, _LOG_POW_MAX)) + lt.log_density_w(w_lo + d)
 
-    return _log_integral(log_f, w_lo, w_hi, w_lo)
+    return -c + _log_integral(log_f, 0.0, w_hi - w_lo, 0.0)
 
 
 def _log_frechet_laplace(spec: PotentialSpec, ell: float) -> float:
-    """log E[exp(-ell V)] for V Frechet(a, D), via the y = D x^{-a} substitution."""
+    """log E[exp(-ell V)] for V Frechet(a, D), via the y = D x^{-a} substitution.
+
+    The exponent -y - c y^{-1/a} peaks at y_p with value -(1+a) y_p, which is
+    taken out; quadrature sees -y_p (expm1(s) + a expm1(-s/a)) with
+    s = log(y/y_p), not differences of values near -(1+a) y_p.
+    """
     a, d = spec.frechet_a, spec.frechet_d
     c = ell * d ** (1.0 / a)
+    y_p = (c / a) ** (a / (1.0 + a))
+    # a y_p e^{-s/a} exceeds the double range beyond this s; there log_f is
+    # at its limit -inf, so the exponential is not formed
+    s_max = _LOG_POW_MAX - max(math.log(a * y_p), 0.0)
 
     def log_f(y):
-        y = np.maximum(y, 1e-300)
-        # near the floor y**(-1/a) exceeds the double range; there log_f is
-        # at its limit -inf, so the power is not formed
-        pw = np.power(y, -1.0 / a, out=np.full_like(y, np.inf),
-                      where=np.log(y) > -a * _LOG_POW_MAX)
-        return -y - c * pw
+        s = np.log(np.maximum(y, 1e-300) / y_p)
+        em = np.expm1(-s / a, out=np.full_like(s, np.inf), where=-s / a < s_max)
+        return -y_p * np.expm1(s) - a * y_p * em
 
-    peak = (c / a) ** (a / (1.0 + a)) if c > 0 else 1.0
-    return _log_integral(log_f, 0.0, math.inf, max(peak, 1e-12))
+    return -(1.0 + a) * y_p + _log_integral(log_f, 0.0, math.inf, y_p)
 
 
 def cumulant_H(spec: PotentialSpec, ell: float) -> float:
@@ -498,12 +519,13 @@ def cumulant_G(spec: PotentialSpec, ell: float) -> float:
     return -math.log1p(-j)
 
 
-def g_tilde(spec: PotentialSpec, eta: float, ell: float, theta_prime: float = 0.5) -> float:
+def g_tilde(spec: PotentialSpec, eta: float, ell: float) -> float:
     """Regularized minorant G~_eta of G^eta used by the macrobox scale.
 
     Family-specific: exp-Pareto uses ell^{-eta zeta} exactly; the log-log
-    family uses G(ell) [log log (ell v e^e)]^{1+theta'}.  The bounded control
-    case has all log-moments finite and is rejected.
+    family uses G(ell) [log log (ell v e^e)]^{1+theta'} with theta' =
+    THETA_PRIME.  The bounded control case has all log-moments finite and is
+    rejected.
     """
     if not 0.0 < eta < 1.0:
         raise ValueError(f"eta must be in (0,1), got {eta}")
@@ -515,11 +537,11 @@ def g_tilde(spec: PotentialSpec, eta: float, ell: float, theta_prime: float = 0.
     if lt.variant == "pareto":
         return ell ** (-eta * lt.zeta)
     # log-log family; the argument clamp keeps the factor >= 1 and monotone
-    factor = math.log(math.log(max(ell, math.exp(math.e)))) ** (1.0 + theta_prime)
+    factor = math.log(math.log(max(ell, math.exp(math.e)))) ** (1.0 + THETA_PRIME)
     return cumulant_G(spec, ell) * factor
 
 
-def g_tilde_inverse(spec: PotentialSpec, eta: float, y: float, theta_prime: float = 0.5) -> float:
+def g_tilde_inverse(spec: PotentialSpec, eta: float, y: float) -> float:
     """ell with G~_eta(ell) = y, by closed form (exp-Pareto) or bisection."""
     if y <= 0:
         raise ValueError(f"y must be > 0, got {y}")
@@ -527,15 +549,15 @@ def g_tilde_inverse(spec: PotentialSpec, eta: float, y: float, theta_prime: floa
     if lt.variant == "pareto":
         return y ** (-1.0 / (eta * lt.zeta))
     lo, hi = 1.0, 2.0
-    while g_tilde(spec, eta, hi, theta_prime) > y:
+    while g_tilde(spec, eta, hi) > y:
         lo, hi = hi, hi * 4.0
         if hi > 1e300:
             raise ArithmeticError("g_tilde_inverse bracket growth failed")
-    while g_tilde(spec, eta, lo, theta_prime) < y:
+    while g_tilde(spec, eta, lo) < y:
         hi, lo = lo, lo / 4.0
         if lo < 1e-300:
             raise ValueError(f"y = {y} outside the range of g_tilde")
-    return optimize.brentq(lambda l: g_tilde(spec, eta, l, theta_prime) - y, lo, hi, rtol=1e-12)
+    return optimize.brentq(lambda l: g_tilde(spec, eta, l) - y, lo, hi, rtol=1e-12)
 
 
 def log_moment(spec: PotentialSpec, delta: float) -> float:

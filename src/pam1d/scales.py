@@ -31,6 +31,8 @@ __all__ = [
     "find_tmin",
 ]
 
+_INV_E = math.exp(-1.0)  # b_t needs G(t) < 1/e, i.e. -log G(t) > 1
+
 
 @dataclass(frozen=True)
 class ScaleParams:
@@ -52,11 +54,11 @@ class ScaleParams:
         )
 
 
-def find_tmin(spec: PotentialSpec, cutoff: float = math.exp(-1.0)) -> float:
+def find_tmin(spec: PotentialSpec) -> float:
     """Smallest power-of-2 t with G(t) < 1/e, so -log G(t) >= 1."""
     t = 1.0
     for _ in range(200):
-        if cumulant_G(spec, t) < cutoff:
+        if cumulant_G(spec, t) < _INV_E:
             return t
         t *= 2.0
     raise ArithmeticError("G(t) did not drop below 1/e for t up to 2^200")
@@ -72,7 +74,7 @@ def alpha(params: ScaleParams, t: float) -> float:
 def b_scale(spec: PotentialSpec, params: ScaleParams, t: float) -> float:
     """Time scale b_t solving b / alpha(b)^2 = -log G(t)."""
     g = cumulant_G(spec, t)
-    if g >= math.exp(-1.0):
+    if g >= _INV_E:
         raise ValueError(f"t = {t} below tmin (G(t) = {g} >= 1/e)")
     target = -math.log(g)
     b = target ** (1.0 / (1.0 - 2.0 * params.nu))
@@ -103,7 +105,6 @@ def gamma_box(
     eta: float,
     rho: float,
     t: float,
-    theta_prime: float = 0.5,
 ) -> float:
     """Macrobox radius rho / G~_eta(t alpha(b_t)^{-3}) for the lower bound.
 
@@ -114,7 +115,7 @@ def gamma_box(
         raise ValueError(f"rho must be > 0, got {rho}")
     b = b_scale(spec, params, t)
     ell = t / alpha(params, b) ** 3
-    return rho / g_tilde(spec, eta, ell, theta_prime)
+    return rho / g_tilde(spec, eta, ell)
 
 
 def invert_G(spec: PotentialSpec, y: float) -> float:

@@ -124,14 +124,13 @@ def legendre_L(psi: ShapeFunction, A: float, gamma: float) -> float:
     return pref * psi.h * float(np.sum(np.abs(v) ** (-p)))
 
 
-def brute_legendre(psi: ShapeFunction, A: float, gamma: float,
-                   f_eps: float = 1e-9) -> float:
+def brute_legendre(psi: ShapeFunction, A: float, gamma: float) -> float:
     """Legendre budget by independent per-node numeric maximization.
 
     Maximizes f*psi(x) + A f^gamma over f >= 0 at every node and integrates;
     kept deliberately free of the closed form so the two routes cross-check
     each other.  For gamma = 0 the pointwise supremum A is approached along
-    f -> 0+, probed at f = f_eps.
+    f -> 0+, probed at f = 1e-9.
     """
     v = psi.values
     if np.any(v > 0):
@@ -143,7 +142,7 @@ def brute_legendre(psi: ShapeFunction, A: float, gamma: float,
         if p == 0.0 and gamma > 0.0:
             return math.inf
         if gamma == 0.0:
-            total += max(f_eps * p + A, 0.0) if p < 0 else 0.0
+            total += max(1e-9 * p + A, 0.0) if p < 0 else 0.0
             continue
         # bracket around the analytic stationary point scale
         f_star = (A * gamma / abs(p)) ** (1.0 / (1.0 - gamma))
@@ -232,8 +231,7 @@ def _optimize_profile(cfg: VariationalConfig, R: float, u0: np.ndarray,
     return lam_prev, u, cfg.max_iter
 
 
-def chi_tilde(cfg: VariationalConfig, r_start: float = 1.0,
-              r_max: float = 256.0) -> ChiResult:
+def chi_tilde(cfg: VariationalConfig, r_max: float = 256.0) -> ChiResult:
     """Decay constant chi = -sup_R sup{lambda(psi) : L(psi) <= 1}.
 
     gamma = 0: the optimal profile is an arbitrarily shallow well on an
@@ -242,7 +240,7 @@ def chi_tilde(cfg: VariationalConfig, r_start: float = 1.0,
     discretization).
 
     gamma > 0: damped KKT iteration at each R with two starting profiles,
-    doubling R until enlarging the box stops improving the eigenvalue.
+    doubling R from 1 until enlarging the box stops improving the eigenvalue.
     """
     if cfg.gamma == 0.0:
         L = 1.0 / cfg.A
@@ -253,7 +251,7 @@ def chi_tilde(cfg: VariationalConfig, r_start: float = 1.0,
                          budget=cfg.A * L, iterations=0)
 
     best = (-math.inf, None, None, 0)
-    R = r_start
+    R = 1.0
     stale = 0
     while R <= r_max:
         # keep the grid spacing fixed as R grows, else coarser boxes fake

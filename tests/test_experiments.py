@@ -58,8 +58,6 @@ class TestRateCurve:
     def test_config_validation(self, atom_spec):
         with pytest.raises(ValueError):
             ExperimentConfig(spec=atom_spec, kappa=0.0)
-        with pytest.raises(ValueError):
-            ExperimentConfig(spec=atom_spec, eta=1.5)
 
 
 class TestAssumptionH:

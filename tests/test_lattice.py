@@ -7,7 +7,8 @@ from scipy.linalg import expm
 from pam1d.lattice import (_shoot_log_multi, hamiltonian, principal_eigpair,
                            solve_adaptive, solve_box, solve_point_log,
                            truncation_product)
-from pam1d.potential import Field, XI_CLAMP, sample_field
+from pam1d import potential
+from pam1d.potential import Field, sample_field
 
 from conftest import constant_field, make_spec, zero_field
 
@@ -47,22 +48,32 @@ class TestHamiltonian:
         sine /= np.linalg.norm(sine)
         assert np.allclose(np.abs(pe.eigvec), sine, atol=1e-10)
 
-    def test_clamp_representation(self):
+    @pytest.mark.parametrize("clamp", [1e6, 1e8, 1e9, 1e12],
+                             ids=["1e6", "1e8", "1e9", "1e12"])
+    def test_clamp_representation(self, clamp, monkeypatch):
         # heavy sites with W > log(XI_CLAMP) enter the diagonal exactly at
-        # -XI_CLAMP, the moderately heavy W = 20 (between log 1e8 and
-        # log 1e12) as well as the extreme W = 1000
+        # -XI_CLAMP and are marked clamped: the extreme W = 1000 at every
+        # clamp, the moderately heavy W = 20 (between log 1e9 and log 1e12)
+        # at all but 1e12; the clamp is read when the operator is built
+        monkeypatch.setattr(potential, "XI_CLAMP", clamp)
         kappa = 1.5
         fld = Field(lo=-2, hi=2,
                     heavy=np.array([False, True, False, True, False]),
                     values=np.array([0.0, 1000.0, 0.0, 20.0, 0.0]))
         op = hamiltonian(fld, 0, 2, kappa)
-        assert op.clamped.tolist() == [False, True, False, True, False]
+        w20_clamped = clamp < math.exp(20.0)
+        assert op.clamped.tolist() == [False, True, False, w20_clamped, False]
+        assert op.diag[1] == -clamp - 2.0 * kappa
+        if w20_clamped:
+            assert op.diag[3] == -clamp - 2.0 * kappa
+        else:
+            assert op.diag[3] == pytest.approx(-math.exp(20.0) - 2.0 * kappa,
+                                               rel=1e-15)
         for i in (1, 3):
-            assert op.diag[i] == -XI_CLAMP - 2.0 * kappa
             e = np.zeros(5)
             e[i] = 1.0
             col = op.matvec(e)
-            assert col[i] == -XI_CLAMP - 2.0 * kappa
+            assert col[i] == op.diag[i]
             assert col[i - 1] == col[i + 1] == kappa
 
     def test_invalid_args(self):

@@ -1,13 +1,15 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from pam1d.potential import (LowerTailSpec, PotentialSpec, XI_CLAMP,
-                             canonical_A, cumulant_G, cumulant_H, g_tilde,
-                             g_tilde_inverse, log_moment, sample_field,
-                             spec_from_json, spec_to_json)
+from pam1d.potential import (Field, LowerTailSpec, PotentialSpec, W_CAP,
+                             XI_CLAMP, _log_heavy_laplace, canonical_A,
+                             cumulant_G, cumulant_H, g_tilde, g_tilde_inverse,
+                             log_moment, sample_field, spec_from_json,
+                             spec_to_json)
 from pam1d.scales import invert_G
 
 from conftest import make_spec
@@ -98,6 +100,21 @@ class TestFieldSampling:
             sigma = math.sqrt((1 / x) * (1 - 1 / x) / len(w))
             assert abs(frac - 1.0 / x) < 4 * sigma
 
+    def test_xi_decoder(self):
+        # light sites keep their value; heavy sites decode to -e^W exactly
+        # up to W_CAP, and to -e^W_CAP beyond it
+        fld = Field(lo=3, hi=5, heavy=np.array([False, True, True]),
+                    values=np.array([-0.25, 20.0, 1000.0]))
+        xi = fld.xi(3, 5)
+        assert xi[0] == -0.25
+        assert xi[1] == -np.exp(20.0)
+        assert xi[2] == -np.exp(W_CAP) and W_CAP == 700.0
+        assert np.array_equal(fld.xi(4, 4), xi[1:2])
+        # the solver view is the same decode, clamped
+        clamped, mask = fld.xi_clamped(3, 5)
+        assert clamped.tolist() == [-0.25, -XI_CLAMP, -XI_CLAMP]
+        assert mask.tolist() == [False, True, True]
+
     def test_log_neg_or1(self, atom_spec):
         fld = sample_field(atom_spec, -50, 50, 2)
         wp = fld.log_neg_or1(-50, 50)
@@ -147,6 +164,40 @@ class TestCumulants:
 
     def test_canonical_a_atom(self, atom_spec):
         assert canonical_A(atom_spec) == pytest.approx(-math.log(0.4))
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.1, 0.5, 0.9])
+    def test_h_large_ell_warning_free(self, gamma):
+        # the exponent at the peak reaches -3e12 nats here; quadrature sees
+        # it only relative to the peak value, so it converges cleanly
+        lowers = (LowerTailSpec.pareto(1.0), LowerTailSpec.pareto(0.5),
+                  LowerTailSpec.loglog(1.0), LowerTailSpec.bounded(3.0))
+        for lower in lowers:
+            spec = PotentialSpec(gamma=gamma, mix_q=0.2, lower=lower,
+                                 atom_p=0.5, frechet_d=1.0)
+            prev = 0.0
+            for ell in (1e8, 1e9, 1e10, 1e12):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    h = cumulant_H(spec, ell)
+                assert math.isfinite(h) and h <= prev
+                prev = h
+
+    def test_heavy_laplace_against_mpmath(self):
+        # log of int_1^inf e^{-ell e^w} w^{-2} dw, exp-Pareto(zeta = 1), in
+        # 30 digits; substituting w = 1 + u / c with c = ell e separates the
+        # peak value -c from an O(1) integral, whose integrand is below
+        # e^{-5000} beyond u = 5000
+        mpmath = pytest.importorskip("mpmath")
+        spec = PotentialSpec(gamma=0.0, mix_q=1.0,
+                             lower=LowerTailSpec.pareto(1.0))
+        ell = 1e10
+        with mpmath.workdps(30):
+            c = mpmath.mpf(ell) * mpmath.e
+            val = mpmath.quad(lambda u: mpmath.exp(-c * mpmath.expm1(u / c))
+                              / (1 + u / c) ** 2, [0, 1, 10, 100, 1000, 5000])
+            exact = -c + mpmath.log(val / c)
+        assert _log_heavy_laplace(spec, ell) == pytest.approx(float(exact), rel=1e-15)
+        assert cumulant_H(spec, ell) == pytest.approx(float(exact), rel=1e-15)
 
     def test_canonical_a_frechet_stable(self, frechet_spec):
         a8 = canonical_A(frechet_spec, t=1e8)
