@@ -11,17 +11,6 @@ runs the statistical experiments connecting finite-t data to the predicted
 almost-sure decay rate.
 """
 
-import os
-
-# PAM1D_THREADS caps the BLAS/LAPACK thread pools; it only sets their thread
-# variables, so it must be seen before numpy is first imported.
-_threads = os.environ.get("PAM1D_THREADS")
-if _threads:
-    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(_var, _threads)
-del os
-
 from .potential import (Field, LowerTailSpec, PotentialSpec, XI_CLAMP,
                         canonical_A, cumulant_G, cumulant_H, g_tilde,
                         g_tilde_inverse, log_moment, sample_field,
@@ -33,7 +22,7 @@ from .lattice import (PointSolution, SolveResult, SpectralData,
                       principal_eigpair, solve_adaptive, solve_box,
                       solve_point_log, truncation_product)
 from .montecarlo import (FkResult, best_screening_bound, fk_estimate,
-                         screening_lower_bound)
+                         jump_budget, screening_lower_bound)
 from .variational import (ChiResult, ShapeFunction, VariationalConfig,
                           brute_legendre, chi_tilde, eig_continuum,
                           functional_H, legendre_L)

@@ -24,7 +24,7 @@ import sys
 
 import numpy as np
 
-from .montecarlo import best_screening_bound, fk_estimate
+from .montecarlo import best_screening_bound, fk_estimate, jump_budget
 from .lattice import hamiltonian, principal_eigpair, solve_adaptive
 from .potential import (PotentialSpec, canonical_A, cumulant_G, cumulant_H,
                         sample_field, spec_from_json)
@@ -223,11 +223,7 @@ def _cmd_solve(args) -> None:
 
 def _cmd_fk(args) -> None:
     spec = _load_spec(args)
-    if args.box is not None:
-        half = args.box
-    else:
-        rate = 2.0 * args.kappa
-        half = int(rate * args.t + 12.0 * math.sqrt(rate * args.t + 1.0) + 40)
+    half = jump_budget(args.kappa, args.t) if args.box is None else args.box
     fld = sample_field(spec, -half, half, args.seed)
     res = fk_estimate(fld, args.kappa, args.t, args.samples, args.seed,
                       box=args.box)
@@ -315,7 +311,10 @@ def _cmd_verify_last(args) -> None:
 def _cmd_verify_microbox(args) -> None:
     spec = _load_spec(args)
     psi = _load_psi(args)
-    t_values = _parse_grid(args.t_grid)
+    if args.t_grid is None:
+        t_values = experiments.t_grid(spec, 8, 10)
+    else:
+        t_values = _parse_grid(args.t_grid)
     freqs = experiments.check_microbox(spec, psi, args.eps, args.eta,
                                        t_values, range(args.seeds))
     rows = list(zip(t_values, freqs))
@@ -467,10 +466,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "verify-microbox" and args.t_grid is None:
-            spec = _load_spec(args)
-            ts = experiments.t_grid(spec, 8, 10)
-            args.t_grid = f"{ts[0]}:{ts[-1]}:geometric:{len(ts)}"
         args.func(args)
     except ConfigError as exc:
         print(f"pam1d: error: {exc}", file=sys.stderr)

@@ -29,6 +29,7 @@ from .potential import Field
 __all__ = [
     "fk_estimate",
     "FkResult",
+    "jump_budget",
     "screening_lower_bound",
     "best_screening_bound",
 ]
@@ -43,6 +44,12 @@ class FkResult:
     n_samples: int
     exit_fraction: float
     lower_bound: bool
+
+
+def jump_budget(kappa: float, t: float) -> int:
+    """Jumps simulated per walk: a generous Poisson(2 kappa t) tail budget."""
+    rate = 2.0 * kappa
+    return int(rate * t + 12.0 * math.sqrt(rate * t + 1.0) + 30)
 
 
 def _occupation_batch(kappa: float, t: float, max_jumps: int,
@@ -61,8 +68,7 @@ def _occupation_batch(kappa: float, t: float, max_jumps: int,
     if np.any(counts > max_jumps):
         raise ArithmeticError("max_jumps exceeded; raise the jump budget")
     # truncate the final holding interval at t
-    prev = np.concatenate([np.zeros((batch, 1)), cum[:, :-1]], axis=1)
-    holds = np.minimum(cum, t) - np.minimum(prev, t)
+    holds = np.diff(np.minimum(cum, t), axis=1, prepend=0.0)
     steps = rng.choice((-1, 1), size=(batch, max_jumps))
     return steps, holds, counts
 
@@ -73,49 +79,41 @@ def fk_estimate(field: Field, kappa: float, t: float, n_samples: int,
 
     With ``box`` set, paths leaving [-box, box] are killed (contribute 0),
     making the estimate an unbiased lower bound of the full-space value.
-    Without a box the field must cover the range actually visited, else a
-    ValueError is raised.
+    Walks reach at most r = jump_budget(kappa, t) sites, or the box radius if
+    smaller; a field not covering [-r, r] raises ValueError before any draw.
     """
     if n_samples <= 0:
         raise ValueError(f"n_samples must be > 0, got {n_samples}")
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
-    rate = 2.0 * kappa
-    # generous Poisson tail budget for the jump count
-    max_jumps = int(rate * t + 12.0 * math.sqrt(rate * t + 1.0) + 30)
+    max_jumps = jump_budget(kappa, t)
+    reach = max_jumps if box is None else min(box, max_jumps)
+    if field.lo > -reach or field.hi < reach:
+        raise ValueError(f"walks reach [{-reach}, {reach}], outside the "
+                         f"sampled field [{field.lo}, {field.hi}]")
     rng = np.random.default_rng(seed)
     xi_field = field.xi(field.lo, field.hi)
+    pos = np.zeros((min(_BATCH, n_samples), max_jumps + 1), dtype=np.int64)
     total = 0.0
     total_sq = 0.0
     exited = 0
-    done = 0
-    while done < n_samples:
-        b = min(_BATCH, n_samples - done)
+    for start in range(0, n_samples, _BATCH):
+        b = min(_BATCH, n_samples - start)
         steps, holds, counts = _occupation_batch(kappa, t, max_jumps, rng, b)
-        pos = np.concatenate([np.zeros((b, 1), dtype=np.int64),
-                              np.cumsum(steps, axis=1)], axis=1)
-        live = np.arange(max_jumps + 1) <= counts[:, None]
-        vis = pos[live]
+        np.cumsum(steps, axis=1, out=pos[:b, 1:])
+        # only sites beyond the box, where paths die, can be outside the field
+        xi = xi_field[np.clip(pos[:b] - field.lo, 0, field.hi - field.lo)]
+        # holding times are 0 beyond each walk's jump count
+        log_w = np.sum(xi * holds, axis=1)
         if box is not None:
-            inside = np.abs(pos) <= box
-            alive = np.cumprod(inside | ~live, axis=1).astype(bool)
-            killed = ~alive[np.arange(b), counts]
+            live = np.arange(max_jumps + 1) <= counts[:, None]
+            killed = np.any(live & (np.abs(pos[:b]) > box), axis=1)
             exited += int(killed.sum())
-            live = live & alive
-            vis = pos[live]
-        if vis.size and (vis.min() < field.lo or vis.max() > field.hi):
-            raise ValueError(
-                f"walk visited [{vis.min()}, {vis.max()}] outside the sampled "
-                f"field [{field.lo}, {field.hi}]")
-        xi = xi_field[np.clip(pos - field.lo, 0, field.hi - field.lo)]
-        log_w = np.sum(np.where(live, xi * holds, 0.0), axis=1)
-        if box is not None:
-            log_w = np.where(killed, -np.inf, log_w)
+            log_w[killed] = -np.inf
         with np.errstate(under="ignore"):
             w = np.exp(log_w)
         total += float(w.sum())
         total_sq += float((w * w).sum())
-        done += b
     mean = total / n_samples
     var = max(total_sq / n_samples - mean * mean, 0.0)
     return FkResult(estimate=mean,
@@ -170,8 +168,7 @@ def screening_lower_bound(field: Field, kappa: float, t: float, y: int, R: int,
         # -inf, correctly marking the crossing as impossible
         with np.errstate(divide="ignore"):
             jump = np.log(-np.expm1(-2.0 * kappa * r)) - math.log(2.0)
-        heavy, vals = field.slice(lo_x, hi_x)
-        pot = np.where(heavy | (vals <= -1.0), -1.0, vals)
+        pot = np.maximum(field.xi(lo_x, hi_x), -1.0)
         log_travel = float(jump.sum() + pot.sum())
     if s is None:
         s = min(budget, t / 2.0)

@@ -47,7 +47,9 @@ __all__ = [
 # through wall crossings, whose amplitude is about kappa / XI_CLAMP.
 XI_CLAMP = 1e8
 # Largest W decoded to xi = -e^W; heavier sites decode to -e^W_CAP, which
-# stays in double range and already kills anything it multiplies.
+# stays in double range and already kills anything it multiplies.  W itself
+# must stay finite too, or means over sites (estimate_rho) turn to NaN: log-log
+# sampling caps log W at _LOG_POW_MAX (0.14 % of heavy sites at theta = 1).
 W_CAP = 700.0
 # Log-log regularization exponent theta' of the minorant G~_eta.
 THETA_PRIME = 0.5
@@ -117,8 +119,11 @@ class LowerTailSpec:
         if self.variant == "pareto":
             return u ** (-1.0 / self.zeta)
         if self.variant == "loglog":
-            # F(x) = 1 - (log x0 / log x)^theta on [x0, inf)
-            return np.exp(math.log(self.x0) * (1.0 - u) ** (-1.0 / self.theta))
+            # F(x) = 1 - (log x0 / log x)^theta on [x0, inf); the exponent
+            # is capped so that W stays finite (see W_CAP)
+            with np.errstate(over="ignore"):
+                log_w = math.log(self.x0) * (1.0 - u) ** (-1.0 / self.theta)
+            return np.exp(np.minimum(log_w, _LOG_POW_MAX))
         return self.wmax * u
 
     def log_density_w(self, w: np.ndarray) -> np.ndarray:
@@ -421,12 +426,30 @@ def _log_heavy_laplace(spec: PotentialSpec, ell: float) -> float:
     return -c + _log_integral(log_f, 0.0, w_hi - w_lo, 0.0)
 
 
+# 1/k! for k = 16..2: the Taylor series of e^x - 1 - x, Horner order
+_EXPM1MX_SERIES = tuple(1.0 / math.factorial(k) for k in range(16, 1, -1))
+
+
+def _expm1mx(x: np.ndarray) -> np.ndarray:
+    """e^x - 1 - x, by its Taylor series where expm1(x) - x would cancel."""
+    out = np.expm1(x) - x
+    small = np.abs(x) < 0.5
+    xs = x[small]
+    p = np.zeros_like(xs)
+    for coef in _EXPM1MX_SERIES:
+        p = p * xs + coef
+    out[small] = xs * xs * p
+    return out
+
+
 def _log_frechet_laplace(spec: PotentialSpec, ell: float) -> float:
     """log E[exp(-ell V)] for V Frechet(a, D), via the y = D x^{-a} substitution.
 
     The exponent -y - c y^{-1/a} peaks at y_p with value -(1+a) y_p, which is
-    taken out; quadrature sees -y_p (expm1(s) + a expm1(-s/a)) with
-    s = log(y/y_p), not differences of values near -(1+a) y_p.
+    taken out; quadrature sees -y_p phi(s) with s = log(y/y_p), not
+    differences of values near -(1+a) y_p.  phi(s) = expm1(s) + a expm1(-s/a)
+    cancels to first order at the peak, so it is summed as
+    (e^s - 1 - s) + a (e^z - 1 - z), z = -s/a, two non-negative terms.
     """
     a, d = spec.frechet_a, spec.frechet_d
     c = ell * d ** (1.0 / a)
@@ -437,8 +460,11 @@ def _log_frechet_laplace(spec: PotentialSpec, ell: float) -> float:
 
     def log_f(y):
         s = np.log(np.maximum(y, 1e-300) / y_p)
-        em = np.expm1(-s / a, out=np.full_like(s, np.inf), where=-s / a < s_max)
-        return -y_p * np.expm1(s) - a * y_p * em
+        z = -s / a
+        phi = np.full_like(s, np.inf)
+        ok = z < s_max
+        phi[ok] = _expm1mx(s[ok]) + a * _expm1mx(z[ok])
+        return -y_p * phi
 
     return -(1.0 + a) * y_p + _log_integral(log_f, 0.0, math.inf, y_p)
 

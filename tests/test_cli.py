@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 
 from pam1d.cli import main
+from pam1d.experiments import t_grid
+from pam1d.montecarlo import fk_estimate, jump_budget
+from pam1d.potential import sample_field, spec_from_json
 
 
 ATOM_SPEC = ('{"gamma":0.0,"upper":{"atom_p":0.5},"mix_q":0.2,'
@@ -102,6 +105,19 @@ class TestFkAndLbound:
         assert list(obj) == ["mean", "stderr", "exit_fraction"]
         assert 0.0 < obj["mean"] <= 1.0
 
+    def test_fk_unboxed(self, capsys, spec_file):
+        # without --box the field spans +-jump_budget, all a walk can reach
+        code, out, _ = run(capsys, "fk", "--spec", spec_file, "--seed", "1",
+                           "--t", "2", "--samples", "2000", "--deterministic")
+        assert code == 0
+        obj = json.loads(out)
+        half = jump_budget(1.0, 2.0)
+        fld = sample_field(spec_from_json(ATOM_SPEC), -half, half, 1)
+        res = fk_estimate(fld, 1.0, 2.0, 2000, 1)
+        assert obj == {"mean": res.estimate, "stderr": res.stderr,
+                       "exit_fraction": 0.0}
+        assert 0.0 < obj["mean"] <= 1.0
+
     def test_lbound_schema(self, capsys, spec_file):
         code, out, _ = run(capsys, "lbound", "--spec", spec_file,
                            "--t", "5", "--radius", "5", "--deterministic")
@@ -178,3 +194,16 @@ class TestTables:
         lines = out.strip().splitlines()
         assert lines[0].strip() == "n,median,frac_gt_1,frac_gt_10"
         assert len(lines) == 3
+
+    def test_verify_microbox_default_grid(self, capsys, tmp_path):
+        # without --t-grid the times are t_grid(spec, 8, 10) themselves
+        spec_json = ('{"gamma":0.0,"upper":{"atom_p":0.95},"mix_q":0.1,'
+                     '"lower":{"pareto_zeta":1.0}}')
+        path = tmp_path / "spec.json"
+        path.write_text(spec_json)
+        code, out, _ = run(capsys, "verify-microbox", "--spec", str(path),
+                           "--R", "0.5", "--seeds", "2", "--deterministic")
+        assert code == 0
+        rows = out.strip().splitlines()[1:]
+        ts = [float(row.split(",")[0]) for row in rows]
+        assert ts == t_grid(spec_from_json(spec_json), 8, 10).tolist()

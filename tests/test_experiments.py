@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -117,6 +118,16 @@ class TestLast:
     def test_bounded_rejected(self, bounded_spec):
         with pytest.raises(ValueError, match="finite log-moment"):
             check_last(bounded_spec, 0.5, [100], range(3))
+
+    def test_rho_finite_loglog(self):
+        # about 0.14 % of theta = 1 log-log sites have log W beyond the
+        # double range; they are capped, so rho stays finite
+        spec = PotentialSpec(gamma=0.0, mix_q=0.2,
+                             lower=LowerTailSpec.loglog(1.0), atom_p=0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rho = estimate_rho(spec, 0.5, n_samples=20_000)
+        assert math.isfinite(rho) and rho > 0
 
     def test_rho_estimate_vs_analytic(self, atom_spec):
         # exp-Pareto(zeta = 1): 1/g_hat is piecewise explicit, giving

@@ -5,7 +5,7 @@ import pytest
 
 from pam1d.lattice import hamiltonian, principal_eigpair, solve_box
 from pam1d.montecarlo import (_occupation_batch, best_screening_bound,
-                              fk_estimate, screening_lower_bound)
+                              fk_estimate, jump_budget, screening_lower_bound)
 from pam1d.potential import Field, sample_field
 
 from conftest import constant_field, make_spec, zero_field
@@ -13,9 +13,8 @@ from conftest import constant_field, make_spec, zero_field
 
 def _walks(kappa, t, seed, n):
     """n walks from the generator fk_estimate samples, with its jump budget."""
-    rate = 2.0 * kappa
-    max_jumps = int(rate * t + 12.0 * math.sqrt(rate * t + 1.0) + 30)
-    return _occupation_batch(kappa, t, max_jumps, np.random.default_rng(seed), n)
+    return _occupation_batch(kappa, t, jump_budget(kappa, t),
+                             np.random.default_rng(seed), n)
 
 
 class TestSimulateWalk:
@@ -97,6 +96,31 @@ class TestFkEstimate:
         fld = zero_field(-2, 2)
         with pytest.raises(ValueError, match="outside the sampled"):
             fk_estimate(fld, 1.0, 10.0, 200, 0)
+
+    def test_reach_check(self):
+        # boxed: the field must cover the box, even when t is too small for
+        # a walk to get that far (the jump budget at t = 0.01 is 42)
+        with pytest.raises(ValueError, match="outside the sampled"):
+            fk_estimate(zero_field(-5, 5), 1.0, 0.01, 10, 0, box=10)
+        # unboxed: the field must cover +-jump_budget, on both sides
+        budget = jump_budget(1.0, 3.0)
+        res = fk_estimate(zero_field(-budget, budget), 1.0, 3.0, 10, 0)
+        assert res.estimate == 1.0
+        for lo, hi in ((-(budget - 1), budget - 1), (-budget, budget - 1)):
+            with pytest.raises(ValueError, match="outside the sampled"):
+                fk_estimate(zero_field(lo, hi), 1.0, 3.0, 10, 0)
+
+    def test_frozen_estimates(self):
+        # frozen outputs, exact to the bit: any change to the number or the
+        # order of the RNG draws moves them
+        fld = sample_field(make_spec(0.5, 1.0), -10, 10, 2000)
+        res = fk_estimate(fld, 1.0, 3.0, 100_000, 2000, box=10)
+        assert (res.estimate, res.stderr, res.exit_fraction) == (
+            0.03865341841201196, 0.0001778180049811645, 0.00012)
+        fld = sample_field(make_spec(0.5, 1.0), -200, 200, 40)
+        res = fk_estimate(fld, 1.0, 1.0, 20_000, 7)
+        assert (res.estimate, res.stderr, res.exit_fraction) == (
+            0.41943725457680864, 0.00130656033197914, 0.0)
 
     def test_zero_samples_rejected(self):
         with pytest.raises(ValueError):

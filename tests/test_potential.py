@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from pam1d.potential import (Field, LowerTailSpec, PotentialSpec, W_CAP,
-                             XI_CLAMP, _log_heavy_laplace, canonical_A,
-                             cumulant_G, cumulant_H, g_tilde, g_tilde_inverse,
-                             log_moment, sample_field, spec_from_json,
-                             spec_to_json)
+                             XI_CLAMP, _LOG_POW_MAX, _expm1mx,
+                             _log_frechet_laplace, _log_heavy_laplace,
+                             canonical_A, cumulant_G, cumulant_H, g_tilde,
+                             g_tilde_inverse, log_moment, sample_field,
+                             spec_from_json, spec_to_json)
 from pam1d.scales import invert_G
 
 from conftest import make_spec
@@ -100,6 +101,25 @@ class TestFieldSampling:
             sigma = math.sqrt((1 / x) * (1 - 1 / x) / len(w))
             assert abs(frac - 1.0 / x) < 4 * sigma
 
+    def test_loglog_heavy_tail(self):
+        # F(x) = 1 - (log x0 / log x)^theta on [x0, inf); draws with log W
+        # beyond the double range are capped at log W = _LOG_POW_MAX
+        for theta, x0 in ((1.0, math.e), (0.5, 10.0)):
+            spec = PotentialSpec(gamma=0.0, mix_q=1.0,
+                                 lower=LowerTailSpec.loglog(theta, x0))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                w = sample_field(spec, 1, 200_000, 4).values
+            assert np.all(np.isfinite(w)) and np.all(w >= x0)
+            for log_x in (2.5, 10.0, 100.0, 700.0, _LOG_POW_MAX):
+                p = (math.log(x0) / log_x) ** theta
+                frac = (np.log(w) >= log_x).mean()
+                sigma = math.sqrt(p * (1 - p) / len(w))
+                assert abs(frac - p) < 4 * sigma
+        # a power that overflows is capped too
+        w = LowerTailSpec.loglog(0.01).sample_w(np.array([0.5, 1 - 2 ** -40]))
+        assert w[1] == math.exp(_LOG_POW_MAX) and math.isfinite(w[0])
+
     def test_xi_decoder(self):
         # light sites keep their value; heavy sites decode to -e^W exactly
         # up to W_CAP, and to -e^W_CAP beyond it
@@ -167,7 +187,7 @@ class TestCumulants:
 
     @pytest.mark.parametrize("gamma", [0.0, 0.1, 0.5, 0.9])
     def test_h_large_ell_warning_free(self, gamma):
-        # the exponent at the peak reaches -3e12 nats here; quadrature sees
+        # the exponent at the peak reaches -4e13 nats here; quadrature sees
         # it only relative to the peak value, so it converges cleanly
         lowers = (LowerTailSpec.pareto(1.0), LowerTailSpec.pareto(0.5),
                   LowerTailSpec.loglog(1.0), LowerTailSpec.bounded(3.0))
@@ -175,7 +195,7 @@ class TestCumulants:
             spec = PotentialSpec(gamma=gamma, mix_q=0.2, lower=lower,
                                  atom_p=0.5, frechet_d=1.0)
             prev = 0.0
-            for ell in (1e8, 1e9, 1e10, 1e12):
+            for ell in (1e8, 1e9, 1e10, 1e12, 1e15):
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
                     h = cumulant_H(spec, ell)
@@ -198,6 +218,34 @@ class TestCumulants:
             exact = -c + mpmath.log(val / c)
         assert _log_heavy_laplace(spec, ell) == pytest.approx(float(exact), rel=1e-15)
         assert cumulant_H(spec, ell) == pytest.approx(float(exact), rel=1e-15)
+
+    def test_frechet_laplace_against_mpmath(self):
+        # log of int_0^inf exp(-y - ell y^{-1/a}) dy at gamma = 0.9 (a = 9),
+        # ell = 1e15, in 30 digits: the peak y_p ~ 4.4e12 has width sigma ~
+        # 2e6, so y = y_p + sigma u puts the whole mass in |u| < 40
+        mpmath = pytest.importorskip("mpmath")
+        spec = PotentialSpec(gamma=0.9, mix_q=0.2,
+                             lower=LowerTailSpec.pareto(1.0), frechet_d=1.0)
+        ell = 1e15
+        with mpmath.workdps(30):
+            a = mpmath.mpf(9)
+            y_p = (ell / a) ** (a / (1 + a))
+            sigma = mpmath.sqrt(y_p / (1 + 1 / a))
+
+            def f(u):
+                y = y_p + sigma * u
+                return mpmath.exp((1 + a) * y_p - y - ell * y ** (-1 / a))
+
+            val = mpmath.quad(f, [-40, -10, -3, 0, 3, 10, 40])
+            exact = -(1 + a) * y_p + mpmath.log(sigma * val)
+            xs = [-0.49, -1e-3, 1e-9, 0.3, 0.5, -2.0, 5.0]
+            em = [mpmath.expm1(x) - x for x in map(mpmath.mpf, xs)]
+        assert _log_frechet_laplace(spec, ell) == pytest.approx(float(exact),
+                                                                rel=1e-15)
+        # e^x - 1 - x, the term that carries the peak, to full precision
+        got = _expm1mx(np.array(xs))
+        for g, e in zip(got, em):
+            assert g == pytest.approx(float(e), rel=4e-16)
 
     def test_canonical_a_frechet_stable(self, frechet_spec):
         a8 = canonical_A(frechet_spec, t=1e8)
