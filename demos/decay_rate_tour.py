@@ -25,8 +25,8 @@ def main():
     print("Heavy branch: xi = -e^W with P(W > x) = 1/x (zeta = 1)\n")
 
     fld = sample_field(spec, -30, 30, seed=0)
-    xi, _ = fld.xi_clamped(-30, 30)
-    print("A window of the field (clamped view):")
+    xi = fld.xi(-30, 30)
+    print("A window of the field (heavy sites decoded as -e^W):")
     print("  ", np.array2string(xi[25:36], precision=2, suppress_small=True))
     print("  heavy sites in [-30, 30]:", int(fld.heavy.sum()), "\n")
 

@@ -11,16 +11,16 @@ runs the statistical experiments connecting finite-t data to the predicted
 almost-sure decay rate.
 """
 
-from .potential import (Field, LowerTailSpec, PotentialSpec, XI_CLAMP,
-                        canonical_A, cumulant_G, cumulant_H, g_tilde,
-                        g_tilde_inverse, log_moment, sample_field,
-                        spec_from_json, spec_to_json)
+from .potential import (Field, LowerTailSpec, PotentialSpec, canonical_A,
+                        cumulant_G, cumulant_H, g_tilde, g_tilde_inverse,
+                        log_moment, sample_field, spec_from_json,
+                        spec_to_json)
 from .scales import (ScaleParams, alpha, b_scale, b_star, gamma_box,
                      invert_G, r_box)
-from .lattice import (PointSolution, SolveResult, SpectralData,
+from .lattice import (XI_CLAMP, PointSolution, SolveResult, SpectralData,
                       TridiagonalOperator, hamiltonian,
                       principal_eigpair, solve_adaptive, solve_box,
-                      solve_point_log, truncation_product)
+                      solve_point_log)
 from .montecarlo import (FkResult, best_screening_bound, fk_estimate,
                          jump_budget, screening_lower_bound)
 from .variational import (ChiResult, ShapeFunction, VariationalConfig,

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import logsumexp
 
 from .lattice import solve_adaptive
 from .potential import (PotentialSpec, canonical_A, cumulant_H, g_tilde,
@@ -120,6 +121,16 @@ def check_assumption_H(spec: PotentialSpec, t_values, y_grid=None) -> dict:
             "curves": np.array(curves), "deviation": np.array(devs), "A": A}
 
 
+def _sum_over(terms: np.ndarray, norm: float) -> float:
+    """sum(terms) / norm for terms >= 0, formed in log space.
+
+    Log-log heavy sites reach W ~ 1e308, so a plain sum can overflow; only
+    a ratio beyond the double range is inf.  Zero terms have log -inf.
+    """
+    with np.errstate(divide="ignore", over="ignore"):
+        return float(np.exp(logsumexp(np.log(terms)) - math.log(norm)))
+
+
 def check_lln(spec: PotentialSpec, b: float, n_values, seeds) -> dict:
     """Normalized screening-product sums, per seed and per n.
 
@@ -146,8 +157,7 @@ def check_lln(spec: PotentialSpec, b: float, n_values, seeds) -> dict:
         for i, seed in enumerate(seeds):
             fld = sample_field(spec, 1, N, seed)
             wp = fld.log_neg_or1(1, N)       # log(-xi v 1)
-            terms = np.maximum(wp, log_b) - log_b
-            stats[i, j] = float(terms.sum()) / norm
+            stats[i, j] = _sum_over(np.maximum(wp, log_b) - log_b, norm)
     return {"n": np.array(n_values), "stats": stats,
             "frac_gt_1": (stats > 1.0).mean(axis=0),
             "frac_gt_10": (stats > 10.0).mean(axis=0)}
@@ -211,7 +221,7 @@ def check_last(spec: PotentialSpec, eta: float, n_values,
         norm = g_tilde_inverse(spec, eta, rho / n)
         for i, seed in enumerate(seeds):
             fld = sample_field(spec, 1, n, seed)
-            stats[i, j] = float(fld.log_neg_or1(1, n).sum()) / norm
+            stats[i, j] = _sum_over(fld.log_neg_or1(1, n), norm)
     table = {"n": np.array(n_values), "stats": stats,
              "frac_le_1p2": (stats <= 1.2).mean(axis=0)}
     return table, rho
@@ -242,6 +252,7 @@ def check_microbox(spec: PotentialSpec, psi, eps: float, eta: float,
             f"eta must be in (L(psi), 1) = ({budget:.6g}, 1), got {eta}")
     params = ScaleParams.from_spec(spec)
     rho = estimate_rho(spec, eta)
+    seeds = list(seeds)
     freqs = []
     for t in t_values:
         b = b_scale(spec, params, t)
@@ -266,5 +277,5 @@ def check_microbox(spec: PotentialSpec, psi, eps: float, eta: float,
                 if not ok.any():
                     break
             hits += bool(ok.any())
-        freqs.append(hits / len(list(seeds)))
+        freqs.append(hits / len(seeds))
     return np.asarray(freqs)

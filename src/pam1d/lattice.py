@@ -30,8 +30,13 @@ __all__ = [
     "solve_box",
     "solve_point_log",
     "solve_adaptive",
-    "truncation_product",
+    "XI_CLAMP",
 ]
+
+# Magnitude at which heavy sites enter linear algebra.  It bounds the matrix
+# norm, and so the eigenvalue roundoff; point values of u still depend on it
+# through wall crossings, whose amplitude is about kappa / XI_CLAMP.
+XI_CLAMP = 1e8
 
 DENSE_LIMIT = 20000
 _RELIABLE = 1e-6  # dense eigenvector entries below this are treated as noise
@@ -41,8 +46,8 @@ _RELIABLE = 1e-6  # dense eigenvector entries below this are treated as noise
 class TridiagonalOperator:
     """kappa*Laplacian + xi on z + Q_R with Dirichlet boundary.
 
-    Heavy sites enter ``diag`` at the field-level clamp -XI_CLAMP, which
-    keeps the matrix norm, and with it the eigenvalue roundoff, bounded.
+    Heavy sites enter ``diag`` at the clamp -XI_CLAMP, which keeps the
+    matrix norm, and with it the eigenvalue roundoff, bounded.
     """
 
     z: int
@@ -79,9 +84,10 @@ def hamiltonian(field: Field, z: int, R: int, kappa: float) -> TridiagonalOperat
         raise ValueError(f"kappa must be > 0, got {kappa}")
     if R < 0:
         raise ValueError(f"R must be >= 0, got {R}")
-    xi, clamped = field.xi_clamped(z - R, z + R)
-    return TridiagonalOperator(z=z, R=R, kappa=kappa, diag=xi - 2.0 * kappa,
-                               clamped=clamped)
+    xi = field.xi(z - R, z + R)
+    return TridiagonalOperator(z=z, R=R, kappa=kappa,
+                               diag=np.maximum(xi, -XI_CLAMP) - 2.0 * kappa,
+                               clamped=xi < -XI_CLAMP)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +153,7 @@ def _shot_log_entries(op: TridiagonalOperator, lams: np.ndarray, vecs: np.ndarra
     used, c = np.unique(cols, return_inverse=True)
     peaks = np.argmax(np.abs(vecs[:, used]), axis=0)
     peak_vals = vecs[peaks, used]
-    peak_log = np.array([math.log(abs(p)) for p in peak_vals])
+    peak_log = np.log(np.abs(peak_vals))
     peak_sign = np.where(peak_vals >= 0, 1.0, -1.0)
     a = peaks[c]
     left = rows <= a
@@ -193,7 +199,7 @@ def principal_eigpair(op: TridiagonalOperator) -> SpectralData:
     if small.size:
         logv, _ = _shot_log_entries(op, w, vec[:, None], small,
                                     np.zeros(small.size, dtype=int))
-        vec[small] = [math.exp(max(lv, -744.0)) for lv in logv]
+        vec[small] = np.exp(np.maximum(logv, -744.0))
     vec = np.maximum(vec, 1e-320)
     vec = vec / math.sqrt(float(vec @ vec))
     hv = op.matvec(vec)
@@ -244,6 +250,7 @@ class PointSolution:
     n: int
     modes_used: int
     sign_ok: bool
+    clamped_sites: int  # sites of the box held at -XI_CLAMP
 
 
 def solve_point_log(field: Field, z: int, R: int, kappa: float, t: float,
@@ -266,10 +273,8 @@ def solve_point_log(field: Field, z: int, R: int, kappa: float, t: float,
     if not 0 <= x_idx < n:
         raise ValueError(f"evaluation point {x} outside box [{z - R}, {z + R}]")
     ones = np.ones(n)
-    log_terms: list[float] = []
-    signs: list[float] = []
-    log_e_center = None
-    principal = None
+    log_terms: list[np.ndarray] = []
+    signs: list[np.ndarray] = []
     k_done = 0
     batch = 16
     best = -math.inf
@@ -286,28 +291,23 @@ def solve_point_log(field: Field, z: int, R: int, kappa: float, t: float,
         if shot.size:
             logv[shot], sgn[shot] = _shot_log_entries(
                 op, w, v, np.full(shot.size, x_idx), shot)
+        if k_done == 0:
+            principal, log_e_center = float(w[0]), float(logv[0])
         ip = v.T @ ones
-        for j in range(len(w)):
-            lam = float(w[j])
-            if principal is None:
-                principal = lam
-                log_e_center = float(logv[j])
-            term_sign = sgn[j] * (1.0 if ip[j] >= 0 else -1.0)
-            mag = abs(ip[j])
-            lt = t * lam + logv[j] + (math.log(mag) if mag > 0 else -math.inf)
-            if lt > -math.inf:
-                log_terms.append(lt)
-                signs.append(term_sign)
-                if term_sign > 0:
-                    best = max(best, lt)
+        with np.errstate(divide="ignore"):
+            lt = t * w + logv + np.log(np.abs(ip))
+        term_sign = sgn * np.where(ip >= 0, 1.0, -1.0)
+        kept = lt > -math.inf  # a mode orthogonal to 1 contributes nothing
+        log_terms.append(lt[kept])
+        signs.append(term_sign[kept])
+        best = float(np.max(lt, where=term_sign > 0, initial=best))
         k_done = k_new
         batch = min(2 * batch, 512)
-        if k_done < n:
-            lam_next_bound = float(w[-1])  # next eigenvalues are no larger
-            if t * lam_next_bound + 0.5 * math.log(n) < best - 46.0:
-                break
-    arr = np.array(log_terms)
-    sg = np.array(signs)
+        # the next eigenvalues are no larger than the last one taken
+        if k_done < n and t * w[-1] + 0.5 * math.log(n) < best - 46.0:
+            break
+    arr = np.concatenate(log_terms)
+    sg = np.concatenate(signs)
     m = arr.max()
     total = float(np.sum(sg * np.exp(arr - m)))
     sign_ok = total > 0.0
@@ -318,7 +318,8 @@ def solve_point_log(field: Field, z: int, R: int, kappa: float, t: float,
     log_u = m + math.log(total)
     return PointSolution(log_u=log_u, principal=principal,
                          log_e_center=log_e_center, n=n,
-                         modes_used=k_done, sign_ok=sign_ok)
+                         modes_used=k_done, sign_ok=sign_ok,
+                         clamped_sites=int(op.clamped.sum()))
 
 
 @dataclass(frozen=True)
@@ -359,22 +360,7 @@ def solve_adaptive(spec: PotentialSpec, seed: int, t: float, rtol: float,
     return SolveResult(log_u=sol.log_u,
                        u=math.exp(sol.log_u) if sol.log_u > -744 else 0.0,
                        R=R, principal=sol.principal,
-                       clamped_sites=int(fld.xi_clamped(-R, R)[1].sum()),
+                       clamped_sites=sol.clamped_sites,
                        modes_used=sol.modes_used, sign_ok=sol.sign_ok,
                        converged=stable >= 2)
 
-
-def truncation_product(field: Field, b: float, R: int) -> tuple[float, float]:
-    """Log of the two screening products prod b/(-xi(x) v b) over [0,R], [-R,0].
-
-    Computed exactly in the W-representation (no clamping, no overflow);
-    both values are <= 0.
-    """
-    if b <= 0:
-        raise ValueError(f"b must be > 0, got {b}")
-    log_b = math.log(b)
-    wp = field.log_neg_or1(0, R)
-    right = float(np.sum(log_b - np.maximum(wp, log_b)))
-    wm = field.log_neg_or1(-R, 0)
-    left = float(np.sum(log_b - np.maximum(wm, log_b)))
-    return left, right

@@ -29,7 +29,6 @@ __all__ = [
     "LowerTailSpec",
     "PotentialSpec",
     "Field",
-    "XI_CLAMP",
     "W_CAP",
     "sample_field",
     "cumulant_H",
@@ -42,10 +41,6 @@ __all__ = [
     "spec_to_json",
 ]
 
-# Magnitude at which heavy sites enter linear algebra.  It bounds the matrix
-# norm, and so the eigenvalue roundoff; point values of u still depend on it
-# through wall crossings, whose amplitude is about kappa / XI_CLAMP.
-XI_CLAMP = 1e8
 # Largest W decoded to xi = -e^W; heavier sites decode to -e^W_CAP, which
 # stays in double range and already kills anything it multiplies.  W itself
 # must stay finite too, or means over sites (estimate_rho) turn to NaN: log-log
@@ -289,16 +284,6 @@ class Field:
         heavy, vals = self.slice(lo, hi)
         return np.where(heavy, -np.exp(np.minimum(vals, W_CAP)), vals)
 
-    def xi_clamped(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """xi values on [lo, hi] clamped at -XI_CLAMP: max(xi, -XI_CLAMP).
-
-        Returns (xi, clamped_mask); clamped sites are those with
-        -xi > XI_CLAMP before clamping, read from W on heavy sites.
-        """
-        heavy, vals = self.slice(lo, hi)
-        clamped = np.where(heavy, vals > math.log(XI_CLAMP), vals < -XI_CLAMP)
-        return np.maximum(self.xi(lo, hi), -XI_CLAMP), clamped
-
     def log_neg_or1(self, lo: int, hi: int) -> np.ndarray:
         """W' = log(-xi v 1), exact in the dual representation."""
         heavy, vals = self.slice(lo, hi)
@@ -510,8 +495,11 @@ def _heavy_g_deficit(spec: PotentialSpec, ell: float) -> float:
         v_lo = math.log(lt.x0)
         dens = lambda v: c * v ** (-1.0 - th)
 
+    log_ell = math.log(ell)
+
     def f(v):
-        return -math.expm1(-math.exp(min(v, 700.0)) / ell) * dens(v)
+        # W/ell = e^(v - log ell), capped where 1 - e^{-W/ell} is already 1
+        return -math.expm1(-math.exp(min(v - log_ell, 700.0))) * dens(v)
 
     split = max(math.log(max(ell, 1.0)) + 1.0, v_lo + 1.0)
     total = 0.0

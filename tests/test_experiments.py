@@ -7,7 +7,9 @@ import pytest
 from pam1d.experiments import (ExperimentConfig, check_assumption_H,
                                check_last, check_lln, check_microbox,
                                estimate_rho, rate_curve, t_grid)
-from pam1d.potential import LowerTailSpec, PotentialSpec, cumulant_G
+from pam1d.potential import (LowerTailSpec, PotentialSpec, cumulant_G,
+                             sample_field)
+from pam1d.scales import invert_G
 from pam1d.variational import ShapeFunction
 
 from conftest import make_spec
@@ -92,6 +94,23 @@ class TestLln:
         assert med[0] > 1.0 and med[1] > med[0]
         assert tab["frac_gt_1"][1] >= 0.9
 
+    def test_loglog_sums_beyond_double_range(self):
+        # theta = 1 log-log heavy sites reach W ~ 1e308, so a seed's site
+        # sum can pass the double range while the statistic stays finite;
+        # the oracle sums exactly (fsum) after scaling by 2^-100
+        spec = PotentialSpec(gamma=0.0, mix_q=0.2,
+                             lower=LowerTailSpec.loglog(1.0), atom_p=0.5)
+        tab = check_lln(spec, 1.0, [100, 1000], range(5))
+        for j, n in enumerate([100, 1000]):
+            N = int(2 * n * math.log(n))
+            for seed in range(5):
+                terms = sample_field(spec, 1, N, seed).log_neg_or1(1, N)
+                exact = (math.log(math.fsum(terms * 2.0 ** -100))
+                         + 100 * math.log(2.0) - math.log(invert_G(spec, 1 / n)))
+                assert math.log(tab["stats"][seed, j]) == pytest.approx(
+                    exact, rel=1e-12)
+        assert np.isfinite(tab["stats"]).all()
+
     def test_b_rejected(self, atom_spec):
         with pytest.raises(ValueError):
             check_lln(atom_spec, 0.5, [100], range(3))
@@ -146,6 +165,14 @@ class TestMicrobox:
         assert len(freqs) == 3
         assert freqs[-1] >= 0.9
         assert all(b >= a - 0.2 for a, b in zip(freqs, freqs[1:]))
+
+    def test_seed_iterator(self, micro_spec):
+        # seeds may be a one-pass iterator; every t sees all of them
+        psi = ShapeFunction(R=0.5, values=np.full(21, -0.05))
+        ts = t_grid(micro_spec, 8, 9)
+        freqs = check_microbox(micro_spec, psi, 0.05, 0.95, ts, range(3))
+        it = check_microbox(micro_spec, psi, 0.05, 0.95, ts, iter(range(3)))
+        np.testing.assert_array_equal(it, freqs)
 
     def test_budget_precondition(self, micro_spec):
         deep = ShapeFunction(R=40.0, values=np.full(21, -0.05))

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from pam1d import lattice
 from pam1d.lattice import (_shoot_log_multi, hamiltonian, principal_eigpair,
-                           solve_adaptive, solve_box, solve_point_log,
-                           truncation_product)
-from pam1d import potential
+                           solve_adaptive, solve_box, solve_point_log)
 from pam1d.potential import Field, sample_field
 
 from conftest import constant_field, make_spec, zero_field
@@ -15,9 +14,8 @@ from conftest import constant_field, make_spec, zero_field
 
 def _dense_matrix(field, z, R, kappa):
     """Small dense form of kappa*Laplacian + xi with the solver clamp."""
-    xi, _ = field.xi_clamped(z - R, z + R)
     n = 2 * R + 1
-    m = np.diag(xi - 2.0 * kappa)
+    m = np.diag(hamiltonian(field, z, R, kappa).diag)
     m += np.diag(np.full(n - 1, kappa), 1) + np.diag(np.full(n - 1, kappa), -1)
     return m
 
@@ -55,7 +53,7 @@ class TestHamiltonian:
         # -XI_CLAMP and are marked clamped: the extreme W = 1000 at every
         # clamp, the moderately heavy W = 20 (between log 1e9 and log 1e12)
         # at all but 1e12; the clamp is read when the operator is built
-        monkeypatch.setattr(potential, "XI_CLAMP", clamp)
+        monkeypatch.setattr(lattice, "XI_CLAMP", clamp)
         kappa = 1.5
         fld = Field(lo=-2, hi=2,
                     heavy=np.array([False, True, False, True, False]),
@@ -271,6 +269,7 @@ class TestSolveAdaptive:
         fld = sample_field(spec, -res.R, res.R, 2)
         direct = solve_point_log(fld, 0, res.R, 1.0, 30.0)
         assert res.modes_used == direct.modes_used
+        assert res.clamped_sites == direct.clamped_sites
         assert 1 <= res.modes_used <= 2 * res.R + 1
         assert res.sign_ok is True and direct.sign_ok is True
 
@@ -296,15 +295,3 @@ class TestSandwich:
             assert lower <= sol.log_u + 1e-9
             assert sol.log_u <= upper + 1e-9
 
-
-class TestTruncationProduct:
-    def test_zero_field(self):
-        left, right = truncation_product(zero_field(-20, 20), 1.0, 20)
-        assert left == 0.0 and right == 0.0
-
-    def test_heavy_sites_contribute(self):
-        spec = make_spec(0.0, 1.0)
-        fld = sample_field(spec, -200, 200, 21)
-        left, right = truncation_product(fld, 1.0, 200)
-        assert left <= 0.0 and right <= 0.0
-        assert left < 0.0 or right < 0.0

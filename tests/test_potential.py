@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pam1d.potential import (Field, LowerTailSpec, PotentialSpec, W_CAP,
-                             XI_CLAMP, _LOG_POW_MAX, _expm1mx,
+                             _LOG_POW_MAX, _expm1mx,
                              _log_frechet_laplace, _log_heavy_laplace,
                              canonical_A, cumulant_G, cumulant_H, g_tilde,
                              g_tilde_inverse, log_moment, sample_field,
@@ -55,9 +55,7 @@ class TestFieldSampling:
     def test_values_non_positive(self, atom_spec, frechet_spec):
         for spec in (atom_spec, frechet_spec):
             fld = sample_field(spec, -500, 500, 0)
-            xi, _ = fld.xi_clamped(-500, 500)
-            assert np.all(xi <= 0.0)
-            assert np.all(xi >= -XI_CLAMP)
+            assert np.all(fld.xi(-500, 500) <= 0.0)
             # heavy sites store W = log(-xi) >= 0
             assert np.all(fld.values[fld.heavy] >= 0.0)
 
@@ -130,10 +128,6 @@ class TestFieldSampling:
         assert xi[1] == -np.exp(20.0)
         assert xi[2] == -np.exp(W_CAP) and W_CAP == 700.0
         assert np.array_equal(fld.xi(4, 4), xi[1:2])
-        # the solver view is the same decode, clamped
-        clamped, mask = fld.xi_clamped(3, 5)
-        assert clamped.tolist() == [-0.25, -XI_CLAMP, -XI_CLAMP]
-        assert mask.tolist() == [False, True, True]
 
     def test_log_neg_or1(self, atom_spec):
         fld = sample_field(atom_spec, -50, 50, 2)
@@ -246,6 +240,25 @@ class TestCumulants:
         got = _expm1mx(np.array(xs))
         for g, e in zip(got, em):
             assert g == pytest.approx(float(e), rel=4e-16)
+
+    def test_g_loglog_beyond_capped_w(self):
+        # log-log W reaches e^709.78, past W_CAP; at ell > e^700 the deficit
+        # 1 - e^{-W/ell} must come from W/ell, not from W capped at e^700.
+        # Exact value from a 30-digit quadrature in v = log W, where the
+        # theta = 1, x0 = e heavy density is v^-2 on [1, inf); beyond
+        # v = log ell + 10 the factor 1 - e^{-W/ell} is 1 to e^-22026
+        mpmath = pytest.importorskip("mpmath")
+        spec = PotentialSpec(gamma=0.0, mix_q=0.2,
+                             lower=LowerTailSpec.loglog(1.0), atom_p=0.5)
+        for ell in (1e100, 1e300, 1e305):
+            with mpmath.workdps(30):
+                le = mpmath.log(ell)
+                deficit = mpmath.quad(
+                    lambda v: -mpmath.expm1(-mpmath.exp(v - le)) / v ** 2,
+                    [1, le - 40, le - 10, le, le + 10]) + 1 / (le + 10)
+                exact = -mpmath.log1p(-0.2 * deficit)
+            assert cumulant_G(spec, ell) == pytest.approx(float(exact),
+                                                          rel=1e-10)
 
     def test_canonical_a_frechet_stable(self, frechet_spec):
         a8 = canonical_A(frechet_spec, t=1e8)
