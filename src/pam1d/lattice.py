@@ -39,6 +39,7 @@ __all__ = [
 XI_CLAMP = 1e8
 
 DENSE_LIMIT = 20000
+R_START = 8  # first box radius of solve_adaptive
 _RELIABLE = 1e-6  # dense eigenvector entries below this are treated as noise
 
 
@@ -335,8 +336,7 @@ class SolveResult:
 
 
 def solve_adaptive(spec: PotentialSpec, seed: int, t: float, rtol: float,
-                   kappa: float = 1.0, r_start: int = 8,
-                   r_cap: int = 1 << 14) -> SolveResult:
+                   kappa: float = 1.0, r_cap: int = 1 << 14) -> SolveResult:
     """Monotone exhaustion in R; the returned value is a lower bound of u(t,0).
 
     Doubles R until the relative change of u_R(t,0) stays below rtol twice in
@@ -346,7 +346,7 @@ def solve_adaptive(spec: PotentialSpec, seed: int, t: float, rtol: float,
         raise ValueError(f"t must be >= 0, got {t}")
     prev = None
     stable = 0
-    R = r_start
+    R = R_START
     while True:
         fld = sample_field(spec, -R, R, seed)
         sol = solve_point_log(fld, 0, R, kappa, t)

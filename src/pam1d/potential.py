@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate, optimize
+from scipy.special import logsumexp
 
 __all__ = [
     "LowerTailSpec",
@@ -35,6 +36,7 @@ __all__ = [
     "cumulant_G",
     "g_tilde",
     "g_tilde_inverse",
+    "invert_G",
     "log_moment",
     "canonical_A",
     "spec_from_json",
@@ -50,6 +52,7 @@ W_CAP = 700.0
 THETA_PRIME = 0.5
 
 _QUAD_RTOL = 1e-12
+_ELL_MAX = 1e300  # largest ell a tail-scale inverse searches
 _LOG_CUTOFF = 1400.0  # exp(-1400) is far below double underflow
 _LOG_POW_MAX = 709.78  # just below log of the largest double
 
@@ -368,24 +371,25 @@ def _log_integral(log_f, lo: float, hi: float, peak: float) -> float:
         b = optimize.brentq(lambda x: drop(x) + _LOG_CUTOFF, peak, hi, xtol=1e-300, rtol=1e-12)
 
     def f(x):
-        return np.exp(log_f(np.atleast_1d(x)) - m)
+        return float(np.exp(log_f(np.atleast_1d(x)) - m)[0])
 
-    val, err = integrate.quad(lambda x: float(f(x)[0]), a, b,
-                              points=[peak] if a < peak < b else None,
-                              limit=400, epsabs=0.0, epsrel=_QUAD_RTOL)
-    if val <= 0.0 or not math.isfinite(val):
-        raise ArithmeticError(f"quadrature failed on [{a}, {b}] (value {val})")
-    if err > 1e-8 * val:
-        raise ArithmeticError(f"quadrature did not converge: value {val}, error {err}")
-    return m + math.log(val)
+    return m + math.log(_quad(f, a, b, points=[peak] if a < peak < b else None))
 
 
-def _logsumexp(terms: list[float]) -> float:
-    terms = [t for t in terms if t > -math.inf]
-    if not terms:
-        return -math.inf
-    m = max(terms)
-    return m + math.log(sum(math.exp(t - m) for t in terms))
+def _quad(f, a: float, b: float, points=None) -> float:
+    """Integral of f over [a, b] to relative accuracy _QUAD_RTOL.
+
+    Raises ArithmeticError, with QUADPACK's message, when the value is not
+    finite and positive or its error estimate exceeds 1e-8 of the value.
+    """
+    val, err, _, *msg = integrate.quad(f, a, b, points=points, limit=400,
+                                       epsabs=0.0, epsrel=_QUAD_RTOL,
+                                       full_output=1)
+    if not 0.0 < val < math.inf or err > 1e-8 * val:
+        cause = ": " + " ".join(msg[0].split()) if msg else ""
+        raise ArithmeticError(
+            f"quadrature on [{a}, {b}] failed: value {val}, error {err}{cause}")
+    return val
 
 
 # ---------------------------------------------------------------------------
@@ -468,8 +472,7 @@ def cumulant_H(spec: PotentialSpec, ell: float) -> float:
             terms.append(math.log((1.0 - q) * (1.0 - spec.atom_p)) - ell)
         else:
             terms.append(math.log(1.0 - q) + _log_frechet_laplace(spec, ell))
-    h = _logsumexp(terms)
-    return min(h, 0.0)
+    return min(float(logsumexp(terms)), 0.0)
 
 
 def _heavy_g_deficit(spec: PotentialSpec, ell: float) -> float:
@@ -502,11 +505,7 @@ def _heavy_g_deficit(spec: PotentialSpec, ell: float) -> float:
         return -math.expm1(-math.exp(min(v - log_ell, 700.0))) * dens(v)
 
     split = max(math.log(max(ell, 1.0)) + 1.0, v_lo + 1.0)
-    total = 0.0
-    for aa, bb in ((v_lo, split), (split, math.inf)):
-        val, _ = integrate.quad(f, aa, bb, limit=400, epsabs=1e-300, epsrel=_QUAD_RTOL)
-        total += val
-    return total
+    return _quad(f, v_lo, split) + _quad(f, split, math.inf)
 
 
 def _light_g_deficit(spec: PotentialSpec, ell: float) -> float:
@@ -520,8 +519,7 @@ def _light_g_deficit(spec: PotentialSpec, ell: float) -> float:
         logv = math.log(d / y) / a
         return -math.expm1(-logv / ell) * math.exp(-y)
 
-    val, _ = integrate.quad(f, 0.0, d, limit=400, epsabs=1e-300, epsrel=_QUAD_RTOL)
-    return val
+    return _quad(f, 0.0, d)
 
 
 def cumulant_G(spec: PotentialSpec, ell: float) -> float:
@@ -555,23 +553,43 @@ def g_tilde(spec: PotentialSpec, eta: float, ell: float) -> float:
     return cumulant_G(spec, ell) * factor
 
 
+def _invert_scale(scale, name: str, y: float) -> float:
+    """ell with scale(ell) = y for a positive, decreasing tail scale.
+
+    Brent's method on a x4 bracket grown from [1, 2].  A y above the scale's
+    range is a ValueError; a root beyond ell = _ELL_MAX is an ArithmeticError.
+    """
+    if y <= 0:
+        raise ValueError(f"y must be > 0, got {y}")
+    lo, hi = 1.0, 2.0
+    while scale(hi) > y:
+        lo, hi = hi, hi * 4.0
+        if hi > _ELL_MAX:
+            raise ArithmeticError(
+                f"{name}^-1({y}) needs ell > 1e300, beyond the double range")
+    while scale(lo) < y:
+        hi, lo = lo, lo / 4.0
+        if lo < 1.0 / _ELL_MAX:
+            raise ValueError(f"y = {y} above the range of {name}")
+    ell = optimize.brentq(lambda l: scale(l) - y, lo, hi, rtol=1e-15)
+    if abs(scale(ell) - y) > 1e-9 * y:
+        raise ArithmeticError(f"{name}^-1 tolerance not met at y = {y}")
+    return ell
+
+
+def invert_G(spec: PotentialSpec, y: float) -> float:
+    """ell with G(ell) = y."""
+    return _invert_scale(lambda l: cumulant_G(spec, l), "G", y)
+
+
 def g_tilde_inverse(spec: PotentialSpec, eta: float, y: float) -> float:
-    """ell with G~_eta(ell) = y, by closed form (exp-Pareto) or bisection."""
+    """ell with G~_eta(ell) = y, in closed form for exp-Pareto."""
     if y <= 0:
         raise ValueError(f"y must be > 0, got {y}")
     lt = spec.lower
     if lt.variant == "pareto":
         return y ** (-1.0 / (eta * lt.zeta))
-    lo, hi = 1.0, 2.0
-    while g_tilde(spec, eta, hi) > y:
-        lo, hi = hi, hi * 4.0
-        if hi > 1e300:
-            raise ArithmeticError("g_tilde_inverse bracket growth failed")
-    while g_tilde(spec, eta, lo) < y:
-        hi, lo = lo, lo / 4.0
-        if lo < 1e-300:
-            raise ValueError(f"y = {y} outside the range of g_tilde")
-    return optimize.brentq(lambda l: g_tilde(spec, eta, l) - y, lo, hi, rtol=1e-12)
+    return _invert_scale(lambda l: g_tilde(spec, eta, l), "G~", y)
 
 
 def log_moment(spec: PotentialSpec, delta: float) -> float:
@@ -588,17 +606,15 @@ def log_moment(spec: PotentialSpec, delta: float) -> float:
         if lt.wmax == 0.0:
             heavy = 0.0
         else:
-            heavy, _ = integrate.quad(lambda w: w ** delta / lt.wmax, 0.0, lt.wmax,
-                                      epsrel=_QUAD_RTOL)
+            heavy = _quad(lambda w: w ** delta / lt.wmax, 0.0, lt.wmax)
     else:
-        heavy, _ = integrate.quad(
+        heavy = _quad(
             lambda w: w ** delta * math.exp(float(lt.log_density_w(np.array([w]))[0])),
-            1.0, math.inf, limit=400, epsrel=_QUAD_RTOL)
+            1.0, math.inf)
     light = 0.0
     if spec.mix_q < 1.0 and spec.gamma > 0.0:
         a, d = spec.frechet_a, spec.frechet_d
-        light, _ = integrate.quad(lambda y: (math.log(d / y) / a) ** delta * math.exp(-y),
-                                  0.0, d, limit=400, epsrel=_QUAD_RTOL)
+        light = _quad(lambda y: (math.log(d / y) / a) ** delta * math.exp(-y), 0.0, d)
     return spec.mix_q * heavy + (1.0 - spec.mix_q) * light
 
 

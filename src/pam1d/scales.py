@@ -16,9 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy import optimize
-
-from .potential import PotentialSpec, canonical_A, cumulant_G, g_tilde
+from .potential import PotentialSpec, cumulant_G, g_tilde, invert_G
 
 __all__ = [
     "ScaleParams",
@@ -36,8 +34,6 @@ _INV_E = math.exp(-1.0)  # b_t needs G(t) < 1/e, i.e. -log G(t) > 1
 
 @dataclass(frozen=True)
 class ScaleParams:
-    gamma: float
-    A: float
     nu: float
     beta: float
     tmin: float
@@ -46,8 +42,6 @@ class ScaleParams:
     def from_spec(spec: PotentialSpec) -> "ScaleParams":
         nu = spec.nu
         return ScaleParams(
-            gamma=spec.gamma,
-            A=canonical_A(spec),
             nu=nu,
             beta=2.0 * nu / (1.0 - 2.0 * nu),
             tmin=find_tmin(spec),
@@ -116,22 +110,3 @@ def gamma_box(
     b = b_scale(spec, params, t)
     ell = t / alpha(params, b) ** 3
     return rho / g_tilde(spec, eta, ell)
-
-
-def invert_G(spec: PotentialSpec, y: float) -> float:
-    """ell with G(ell) = y, bisection on a geometrically grown bracket."""
-    if y <= 0:
-        raise ValueError(f"y must be > 0, got {y}")
-    lo, hi = 1.0, 2.0
-    while cumulant_G(spec, hi) > y:
-        lo, hi = hi, hi * 4.0
-        if hi > 1e280:
-            raise ValueError(f"y = {y} below the reachable range of G")
-    while cumulant_G(spec, lo) < y:
-        hi, lo = lo, lo / 4.0
-        if lo < 1e-280:
-            raise ValueError(f"y = {y} above the range of G")
-    ell = optimize.brentq(lambda l: cumulant_G(spec, l) - y, lo, hi, rtol=1e-15)
-    if abs(cumulant_G(spec, ell) - y) > 1e-9 * y:
-        raise ArithmeticError(f"invert_G tolerance not met at y = {y}")
-    return ell

@@ -12,6 +12,8 @@ from pam1d.potential import sample_field, spec_from_json
 
 ATOM_SPEC = ('{"gamma":0.0,"upper":{"atom_p":0.5},"mix_q":0.2,'
              '"lower":{"pareto_zeta":1.0}}')
+LOGLOG_SPEC = ('{"gamma":0.0,"upper":{"atom_p":0.5},"mix_q":0.2,'
+               '"lower":{"loglog_theta":1.0}}')
 
 
 @pytest.fixture
@@ -54,6 +56,17 @@ class TestExitCodes:
                            "--t", "500", "--r-cap", "8")
         assert code == 3
         assert "numerical" in err
+
+    @pytest.mark.parametrize("command", ["verify-lln", "verify-last"])
+    def test_normalizer_beyond_double_range(self, capsys, tmp_path, command):
+        # on the log-log spec the normalizers G^{-1}(1/n) and G~^{-1}(rho/n)
+        # of the default n grid exceed ell = 1e300; the failure names it
+        path = tmp_path / "spec.json"
+        path.write_text(LOGLOG_SPEC)
+        code, _, err = run(capsys, command, "--spec", str(path),
+                           "--seeds", "5", "--deterministic")
+        assert code == 3
+        assert "1e300" in err
 
     def test_success(self, capsys, spec_file):
         code, _, _ = run(capsys, "h", "--spec", spec_file,

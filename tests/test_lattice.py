@@ -275,7 +275,7 @@ class TestSolveAdaptive:
 
     def test_cap_reported(self):
         spec = make_spec(0.0, 1.0)
-        res = solve_adaptive(spec, 1, 200.0, 1e-10, r_start=4, r_cap=8)
+        res = solve_adaptive(spec, 1, 200.0, 1e-10, r_cap=8)
         assert not res.converged
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from pam1d.potential import (Field, LowerTailSpec, PotentialSpec, W_CAP,
                              _LOG_POW_MAX, _expm1mx,
-                             _log_frechet_laplace, _log_heavy_laplace,
+                             _log_frechet_laplace, _log_heavy_laplace, _quad,
                              canonical_A, cumulant_G, cumulant_H, g_tilde,
                              g_tilde_inverse, log_moment, sample_field,
                              spec_from_json, spec_to_json)
@@ -260,6 +260,26 @@ class TestCumulants:
             assert cumulant_G(spec, ell) == pytest.approx(float(exact),
                                                           rel=1e-10)
 
+    def test_g_pareto_against_closed_form(self, atom_spec):
+        # exp-Pareto(zeta = 1), gamma = 0: the light deficit is 0 and the
+        # heavy one is int_1^inf (1 - e^{-w/ell}) w^{-2} dw
+        # = 1 - e^{-1/ell} + E1(1/ell) / ell, here in 30 digits
+        mpmath = pytest.importorskip("mpmath")
+        for ell in (1e-2, 1.0, 1e3, 1e100, 1e300):
+            with mpmath.workdps(30):
+                x = 1 / mpmath.mpf(ell)
+                deficit = -mpmath.expm1(-x) + x * mpmath.e1(x)
+                exact = -mpmath.log1p(-0.2 * deficit)
+            # abs=0: G(1e300) ~ 1e-298 sits far below approx's default abs
+            assert cumulant_G(atom_spec, ell) == pytest.approx(
+                float(exact), rel=1e-12, abs=0.0)
+
+    def test_quad_divergent_raises(self):
+        # 1/x on (0, 1) exhausts QUADPACK's subdivisions; the failure is an
+        # ArithmeticError that carries its message, not an IntegrationWarning
+        with pytest.raises(ArithmeticError, match="maximum number of subdivisions"):
+            _quad(lambda x: 1.0 / x, 0.0, 1.0)
+
     def test_canonical_a_frechet_stable(self, frechet_spec):
         a8 = canonical_A(frechet_spec, t=1e8)
         a10 = canonical_A(frechet_spec, t=1e10)
@@ -277,6 +297,30 @@ class TestGTilde:
                              lower=LowerTailSpec.loglog(1.0), atom_p=0.5)
         y = g_tilde(spec, 0.5, 1e5)
         assert g_tilde_inverse(spec, 0.5, y) == pytest.approx(1e5, rel=1e-6)
+
+    def test_round_trips(self, atom_spec, frechet_spec):
+        loglog = PotentialSpec(gamma=0.0, mix_q=0.2,
+                               lower=LowerTailSpec.loglog(1.0), atom_p=0.5)
+        for spec in (atom_spec, frechet_spec, loglog):
+            for eta in (0.5, 0.8):
+                for ell in (0.5, 100.0, 1e50):
+                    y = g_tilde(spec, eta, ell)
+                    assert g_tilde_inverse(spec, eta, y) == pytest.approx(
+                        ell, rel=1e-9)
+
+    def test_out_of_range(self, atom_spec):
+        loglog = PotentialSpec(gamma=0.0, mix_q=0.2,
+                               lower=LowerTailSpec.loglog(1.0), atom_p=0.5)
+        for spec in (atom_spec, loglog):
+            for y in (0.0, -1.0):
+                with pytest.raises(ValueError):
+                    g_tilde_inverse(spec, 0.5, y)
+        # G~ <= -log(1 - q) = 0.22 at q = 0.2
+        with pytest.raises(ValueError, match="above the range"):
+            g_tilde_inverse(loglog, 0.5, 1.0)
+        # G~^{-1}(1e-3) is about e^700 here, beyond the double range
+        with pytest.raises(ArithmeticError, match="1e300"):
+            g_tilde_inverse(loglog, 0.5, 1e-3)
 
     def test_bounded_rejected(self, bounded_spec):
         with pytest.raises(ValueError):

@@ -126,9 +126,12 @@ class TestRBox:
 
 class TestInvertG:
     def test_round_trip(self, atom_spec, frechet_spec):
-        for spec in (atom_spec, frechet_spec):
-            y = cumulant_G(spec, 100.0)
-            assert invert_G(spec, y) == pytest.approx(100.0, rel=1e-6)
+        loglog = PotentialSpec(gamma=0.0, mix_q=0.2,
+                               lower=LowerTailSpec.loglog(1.0), atom_p=0.5)
+        for spec in (atom_spec, frechet_spec, loglog):
+            for ell in (0.5, 100.0, 1e50):
+                y = cumulant_G(spec, ell)
+                assert invert_G(spec, y) == pytest.approx(ell, rel=1e-9)
 
     def test_monotone(self, atom_spec):
         a = invert_G(atom_spec, 1e-4)
@@ -136,8 +139,20 @@ class TestInvertG:
         assert b > a
 
     def test_out_of_range(self, atom_spec):
-        with pytest.raises(ValueError):
-            invert_G(atom_spec, -1.0)
+        for y in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                invert_G(atom_spec, y)
+        # G <= -log(1 - q) = 0.22 at q = 0.2
+        with pytest.raises(ValueError, match="above the range"):
+            invert_G(atom_spec, 1.0)
+
+    def test_beyond_double_range(self):
+        # log-log theta = 1: G(ell) ~ 0.2 / log ell, so G^{-1}(1e-4) is
+        # about e^2000
+        spec = PotentialSpec(gamma=0.0, mix_q=0.2,
+                             lower=LowerTailSpec.loglog(1.0), atom_p=0.5)
+        with pytest.raises(ArithmeticError, match="1e300"):
+            invert_G(spec, 1e-4)
 
 
 class TestGammaBox:
