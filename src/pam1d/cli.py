@@ -26,7 +26,7 @@ import numpy as np
 
 from .montecarlo import best_screening_bound, fk_estimate, jump_budget
 from .lattice import hamiltonian, principal_eigpair, solve_adaptive
-from .potential import (PotentialSpec, canonical_A, cumulant_G, cumulant_H,
+from .potential import (PotentialSpec, cumulant_G, cumulant_H,
                         sample_field, spec_from_json)
 from .scales import ScaleParams, alpha, b_scale, b_star, gamma_box, r_box
 from .variational import (ShapeFunction, VariationalConfig, brute_legendre,

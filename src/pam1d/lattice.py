@@ -33,10 +33,12 @@ __all__ = [
     "XI_CLAMP",
 ]
 
-# Magnitude at which heavy sites enter linear algebra.  It bounds the matrix
-# norm, and so the eigenvalue roundoff; point values of u still depend on it
-# through wall crossings, whose amplitude is about kappa / XI_CLAMP.
+# Magnitude at which heavy sites enter linear algebra.  Eigenvalues are
+# bisected to relative accuracy, so the clamp does not set their roundoff; it
+# sets the amplitude of a wall crossing, about kappa / XI_CLAMP, on which
+# point values of u depend, and it bounds the number of bisection steps.
 XI_CLAMP = 1e8
+_LOG_TINY = math.log(np.finfo(float).smallest_subnormal)  # log of a zero entry
 
 DENSE_LIMIT = 20000
 R_START = 8  # first box radius of solve_adaptive
@@ -48,7 +50,7 @@ class TridiagonalOperator:
     """kappa*Laplacian + xi on z + Q_R with Dirichlet boundary.
 
     Heavy sites enter ``diag`` at the clamp -XI_CLAMP, which keeps the
-    matrix norm, and with it the eigenvalue roundoff, bounded.
+    matrix norm bounded.
     """
 
     z: int
@@ -109,34 +111,24 @@ def _shoot_log_multi(diag: np.ndarray, kappa: float, lams: np.ndarray,
     of column j is k sites in from that column's own end.
     """
     n, m = len(diag), len(lams)
-    buf = np.where(from_left, diag[:, None], diag[::-1, None])
-    np.subtract(lams, buf, out=buf)
-    buf /= kappa  # the recurrence coefficient of each row
-    prev = np.zeros(m)
-    cur = np.ones(m)
-    scale = np.zeros(m)
-    starts, scales = [0], [scale]
-    for i in range(n):
-        nxt = buf[i] * cur - prev
-        buf[i] = cur  # the coefficient is used; the row now holds v
-        prev, cur = cur, nxt
-        # prev was tested as cur one row earlier, so testing cur alone finds
-        # every column with mag > 1e100; NaN enters too, but leaves big False
-        if not np.abs(cur).max() <= 1e100:
-            mag = np.maximum(np.abs(cur), np.abs(prev))
-            big = mag > 1e100
-            f = np.where(big, mag, 1.0)
-            cur = cur / f
-            prev = prev / f
-            scale = scale + np.where(big, np.log(f), 0.0)
-            starts.append(i + 1)
-            scales.append(scale)
-    signs = np.where(buf >= 0.0, 1.0, -1.0)
-    np.abs(buf, out=buf)
-    np.maximum(buf, 1e-320, out=buf)
-    logabs = np.log(buf, out=buf)
-    for a, b, s in zip(starts, starts[1:] + [n], scales):
-        logabs[a:b] += s  # rows a..b-1 were reached at scale s
+    r = np.where(from_left, diag[:n - 1, None], diag[:0:-1, None])
+    np.subtract(lams, r, out=r)
+    r /= kappa  # the recurrence coefficient c of each row
+    # the ratio r[i] = v[i+1] / v[i] obeys r[0] = c[0], r[i] = c[i] - 1/r[i-1];
+    # a zero v[i+1] gives r[i] = +-0, then r[i+1] = -+inf and r[i+2] = c[i+2]
+    rows = list(r)
+    with np.errstate(divide="ignore"):
+        for prev, row in zip(rows, rows[1:]):
+            row -= 1.0 / prev
+        logr = np.log(np.abs(r))
+    # that pair becomes log|v[i+1]| = log|v[i]| + _LOG_TINY, and
+    # log|v[i+2]| = log|v[i]| with the sign flipped by the pair's signbits
+    np.clip(logr, _LOG_TINY, -_LOG_TINY, out=logr)
+    logabs = np.zeros((n, m))
+    np.cumsum(logr, axis=0, out=logabs[1:])
+    flips = np.logical_xor.accumulate(np.signbit(r), axis=0)
+    signs = np.ones((n, m))
+    signs[1:][flips] = -1.0
     return logabs, signs
 
 
@@ -178,11 +170,13 @@ def _eigpairs(op: TridiagonalOperator, first: int, stop: int
     """Eigenpairs first..stop-1 counted from the top, largest first.
 
     Sturm-sequence bisection + inverse iteration on the requested index range.
+    The bisection tolerance 2 * tiny makes every eigenvalue accurate to
+    relative precision, so every caller sees the same lambda for a box.
     """
     n = op.n
     w, v = eigh_tridiagonal(op.diag, op.offdiag(), select="i",
                             select_range=(n - stop, n - 1 - first),
-                            lapack_driver="stebz")
+                            lapack_driver="stebz", tol=2 * np.finfo(float).tiny)
     order = np.argsort(w)[::-1]
     return w[order], v[:, order]
 
@@ -203,10 +197,8 @@ def principal_eigpair(op: TridiagonalOperator) -> SpectralData:
         vec[small] = np.exp(np.maximum(logv, -744.0))
     vec = np.maximum(vec, 1e-320)
     vec = vec / math.sqrt(float(vec @ vec))
-    hv = op.matvec(vec)
-    lam = float(vec @ hv)  # Rayleigh refinement: the clamped rows carry
-    # negligible weight, so the quotient is accurate to relative precision
-    res = float(np.linalg.norm(hv - lam * vec))
+    lam = float(w[0])
+    res = float(np.linalg.norm(op.matvec(vec) - lam * vec))
     return SpectralData(principal=lam, eigvec=vec, residual=res)
 
 

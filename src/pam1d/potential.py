@@ -618,14 +618,18 @@ def log_moment(spec: PotentialSpec, delta: float) -> float:
     return spec.mix_q * heavy + (1.0 - spec.mix_q) * light
 
 
-def canonical_A(spec: PotentialSpec, t: float = 1e8) -> float:
+def canonical_A(spec: PotentialSpec) -> float:
     """Coefficient A in the scaled cumulant limit, canonical alpha_t = t^nu.
 
-    For the atom-at-zero family A = -log((1-q) p) exactly; otherwise the
-    limit of (alpha_t^3 / t) H(t / alpha_t) is evaluated at large finite t.
+    A = lim (alpha_t^3 / t)(-H(t / alpha_t)) is set by the light branch: the
+    heavy branch and log(1-q) vanish under the alpha_t^3 / t scaling.  For
+    the atom-at-zero family A = -log((1-q) p); for V Frechet(a, D), Laplace's
+    method on E e^{-ell V} gives H(ell) ~ -(1/gamma)(a D)^{1-gamma} ell^gamma.
+    Without a light branch (mix_q = 1) A is infinite, a ValueError.
     """
-    if spec.gamma == 0.0 and spec.mix_q < 1.0:
+    if spec.mix_q == 1.0:
+        raise ValueError("canonical A is infinite without a light branch (mix_q = 1)")
+    if spec.gamma == 0.0:
         return -math.log((1.0 - spec.mix_q) * spec.atom_p)
-    nu = spec.nu
-    alpha = t ** nu
-    return -(alpha ** 3 / t) * cumulant_H(spec, t / alpha)
+    gamma = spec.gamma
+    return (spec.frechet_a * spec.frechet_d) ** (1.0 - gamma) / gamma

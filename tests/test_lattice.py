@@ -251,6 +251,56 @@ class TestTailRebuildOracle:
                                        atol=32 * eps * norm)
 
 
+class TestExactOracle:
+    """Point values and eigenvalues to relative precision on clamped boxes.
+
+    The fields follow the ``rate_sweep`` benchmark spec.  A norm-wise
+    bisection stop (epsilon times the 1e8 clamp, about 2e-8) moves t*lambda
+    by up to 1.7e-6 at t = 300, splits lambda between callers by 1.9e-7
+    relative and breaks Dirichlet monotonicity by up to 1.2e-6.
+    """
+
+    SPEC = make_spec(0.0, 1.0, atom_p=0.625)
+
+    def test_point_values_against_exact_eigendecomposition(self):
+        # seeds 6, 7 and 9 hold a clamped site within R = 24, seed 8 none
+        mpmath = pytest.importorskip("mpmath")
+        R, n = 24, 49
+        clamped = 0
+        for seed in (6, 7, 8, 9):
+            fld = sample_field(self.SPEC, -R, R, seed)
+            clamped += bool(hamiltonian(fld, 0, R, 1.0).clamped.any())
+            dense = _dense_matrix(fld, 0, R, 1.0)
+            with mpmath.workdps(30):
+                E, Q = mpmath.eigsy(mpmath.matrix(dense.tolist()))
+                ip = [mpmath.fsum(Q[:, j]) for j in range(n)]
+                for t in (3.0, 30.0, 300.0):
+                    u = mpmath.fsum(Q[R, j] * mpmath.exp(t * E[j]) * ip[j]
+                                    for j in range(n))
+                    sol = solve_point_log(fld, 0, R, 1.0, t)
+                    assert sol.log_u == pytest.approx(float(mpmath.log(u)),
+                                                      rel=0.0, abs=1e-12)
+        assert clamped == 3
+
+    def test_one_eigenvalue_per_box(self):
+        for seed in range(20):
+            for R in (16, 64, 256):
+                fld = sample_field(self.SPEC, -R, R, seed)
+                lam = principal_eigpair(hamiltonian(fld, 0, R, 1.0)).principal
+                sol = solve_point_log(fld, 0, R, 1.0, 100.0)
+                assert sol.principal == pytest.approx(lam, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5])
+    def test_dirichlet_monotone_in_radius(self, gamma):
+        spec = make_spec(gamma, 1.0, atom_p=0.625)
+        for seed in range(30):
+            for R, t in ((8, 5.0), (16, 20.0), (32, 100.0)):
+                fld = sample_field(spec, -4 * R, 4 * R, seed)
+                small = solve_point_log(fld, 0, R, 1.0, t).log_u
+                large = solve_point_log(fld, 0, 4 * R, 1.0, t).log_u
+                assert small <= large + 1e-12
+
+
 class TestSolveAdaptive:
     def test_converged_and_consistent(self):
         spec = make_spec(0.0, 1.0)

@@ -280,11 +280,27 @@ class TestCumulants:
         with pytest.raises(ArithmeticError, match="maximum number of subdivisions"):
             _quad(lambda x: 1.0 / x, 0.0, 1.0)
 
-    def test_canonical_a_frechet_stable(self, frechet_spec):
-        a8 = canonical_A(frechet_spec, t=1e8)
-        a10 = canonical_A(frechet_spec, t=1e10)
-        assert a8 == pytest.approx(a10, rel=0.02)
-        assert a8 > 0
+    @pytest.mark.parametrize("gamma", [0.5, 0.8])
+    def test_canonical_a_frechet_closed_form(self, gamma):
+        # (alpha^3/t)(-H(t/alpha)) approaches the closed form from below,
+        # the gap shrinking with t
+        spec = PotentialSpec(gamma=gamma, mix_q=0.2,
+                             lower=LowerTailSpec.pareto(1.0), frechet_d=1.0)
+        A = canonical_A(spec)
+        gaps = []
+        for t in (1e6, 1e8, 1e10, 1e12):
+            alpha = t ** spec.nu
+            scaled = -(alpha ** 3 / t) * cumulant_H(spec, t / alpha)
+            gaps.append(abs(scaled / A - 1.0))
+        assert all(a > b for a, b in zip(gaps, gaps[1:]))
+        assert gaps[-1] <= 1e-4
+
+    def test_canonical_a_needs_light_branch(self):
+        for gamma in (0.0, 0.5):
+            spec = PotentialSpec(gamma=gamma, mix_q=1.0,
+                                 lower=LowerTailSpec.pareto(1.0))
+            with pytest.raises(ValueError, match="light branch"):
+                canonical_A(spec)
 
 
 class TestGTilde:
