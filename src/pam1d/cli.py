@@ -95,8 +95,8 @@ def _load_psi(args) -> ShapeFunction:
             raise ConfigError(f"bad --psi file: {exc}") from exc
     if args.R is None:
         raise ConfigError("either --psi or --R (with --depth) is required")
-    n = getattr(args, "n_nodes", 101) or 101
-    return ShapeFunction(R=float(args.R), values=np.full(n, -abs(args.depth)))
+    return ShapeFunction(R=float(args.R),
+                         values=np.full(args.n_nodes, -abs(args.depth)))
 
 
 def _emit(args, text: str) -> None:

@@ -78,8 +78,13 @@ class SpectralData:
     """Principal eigenpair of a box operator, with its residual."""
 
     principal: float
-    eigvec: np.ndarray
+    log_eigvec: np.ndarray  # log of the unit eigenvector, exact below underflow
     residual: float
+
+    @property
+    def eigvec(self) -> np.ndarray:
+        """The eigenvector itself; entries below the double range read 0."""
+        return np.exp(self.log_eigvec)
 
 
 def hamiltonian(field: Field, z: int, R: int, kappa: float) -> TridiagonalOperator:
@@ -132,17 +137,27 @@ def _shoot_log_multi(diag: np.ndarray, kappa: float, lams: np.ndarray,
     return logabs, signs
 
 
-def _shot_log_entries(op: TridiagonalOperator, lams: np.ndarray, vecs: np.ndarray,
-                      rows: np.ndarray, cols: np.ndarray
-                      ) -> tuple[np.ndarray, np.ndarray]:
+def _log_entries(op: TridiagonalOperator, lams: np.ndarray, vecs: np.ndarray,
+                 rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """log|v_j(i)| and sign of the entries (i, j) = (rows[k], cols[k]).
 
-    The columns of ``vecs`` are eigenvectors of ``op`` with eigenvalues
-    ``lams``.  Each entry is rebuilt from the recurrence solution shot from
-    the Dirichlet end on its side of the column's peak, scaled to match the
-    peak entry; this recovers entries that are noise in the dense vector.
-    Only the (column, side) pairs with a requested entry are shot.
+    The columns of ``vecs`` are unit eigenvectors of ``op`` with eigenvalues
+    ``lams``.  An entry of magnitude >= _RELIABLE is read from the dense
+    vector; every other entry is rebuilt from the recurrence solution shot
+    from the Dirichlet end on its side of the column's peak, scaled to match
+    the peak entry, which recovers entries that are noise in the dense
+    vector.  Only the (column, side) pairs with a shot entry are shot.
     """
+    vals = vecs[rows, cols]
+    direct = np.abs(vals) >= _RELIABLE
+    logv = np.empty(len(vals))
+    sgn = np.empty(len(vals))
+    logv[direct] = np.log(np.abs(vals[direct]))
+    sgn[direct] = np.sign(vals[direct])
+    shot = np.nonzero(~direct)[0]
+    if not shot.size:
+        return logv, sgn
+    rows, cols = rows[shot], cols[shot]
     used, c = np.unique(cols, return_inverse=True)
     peaks = np.argmax(np.abs(vecs[:, used]), axis=0)
     peak_vals = vecs[peaks, used]
@@ -156,8 +171,8 @@ def _shot_log_entries(op: TridiagonalOperator, lams: np.ndarray, vecs: np.ndarra
                                    pairs % 2 == 0)
     i = np.where(left, rows, op.n - 1 - rows)
     p = np.where(left, a, op.n - 1 - a)
-    logv = logs[i, q] - logs[p, q] + peak_log[c]
-    sgn = signs[i, q] * signs[p, q] * peak_sign[c]
+    logv[shot] = logs[i, q] - logs[p, q] + peak_log[c]
+    sgn[shot] = signs[i, q] * signs[p, q] * peak_sign[c]
     return logv, sgn
 
 
@@ -182,24 +197,14 @@ def _eigpairs(op: TridiagonalOperator, first: int, stop: int
 
 
 def principal_eigpair(op: TridiagonalOperator) -> SpectralData:
-    """Principal Dirichlet eigenpair; eigenvector strictly positive.
-
-    Entries below _RELIABLE times the peak are rebuilt by shooting.
-    """
+    """Principal Dirichlet eigenpair; eigenvector strictly positive, in log space."""
     w, v = _eigpairs(op, 0, 1)
-    vec = v[:, 0]
-    if vec[np.argmax(np.abs(vec))] < 0:
-        vec = -vec
-    small = np.nonzero(vec < _RELIABLE * vec.max())[0]
-    if small.size:
-        logv, _ = _shot_log_entries(op, w, vec[:, None], small,
-                                    np.zeros(small.size, dtype=int))
-        vec[small] = np.exp(np.maximum(logv, -744.0))
-    vec = np.maximum(vec, 1e-320)
-    vec = vec / math.sqrt(float(vec @ vec))
-    lam = float(w[0])
+    logv, _ = _log_entries(op, w, v, np.arange(op.n), np.zeros(op.n, dtype=int))
+    logv -= logv.max()
+    logv -= 0.5 * math.log(float(np.sum(np.exp(2.0 * logv))))
+    lam, vec = float(w[0]), np.exp(logv)
     res = float(np.linalg.norm(op.matvec(vec) - lam * vec))
-    return SpectralData(principal=lam, eigvec=vec, residual=res)
+    return SpectralData(principal=lam, log_eigvec=logv, residual=res)
 
 
 # ---------------------------------------------------------------------------
@@ -274,16 +279,8 @@ def solve_point_log(field: Field, z: int, R: int, kappa: float, t: float,
     while k_done < n:
         k_new = min(n, k_done + batch)
         w, v = _eigpairs(op, k_done, k_new)
-        at_x = v[x_idx]
-        direct = np.abs(at_x) >= _RELIABLE
-        logv = np.empty(len(w))
-        sgn = np.empty(len(w))
-        logv[direct] = np.log(np.abs(at_x[direct]))
-        sgn[direct] = np.sign(at_x[direct])
-        shot = np.nonzero(~direct)[0]
-        if shot.size:
-            logv[shot], sgn[shot] = _shot_log_entries(
-                op, w, v, np.full(shot.size, x_idx), shot)
+        logv, sgn = _log_entries(op, w, v, np.full(len(w), x_idx),
+                                 np.arange(len(w)))
         if k_done == 0:
             principal, log_e_center = float(w[0]), float(logv[0])
         ip = v.T @ ones
@@ -350,7 +347,7 @@ def solve_adaptive(spec: PotentialSpec, seed: int, t: float, rtol: float,
         prev = sol.log_u
         R *= 2
     return SolveResult(log_u=sol.log_u,
-                       u=math.exp(sol.log_u) if sol.log_u > -744 else 0.0,
+                       u=math.exp(sol.log_u),
                        R=R, principal=sol.principal,
                        clamped_sites=sol.clamped_sites,
                        modes_used=sol.modes_used, sign_ok=sol.sign_ok,

@@ -181,9 +181,9 @@ def screening_lower_bound(field: Field, kappa: float, t: float, y: int, R: int,
     log_wait = (xi_c - 2.0 * kappa) * s
     op = hamiltonian(field, y, R, kappa)
     pe = principal_eigpair(op)
-    e_c = pe.eigvec[R]                            # window centre entry
-    log_window = 2.0 * math.log(max(e_c, 1e-320)) + (t - s) * pe.principal
-    return log_travel + log_wait + log_window
+    # entry R is the window centre; in log space, so no floor lifts the bound
+    log_window = 2.0 * pe.log_eigvec[R] + (t - s) * pe.principal
+    return float(log_travel + log_wait + log_window)
 
 
 def best_screening_bound(field: Field, kappa: float, t: float, search: int,

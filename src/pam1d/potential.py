@@ -527,7 +527,9 @@ def cumulant_G(spec: PotentialSpec, ell: float) -> float:
     if ell <= 0:
         raise ValueError(f"ell must be > 0, got {ell}")
     j = spec.mix_q * _heavy_g_deficit(spec, ell) + (1.0 - spec.mix_q) * _light_g_deficit(spec, ell)
-    j = min(j, 1.0 - 1e-300)
+    if 1.0 - j < _QUAD_RTOL:
+        raise ArithmeticError(f"G({ell:g}): 1 - <(-xi v 1)^(-1/ell)> is below "
+                              f"the quadrature tolerance {_QUAD_RTOL:g}")
     return -math.log1p(-j)
 
 

@@ -216,19 +216,17 @@ def _optimize_profile(cfg: VariationalConfig, R: float, u0: np.ndarray,
         return u * L ** (1.0 / p)
 
     u = rescale(np.maximum(u0, 1e-12))
-    lam_prev = -math.inf
+    lam = -math.inf
     theta = 0.5
-    for it in range(cfg.max_iter):
-        lam, g = _fd_principal(-u, h, kappa, want_vector=True)
-        w = g * g + 1e-300
-        prop = w ** (-1.0 / (p + 1.0))
-        u_new = rescale(np.exp((1 - theta) * np.log(u) + theta * np.log(prop)))
-        u_new = np.minimum(u_new, 1e12)
-        if abs(lam - lam_prev) < cfg.tol * (1.0 + abs(lam)):
-            return lam, u, it + 1
+    for it in range(1, cfg.max_iter + 1):
         lam_prev = lam
+        lam, g = _fd_principal(-u, h, kappa, want_vector=True)
+        if abs(lam - lam_prev) < cfg.tol * (1.0 + abs(lam)) or it == cfg.max_iter:
+            return lam, u, it  # the pair just evaluated
+        prop = (g * g + 1e-300) ** (-1.0 / (p + 1.0))
+        u_new = rescale(np.exp((1 - theta) * np.log(u) + theta * np.log(prop)))
         u = rescale(np.minimum(u_new, 1e12))
-    return lam_prev, u, cfg.max_iter
+    return lam, u, cfg.max_iter
 
 
 def chi_tilde(cfg: VariationalConfig, r_max: float = 256.0) -> ChiResult:

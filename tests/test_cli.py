@@ -161,6 +161,13 @@ class TestChiAndLegendre:
         assert obj["legendre_l"] == pytest.approx(2.0 * 2.0 * 101 / 102)
 
 
+    def test_legendre_zero_nodes_rejected(self, capsys):
+        code, _, err = run(capsys, "legendre", "--gamma", "0.5", "--A", "1",
+                           "--R", "1", "--n-nodes", "0")
+        assert code == 2
+        assert "non-empty" in err
+
+
 class TestDeterminism:
     def test_byte_identical_outputs(self, capsys, spec_file, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -190,6 +197,15 @@ class TestTables:
         obj = json.loads(out)
         assert list(obj) == ["l", "G"]
         assert len(obj["l"]) == 3
+
+    def test_g_saturated_deficit_exits_3(self, capsys, tmp_path):
+        # with no light branch G(1e-3) is beyond the quadrature's resolution
+        path = tmp_path / "spec.json"
+        path.write_text(ATOM_SPEC.replace('"mix_q":0.2', '"mix_q":1.0'))
+        code, _, err = run(capsys, "g", "--spec", str(path),
+                           "--l-grid", "1e-3:1:geometric:4")
+        assert code == 3
+        assert "G(0.001)" in err
 
     def test_field_csv(self, capsys, spec_file):
         code, out, _ = run(capsys, "field", "--spec", spec_file,

@@ -181,19 +181,21 @@ class TestTailRebuildOracle:
     Each box has 25 sites, none at the clamp, and a principal vector with
     entries below 1e-6 of its peak on both sides of it; at x = -R/2 and
     x = R/2 some modes have dense entries below 1e-6, so both shooting
-    directions are used.  The error is the norm-times-epsilon roundoff of
-    the stebz/stein eigenpairs.  Over the 63 such boxes among seeds 0-299
-    (gamma 0 and 0.5) the largest errors were 7.7 eps*norm in log v,
-    1.6 eps*norm in log u and 6.5e-16 relative in lambda; the tolerances
-    are four to six times these.
+    directions are used.  Eigenvalues are bisected to relative accuracy and
+    tails are shot as ratios, so both log u and log v carry relative, not
+    norm-wise, roundoff: on these boxes the errors were at most 3.5e-16 in
+    log u and 4.0e-16 in log v, relative to max(1, |log|).  The tolerance
+    4e-15 is ten times that; a norm-wise error (eps times the norm, up to
+    1.7e-8 here) would fail it.
     """
 
     BOXES = [(0.0, 8), (0.0, 10), (0.5, 167), (0.5, 239)]
 
     def test_shooting_against_exact_recurrence(self):
-        # every row of a sweep that rescales several times, with columns
-        # shot from both ends; over seeds 0-39 the largest error was 13 eps
-        # relative to max(1, |log v|)
+        # every row of the ratio recurrence, summed in log space through
+        # solutions that grow past 1e200, with columns shot from both ends;
+        # over seeds 0-39 the largest error was 13 eps relative to
+        # max(1, |log v|)
         mpmath = pytest.importorskip("mpmath")
         lams = np.array([-0.5, -1.5, -3.0, -3.0])
         from_left = np.array([True, False, True, False])
@@ -220,22 +222,22 @@ class TestTailRebuildOracle:
 
     def test_against_exact_eigendecomposition(self):
         mpmath = pytest.importorskip("mpmath")
-        R, n, eps = 12, 25, np.finfo(float).eps
+        R, n, tol = 12, 25, 4e-15
         for gamma, seed in self.BOXES:
             fld = sample_field(make_spec(gamma, 1.0), -R, R, seed)
             op = hamiltonian(fld, 0, R, 1.0)
             assert not op.clamped.any()
-            norm = float(np.max(np.abs(op.diag)))
             dense = _dense_matrix(fld, 0, R, 1.0)
             pe = principal_eigpair(op)
-            a = int(np.argmax(pe.eigvec))
-            small = pe.eigvec < 1e-6 * pe.eigvec[a]
+            a = int(np.argmax(pe.log_eigvec))
+            small = pe.log_eigvec < math.log(1e-6) + pe.log_eigvec[a]
             assert small[:a].any() and small[a + 1:].any()
             with mpmath.workdps(40):
                 E, Q = mpmath.eigsy(mpmath.matrix(dense.tolist()))
                 k = max(range(n), key=lambda j: E[j])
                 sgn = 1 if mpmath.fsum(Q[:, k]) > 0 else -1
-                log_vec = [float(mpmath.log(sgn * Q[i, k])) for i in range(n)]
+                log_vec = np.array([float(mpmath.log(sgn * Q[i, k]))
+                                    for i in range(n)])
                 ip = [mpmath.fsum(Q[:, j]) for j in range(n)]
                 vecs = np.linalg.eigh(dense)[1]
                 for x in (-R // 2, R // 2):
@@ -243,12 +245,12 @@ class TestTailRebuildOracle:
                     for t in (1.0, 4.0):
                         u = mpmath.fsum(Q[x + R, j] * mpmath.exp(t * E[j]) * ip[j]
                                         for j in range(n))
+                        exact = float(mpmath.log(u))
                         sol = solve_point_log(fld, 0, R, 1.0, t, x)
-                        assert sol.log_u == pytest.approx(
-                            float(mpmath.log(u)), rel=0.0, abs=8 * eps * norm)
+                        assert abs(sol.log_u - exact) <= tol * max(1.0, abs(exact))
             assert pe.principal == pytest.approx(float(E[k]), rel=4e-15)
-            np.testing.assert_allclose(np.log(pe.eigvec), log_vec, rtol=0.0,
-                                       atol=32 * eps * norm)
+            err = np.abs(pe.log_eigvec - log_vec)
+            assert np.all(err <= tol * np.maximum(1.0, np.abs(log_vec)))
 
 
 class TestExactOracle:

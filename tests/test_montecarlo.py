@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from pam1d.lattice import hamiltonian, principal_eigpair, solve_box
+from pam1d.lattice import (hamiltonian, principal_eigpair, solve_box,
+                           solve_point_log)
 from pam1d.montecarlo import (_occupation_batch, best_screening_bound,
                               fk_estimate, jump_budget, screening_lower_bound)
 from pam1d.potential import Field, sample_field
@@ -181,6 +182,23 @@ class TestScreeningLowerBound:
                 except ValueError:
                     continue
                 assert lb <= exact + 1e-9
+
+    def test_walled_window_below_exact(self):
+        # W = 50 on 1 <= |x| <= 200 walls the centre off from the free ends
+        # of the window, where the principal vector peaks; its centre entry,
+        # e^-3688, lies far below the double range, and a floor put there
+        # in its place lifts the bound above the exact log u
+        x = np.arange(-220, 221)
+        heavy = (np.abs(x) >= 1) & (np.abs(x) <= 200)
+        fld = Field(lo=-220, hi=220, heavy=heavy,
+                    values=np.where(heavy, 50.0, 0.0))
+        pe = principal_eigpair(hamiltonian(fld, 0, 220, 1.0))
+        assert math.isfinite(pe.log_eigvec[220]) and pe.log_eigvec[220] < -745.0
+        assert pe.eigvec[220] == 0.0
+        for t in (1e3, 5e3):
+            lb = screening_lower_bound(fld, 1.0, t, 0, 220)
+            assert type(lb) is float
+            assert lb <= solve_point_log(fld, 0, 220, 1.0, t).log_u + 1e-9
 
 
 class TestBestScreeningBound:

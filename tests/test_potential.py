@@ -274,6 +274,21 @@ class TestCumulants:
             assert cumulant_G(atom_spec, ell) == pytest.approx(
                 float(exact), rel=1e-12, abs=0.0)
 
+    def test_g_saturated_deficit_raises(self):
+        # mix_q = 1, exp-Pareto(zeta = 1): 1 - <(-xi v 1)^(-1/ell)> is
+        # e^-x - x E1(x) with x = 1/ell, about e^-36 at ell = 0.03, which the
+        # quadrature of the deficit cannot resolve; ell = 0.05 still can
+        mpmath = pytest.importorskip("mpmath")
+        spec = PotentialSpec(gamma=0.0, mix_q=1.0,
+                             lower=LowerTailSpec.pareto(1.0))
+        for ell in (0.01, 0.03):
+            with pytest.raises(ArithmeticError, match=f"G\\({ell:g}\\)"):
+                cumulant_G(spec, ell)
+        with mpmath.workdps(30):
+            x = 1 / mpmath.mpf(0.05)
+            exact = -mpmath.log(mpmath.exp(-x) - x * mpmath.e1(x))
+        assert cumulant_G(spec, 0.05) == pytest.approx(float(exact), rel=1e-7)
+
     def test_quad_divergent_raises(self):
         # 1/x on (0, 1) exhausts QUADPACK's subdivisions; the failure is an
         # ArithmeticError that carries its message, not an IntegrationWarning

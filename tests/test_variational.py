@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from pam1d.variational import (ChiResult, ShapeFunction, VariationalConfig,
-                               brute_legendre, chi_tilde, eig_continuum,
-                               functional_H, legendre_L)
+                               _fd_principal, brute_legendre, chi_tilde,
+                               eig_continuum, functional_H, legendre_L)
 
 
 def _const_profile(R, depth, n=51):
@@ -137,6 +137,15 @@ class TestChiTilde:
         # the reported eigenvalue is attained by the reported profile
         lam = eig_continuum(res.psi, res.R, 1.0, n=2000)
         assert -res.chi == pytest.approx(lam, rel=5e-3)
+
+    def test_capped_profile_gives_chi(self):
+        # the KKT iteration stops at its cap: psi is the profile whose
+        # eigenvalue chi is, not the next iterate
+        cfg = VariationalConfig(A=1.0, gamma=0.5, kappa=1.0, n_grid=201,
+                                max_iter=3)
+        res = chi_tilde(cfg)
+        assert res.iterations == cfg.max_iter
+        assert _fd_principal(res.psi.values, res.psi.h, 1.0) == -res.chi
 
     def test_invalid_config(self):
         with pytest.raises(ValueError):
