@@ -47,7 +47,12 @@ class FkResult:
 
 
 def jump_budget(kappa: float, t: float) -> int:
-    """Jumps simulated per walk: a generous Poisson(2 kappa t) tail budget."""
+    """Largest jump count a walk may make: a Poisson(2 kappa t) tail bound.
+
+    Each walk draws its own Poisson(2 kappa t) jump count; a count above this
+    budget raises ArithmeticError.  The budget is also the walk's reach: an
+    unboxed walk stays within [-budget, budget], which the field must cover.
+    """
     rate = 2.0 * kappa
     return int(rate * t + 12.0 * math.sqrt(rate * t + 1.0) + 30)
 
@@ -57,19 +62,27 @@ def _occupation_batch(kappa: float, t: float, max_jumps: int,
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized batch of walks: displacements, holding times, jump counts.
 
-    Returns (steps, holds, counts): steps[b, j] in {-1, +1}, holds[b, j] the
-    time spent at the j-th visited site (0 beyond the walk's jump count), and
-    counts[b] the number of jumps before t.
+    Returns (steps, holds, counts): counts[b] the number of jumps before t,
+    steps[b, j] in {-1, +1}, and holds[b, j] the time spent at the j-th
+    visited site, 0 beyond the walk's jump count.  The arrays are k + 1 (holds)
+    and k (steps) wide, with k = counts.max() <= max_jumps; a larger count
+    raises ArithmeticError.
+
+    Each walk draws only the jumps it makes.  Given N jumps on [0, t], the
+    holding times are t times a flat Dirichlet vector: t E_i / sum_{j<=N} E_j
+    with E_i ~ Exp(1), i = 0..N.  Draw order within a batch: the ``batch``
+    jump counts, then a (batch, k + 1) array of Exp(1) variates row by row
+    (those past a walk's count are discarded), then the (batch, k) steps.
     """
-    rate = 2.0 * kappa
-    holds = rng.exponential(1.0 / rate, size=(batch, max_jumps + 1))
-    cum = np.cumsum(holds, axis=1)
-    counts = np.sum(cum < t, axis=1)
-    if np.any(counts > max_jumps):
+    counts = rng.poisson(2.0 * kappa * t, size=batch)
+    k = int(counts.max())
+    if k > max_jumps:
         raise ArithmeticError("max_jumps exceeded; raise the jump budget")
-    # truncate the final holding interval at t
-    holds = np.diff(np.minimum(cum, t), axis=1, prepend=0.0)
-    steps = rng.choice((-1, 1), size=(batch, max_jumps))
+    e = rng.standard_exponential(size=(batch, k + 1))
+    e[np.arange(k + 1) > counts[:, None]] = 0.0
+    # t * (e / sum) keeps a walk without jumps at exactly t
+    holds = t * (e / e.sum(axis=1, keepdims=True))
+    steps = 2 * rng.integers(0, 2, size=(batch, k)) - 1
     return steps, holds, counts
 
 
@@ -93,21 +106,21 @@ def fk_estimate(field: Field, kappa: float, t: float, n_samples: int,
                          f"sampled field [{field.lo}, {field.hi}]")
     rng = np.random.default_rng(seed)
     xi_field = field.xi(field.lo, field.hi)
-    pos = np.zeros((min(_BATCH, n_samples), max_jumps + 1), dtype=np.int64)
     total = 0.0
     total_sq = 0.0
     exited = 0
     for start in range(0, n_samples, _BATCH):
         b = min(_BATCH, n_samples - start)
         steps, holds, counts = _occupation_batch(kappa, t, max_jumps, rng, b)
-        np.cumsum(steps, axis=1, out=pos[:b, 1:])
+        pos = np.zeros(holds.shape, dtype=np.int64)
+        np.cumsum(steps, axis=1, out=pos[:, 1:])
         # only sites beyond the box, where paths die, can be outside the field
-        xi = xi_field[np.clip(pos[:b] - field.lo, 0, field.hi - field.lo)]
+        xi = xi_field[np.clip(pos - field.lo, 0, field.hi - field.lo)]
         # holding times are 0 beyond each walk's jump count
         log_w = np.sum(xi * holds, axis=1)
         if box is not None:
-            live = np.arange(max_jumps + 1) <= counts[:, None]
-            killed = np.any(live & (np.abs(pos[:b]) > box), axis=1)
+            live = np.arange(holds.shape[1]) <= counts[:, None]
+            killed = np.any(live & (np.abs(pos) > box), axis=1)
             exited += int(killed.sum())
             log_w[killed] = -np.inf
         with np.errstate(under="ignore"):

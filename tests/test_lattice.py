@@ -178,18 +178,22 @@ class TestSolvePointLog:
 class TestTailRebuildOracle:
     """Shot tails on both sides of the peak against a 40-digit eigsy.
 
-    Each box has 25 sites, none at the clamp, and a principal vector with
-    entries below 1e-6 of its peak on both sides of it; at x = -R/2 and
-    x = R/2 some modes have dense entries below 1e-6, so both shooting
-    directions are used.  Eigenvalues are bisected to relative accuracy and
-    tails are shot as ratios, so both log u and log v carry relative, not
-    norm-wise, roundoff: on these boxes the errors were at most 3.5e-16 in
-    log u and 4.0e-16 in log v, relative to max(1, |log|).  The tolerance
-    4e-15 is ten times that; a norm-wise error (eps times the norm, up to
-    1.7e-8 here) would fail it.
+    Each box has 25 sites and a principal vector with entries below 1e-6 of
+    its peak on both sides of it; at x = -R/2 and x = R/2 some modes have
+    dense entries below 1e-6, so both shooting directions are used.
+    Eigenvalues are bisected to relative accuracy and tails are shot as
+    ratios, so both log u and log v carry relative, not norm-wise, roundoff:
+    on these boxes the errors were at most 8.9e-16 in log u and 4.0e-16 in
+    log v, relative to max(1, |log|).  The tolerance is 4e-15; a norm-wise
+    error (eps times the norm, up to 2.2e-8 here) would fail it.
+
+    One box holds a site at the clamp.  Its dense entries below 1e-6 are not
+    relatively accurate: read in place of the shot ones, they put log u off
+    by 1.9e-14 at x = R/2, so this box fails without the tail shot.
     """
 
     BOXES = [(0.0, 8), (0.0, 10), (0.5, 167), (0.5, 239)]
+    CLAMPED_BOX = (0.5, 8105)
 
     def test_shooting_against_exact_recurrence(self):
         # every row of the ratio recurrence, summed in log space through
@@ -223,10 +227,10 @@ class TestTailRebuildOracle:
     def test_against_exact_eigendecomposition(self):
         mpmath = pytest.importorskip("mpmath")
         R, n, tol = 12, 25, 4e-15
-        for gamma, seed in self.BOXES:
+        for gamma, seed in self.BOXES + [self.CLAMPED_BOX]:
             fld = sample_field(make_spec(gamma, 1.0), -R, R, seed)
             op = hamiltonian(fld, 0, R, 1.0)
-            assert not op.clamped.any()
+            assert op.clamped.any() == ((gamma, seed) == self.CLAMPED_BOX)
             dense = _dense_matrix(fld, 0, R, 1.0)
             pe = principal_eigpair(op)
             a = int(np.argmax(pe.log_eigvec))

@@ -59,6 +59,39 @@ class TestSimulateWalk:
         sigma = math.sqrt((3 * var ** 2 + var) / n)
         assert abs((finals ** 2).mean() - var) < 4 * sigma
 
+    def test_first_holding_time_exponential(self):
+        # the first jump comes at rate 2 kappa: P(h_0 > s) = e^{-2 kappa s}
+        # for s < t; uniform draws normalised to sum to t fail this
+        kappa, t, n = 1.0, 3.0, 20_000
+        _, holds, _ = _walks(kappa, t, 1, n)
+        for s in (0.1, 0.5, 1.5):
+            p = math.exp(-2 * kappa * s)
+            sigma = math.sqrt(p * (1 - p) / n)
+            assert abs((holds[:, 0] > s).mean() - p) < 4 * sigma
+
+    def test_holding_times_given_count(self):
+        # given N = n jumps, each of the n + 1 holding times has mean
+        # t / (n + 1) and variance t^2 n / ((n + 1)^2 (n + 2)) (flat
+        # Dirichlet); spacings spread over more columns than N + 1 fail this
+        kappa, t, n = 1.0, 3.0, 20_000
+        _, holds, counts = _walks(kappa, t, 2, n)
+        for jumps in (2, 6, 10):
+            rows = holds[counts == jumps, :jumps + 1]
+            mean = t / (jumps + 1)
+            sigma = math.sqrt(t * t * jumps / ((jumps + 1) ** 2 * (jumps + 2))
+                              / len(rows))
+            assert np.all(np.abs(rows.mean(axis=0) - mean) < 4 * sigma)
+
+    def test_arrays_as_wide_as_the_longest_walk(self):
+        # only the jumps the walks make are drawn; the budget caps the count
+        kappa, t, n = 1.0, 3.0, 20_000
+        steps, holds, counts = _walks(kappa, t, 3, n)
+        k = int(counts.max())
+        assert holds.shape == (n, k + 1) and steps.shape == (n, k)
+        assert k + 1 < (jump_budget(kappa, t) + 1) // 2
+        with pytest.raises(ArithmeticError, match="max_jumps exceeded"):
+            _occupation_batch(kappa, t, 2, np.random.default_rng(3), n)
+
 
 class TestFkEstimate:
     def test_zero_potential(self):
@@ -117,11 +150,11 @@ class TestFkEstimate:
         fld = sample_field(make_spec(0.5, 1.0), -10, 10, 2000)
         res = fk_estimate(fld, 1.0, 3.0, 100_000, 2000, box=10)
         assert (res.estimate, res.stderr, res.exit_fraction) == (
-            0.03865341841201196, 0.0001778180049811645, 0.00012)
+            0.03879945483088774, 0.00017807406584591625, 2e-05)
         fld = sample_field(make_spec(0.5, 1.0), -200, 200, 40)
         res = fk_estimate(fld, 1.0, 1.0, 20_000, 7)
         assert (res.estimate, res.stderr, res.exit_fraction) == (
-            0.41943725457680864, 0.00130656033197914, 0.0)
+            0.4197390274377758, 0.0012998711264255926, 0.0)
 
     def test_zero_samples_rejected(self):
         with pytest.raises(ValueError):
