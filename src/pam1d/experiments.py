@@ -43,6 +43,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kappa <= 0:
             raise ValueError(f"kappa must be > 0, got {self.kappa}")
+        if len(self.seeds) == 0:
+            raise ValueError("seeds must not be empty")
+        if not self.rtol > 0:
+            raise ValueError(f"rtol must be > 0, got {self.rtol}")
 
 
 def t_grid(spec: PotentialSpec, n_lo: int, n_hi: int) -> np.ndarray:
@@ -76,21 +80,28 @@ def rate_curve(cfg: ExperimentConfig, t_values: np.ndarray,
                r_cap: int = 1 << 14) -> RateCurve:
     """Decay-rate curve rho(t) = alpha(b_t)^2 / t * log u(t, 0) per seed.
 
-    Rows where the solver hit its box cap are flagged via ``converged`` but
-    kept in the table.
+    Seeds are solved one at a time, with one dict of box mode sums shared by
+    all t of the seed, so each (seed, R) box is sampled and diagonalised
+    once.  Rows come in t-major order.  Rows where the solver hit its box
+    cap are flagged via ``converged`` but kept in the table.
     """
     spec = cfg.spec
     params = ScaleParams.from_spec(spec)
     t_values = np.asarray(t_values, float)
-    rows: list[tuple] = []
+    scale = []
     for t in t_values:
         b = b_scale(spec, params, t)
-        a2 = alpha(params, b) ** 2
-        for seed in cfg.seeds:
-            res = solve_adaptive(spec, seed, t, cfg.rtol, kappa=cfg.kappa,
-                                 r_cap=r_cap)
-            rows.append((t, seed, res.R, res.log_u, b, a2,
-                         a2 / t * res.log_u, res.converged))
+        scale.append((b, alpha(params, b) ** 2))
+    per_seed = []  # per_seed[j][i]: seed j at t_values[i]
+    for seed in cfg.seeds:
+        boxes: dict = {}
+        per_seed.append([solve_adaptive(spec, seed, t, cfg.rtol,
+                                        kappa=cfg.kappa, r_cap=r_cap,
+                                        boxes=boxes)
+                         for t in t_values])
+    rows = [(t, seed, r.R, r.log_u, b, a2, a2 / t * r.log_u, r.converged)
+            for t, (b, a2), at_t in zip(t_values, scale, zip(*per_seed))
+            for seed, r in zip(cfg.seeds, at_t)]
     cols = list(zip(*rows))
     return RateCurve(t=np.array(cols[0]), seed=np.array(cols[1]),
                      R_used=np.array(cols[2]), log_u=np.array(cols[3]),

@@ -12,6 +12,8 @@ direction).
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -249,67 +251,99 @@ class PointSolution:
     modes_used: int
     sign_ok: bool
     clamped_sites: int  # sites of the box held at -XI_CLAMP
+    # the mode sum this value was read from; its point(t) gives the same box
+    # and site at any other t without a new eigensolve
+    mode_sum: _ModeSum = dataclasses.field(repr=False, compare=False)
+
+
+class _ModeSum:
+    """The pruned spectral mode sum of u_R(t, x) at one site, for any t.
+
+    Mode j contributes exp(t lam_j) v_j(x) <v_j, 1>.  Eigenpairs are taken
+    from the top of the spectrum in batches of 16, 32, ..., 512 modes, each
+    batch computed the first time a t reaches it.  A batch keeps only what
+    the sum reads: lam_j, log|v_j(x)| (rebuilt by boundary shooting when the
+    dense entry is at noise level), log|<v_j, 1>| and the sign of the term;
+    the eigenvectors are dropped.  Every t reads an exact prefix of the same
+    batches, so ``point(t)`` does not depend on the t evaluated before it.
+    """
+
+    def __init__(self, op: TridiagonalOperator, x_idx: int):
+        self.op = op
+        self.x_idx = x_idx
+        self.batches: list[tuple[np.ndarray, ...]] = []
+        self.modes_done = 0
+
+    def _batch(self, i: int) -> tuple[np.ndarray, ...]:
+        """(lam, log|v(x)|, log|<v, 1>|, term sign) of batch i."""
+        if i == len(self.batches):
+            op, first = self.op, self.modes_done
+            w, v = _eigpairs(op, first, min(op.n, first + min(16 << i, 512)))
+            logv, sgn = _log_entries(op, w, v, np.full(len(w), self.x_idx),
+                                     np.arange(len(w)))
+            ip = v.T @ np.ones(op.n)
+            with np.errstate(divide="ignore"):
+                logip = np.log(np.abs(ip))
+            self.batches.append((w, logv, logip,
+                                 sgn * np.where(ip >= 0, 1.0, -1.0)))
+            self.modes_done += len(w)
+        return self.batches[i]
+
+    def point(self, t: float) -> PointSolution:
+        """log u_R(t, x): modes are summed until the a-priori bound
+        t*lam + 0.5 log n of the rest falls 46 nats below the running total."""
+        if t < 0:
+            raise ValueError(f"t must be >= 0, got {t}")
+        n = self.op.n
+        log_terms: list[np.ndarray] = []
+        signs: list[np.ndarray] = []
+        k_done = 0
+        best = -math.inf
+        for i in itertools.count():
+            w, logv, logip, term_sign = self._batch(i)
+            lt = t * w + logv + logip
+            kept = lt > -math.inf  # a mode orthogonal to 1 contributes nothing
+            log_terms.append(lt[kept])
+            signs.append(term_sign[kept])
+            best = float(np.max(lt, where=term_sign > 0, initial=best))
+            k_done += len(w)
+            # the next eigenvalues are no larger than the last one taken
+            if k_done == n or t * w[-1] + 0.5 * math.log(n) < best - 46.0:
+                break
+        arr = np.concatenate(log_terms)
+        sg = np.concatenate(signs)
+        m = arr.max()
+        total = float(np.sum(sg * np.exp(arr - m)))
+        sign_ok = total > 0.0
+        if not sign_ok:
+            # cancellation at noise level; fall back to the positive part,
+            # which still dominates the true value up to roundoff
+            total = float(np.sum(np.exp(arr[sg > 0] - m)))
+        w0, logv0 = self.batches[0][:2]
+        return PointSolution(log_u=m + math.log(total), principal=float(w0[0]),
+                             log_e_center=float(logv0[0]), n=n,
+                             modes_used=k_done, sign_ok=sign_ok,
+                             clamped_sites=int(self.op.clamped.sum()),
+                             mode_sum=self)
 
 
 def solve_point_log(field: Field, z: int, R: int, kappa: float, t: float,
                     x: int | None = None) -> PointSolution:
     """log u_R(t, x) via a pruned spectral mode sum, stable far below underflow.
 
-    Mode j contributes exp(t lam_j) v_j(x) <v_j, 1>; contributions are summed
-    in log space, with |v_j(x)| reconstructed by boundary shooting when the
-    dense eigenvector entry is at noise level.  Modes are taken from the top
-    of the spectrum until the a-priori bound t*lam + 0.5 log n falls 46 nats
-    below the running total.
+    Contributions are summed in log space, with |v_j(x)| reconstructed by
+    boundary shooting when the dense eigenvector entry is at noise level.
+    Modes are taken from the top of the spectrum until the a-priori bound
+    t*lam + 0.5 log n falls 46 nats below the running total.  The result's
+    ``mode_sum`` evaluates the same box and site at further t.
     """
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
     if x is None:
         x = z
     op = hamiltonian(field, z, R, kappa)
-    n = op.n
     x_idx = x - (z - R)
-    if not 0 <= x_idx < n:
+    if not 0 <= x_idx < op.n:
         raise ValueError(f"evaluation point {x} outside box [{z - R}, {z + R}]")
-    ones = np.ones(n)
-    log_terms: list[np.ndarray] = []
-    signs: list[np.ndarray] = []
-    k_done = 0
-    batch = 16
-    best = -math.inf
-    while k_done < n:
-        k_new = min(n, k_done + batch)
-        w, v = _eigpairs(op, k_done, k_new)
-        logv, sgn = _log_entries(op, w, v, np.full(len(w), x_idx),
-                                 np.arange(len(w)))
-        if k_done == 0:
-            principal, log_e_center = float(w[0]), float(logv[0])
-        ip = v.T @ ones
-        with np.errstate(divide="ignore"):
-            lt = t * w + logv + np.log(np.abs(ip))
-        term_sign = sgn * np.where(ip >= 0, 1.0, -1.0)
-        kept = lt > -math.inf  # a mode orthogonal to 1 contributes nothing
-        log_terms.append(lt[kept])
-        signs.append(term_sign[kept])
-        best = float(np.max(lt, where=term_sign > 0, initial=best))
-        k_done = k_new
-        batch = min(2 * batch, 512)
-        # the next eigenvalues are no larger than the last one taken
-        if k_done < n and t * w[-1] + 0.5 * math.log(n) < best - 46.0:
-            break
-    arr = np.concatenate(log_terms)
-    sg = np.concatenate(signs)
-    m = arr.max()
-    total = float(np.sum(sg * np.exp(arr - m)))
-    sign_ok = total > 0.0
-    if not sign_ok:
-        # cancellation at noise level; fall back to the positive part, which
-        # still dominates the true value up to roundoff
-        total = float(np.sum(np.exp(arr[sg > 0] - m)))
-    log_u = m + math.log(total)
-    return PointSolution(log_u=log_u, principal=principal,
-                         log_e_center=log_e_center, n=n,
-                         modes_used=k_done, sign_ok=sign_ok,
-                         clamped_sites=int(op.clamped.sum()))
+    return _ModeSum(op, x_idx).point(t)
 
 
 @dataclass(frozen=True)
@@ -325,20 +359,38 @@ class SolveResult:
 
 
 def solve_adaptive(spec: PotentialSpec, seed: int, t: float, rtol: float,
-                   kappa: float = 1.0, r_cap: int = 1 << 14) -> SolveResult:
+                   kappa: float = 1.0, r_cap: int = 1 << 14,
+                   boxes: dict[int, _ModeSum] | None = None) -> SolveResult:
     """Monotone exhaustion in R; the returned value is a lower bound of u(t,0).
 
-    Doubles R until the relative change of u_R(t,0) stays below rtol twice in
-    a row.
+    Doubles R from R_START until the relative change of u_R(t,0) stays below
+    rtol twice in a row, or the next R would exceed r_cap.
+
+    ``boxes`` maps R to the mode sum of the box of radius R for this
+    (spec, seed, kappa), as held by ``PointSolution.mode_sum``.  A box
+    missing from it is sampled, solved by ``solve_point_log`` and added; a
+    box present is evaluated at t without a new eigensolve.  A caller that
+    solves one field at several t passes the same dict to each call; the
+    result does not depend on what the dict already holds.
     """
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
+    if not rtol > 0:
+        raise ValueError(f"rtol must be > 0, got {rtol}")
+    if r_cap < R_START:
+        raise ValueError(f"r_cap must be >= {R_START}, got {r_cap}")
+    if boxes is None:
+        boxes = {}
     prev = None
     stable = 0
     R = R_START
     while True:
-        fld = sample_field(spec, -R, R, seed)
-        sol = solve_point_log(fld, 0, R, kappa, t)
+        if R in boxes:
+            sol = boxes[R].point(t)
+        else:
+            fld = sample_field(spec, -R, R, seed)
+            sol = solve_point_log(fld, 0, R, kappa, t)
+            boxes[R] = sol.mode_sum
         if prev is not None:
             rel = abs(math.expm1(min(prev - sol.log_u, 0.0)))
             stable = stable + 1 if rel < rtol else 0
@@ -352,4 +404,3 @@ def solve_adaptive(spec: PotentialSpec, seed: int, t: float, rtol: float,
                        clamped_sites=sol.clamped_sites,
                        modes_used=sol.modes_used, sign_ok=sol.sign_ok,
                        converged=stable >= 2)
-

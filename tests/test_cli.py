@@ -57,6 +57,19 @@ class TestExitCodes:
         assert code == 3
         assert "numerical" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("solve", "--t", "5", "--r-cap", "4"),
+        ("solve", "--t", "5", "--rtol", "-1"),
+        ("rate", "--rtol", "0"),
+        ("rate", "--seeds", "0"),
+    ], ids=["r-cap-below-start", "negative-rtol", "zero-rtol", "no-seeds"])
+    def test_bad_solver_settings(self, capsys, spec_file, argv):
+        # rejected before any solve: a cap below the first box radius, a
+        # tolerance that can never be met, no seeds
+        code, _, err = run(capsys, *argv, "--spec", spec_file)
+        assert code == 2
+        assert "pam1d: error:" in err
+
     @pytest.mark.parametrize("command", ["verify-lln", "verify-last"])
     def test_normalizer_beyond_double_range(self, capsys, tmp_path, command):
         # on the log-log spec the normalizers G^{-1}(1/n) and G~^{-1}(rho/n)

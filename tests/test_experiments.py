@@ -1,12 +1,15 @@
+import collections
 import math
 import warnings
 
 import numpy as np
 import pytest
 
+from pam1d import lattice
 from pam1d.experiments import (ExperimentConfig, check_assumption_H,
                                check_last, check_lln, check_microbox,
                                estimate_rho, rate_curve, t_grid)
+from pam1d.lattice import solve_adaptive
 from pam1d.potential import (LowerTailSpec, PotentialSpec, cumulant_G,
                              sample_field)
 from pam1d.scales import invert_G
@@ -61,6 +64,40 @@ class TestRateCurve:
     def test_config_validation(self, atom_spec):
         with pytest.raises(ValueError):
             ExperimentConfig(spec=atom_spec, kappa=0.0)
+        with pytest.raises(ValueError):
+            ExperimentConfig(spec=atom_spec, seeds=())
+        with pytest.raises(ValueError):
+            ExperimentConfig(spec=atom_spec, rtol=0.0)
+
+    # on make_spec(0, 1) seed 2 stops at R = 64, 128 and 256 on these t
+    SHARED_T = np.array([3.0, 30.0, 300.0])
+
+    def test_rows_equal_unshared_solves(self):
+        spec = make_spec(0.0, 1.0)
+        cfg = ExperimentConfig(spec=spec, seeds=(1, 2, 3), rtol=1e-4)
+        curve = rate_curve(cfg, self.SHARED_T)
+        assert curve.t.tolist() == np.repeat(self.SHARED_T, 3).tolist()
+        assert curve.seed.tolist() == [1, 2, 3] * 3
+        assert curve.R_used[curve.seed == 2].tolist() == [64, 128, 256]
+        for t, seed, R, log_u, conv in zip(curve.t, curve.seed, curve.R_used,
+                                           curve.log_u, curve.converged):
+            res = solve_adaptive(spec, int(seed), t, 1e-4)
+            assert (R, log_u, conv) == (res.R, res.log_u, res.converged)
+
+    def test_each_eigenpair_batch_solved_once(self, monkeypatch):
+        # a batch is one (box, mode range) pair: the box by its diagonal,
+        # which differs between seeds and radii
+        calls = collections.Counter()
+        eigh = lattice.eigh_tridiagonal
+
+        def counting(d, e, **kwargs):
+            calls[len(d), hash(d.tobytes()), kwargs["select_range"]] += 1
+            return eigh(d, e, **kwargs)
+        monkeypatch.setattr(lattice, "eigh_tridiagonal", counting)
+        cfg = ExperimentConfig(spec=make_spec(0.0, 1.0), seeds=(1, 2, 3),
+                               rtol=1e-4)
+        rate_curve(cfg, self.SHARED_T)
+        assert calls and max(calls.values()) == 1
 
 
 class TestAssumptionH:

@@ -334,6 +334,30 @@ class TestSolveAdaptive:
         res = solve_adaptive(spec, 1, 200.0, 1e-10, r_cap=8)
         assert not res.converged
 
+    @pytest.mark.parametrize("kwargs", [{"r_cap": 4}, {"rtol": 0.0},
+                                        {"rtol": -1.0}, {"rtol": math.nan}])
+    def test_invalid_args(self, kwargs):
+        # r_cap below R_START would still solve the first box; a rtol that
+        # is not positive can never be met
+        args = {"rtol": 1e-4, **kwargs}
+        with pytest.raises(ValueError):
+            solve_adaptive(make_spec(0.0, 1.0), 0, 20.0, **args)
+
+    def test_shared_boxes_in_any_order(self):
+        # seed 2 stops at R = 64, 128 and 256 on these t; filling one dict
+        # from the largest t down gives the unshared results exactly
+        spec = make_spec(0.0, 1.0)
+        ts = (3.0, 30.0, 300.0)
+        alone = [solve_adaptive(spec, 2, t, 1e-4) for t in ts]
+        assert [r.R for r in alone] == [64, 128, 256]
+        boxes = {}
+        shared = [solve_adaptive(spec, 2, t, 1e-4, boxes=boxes)
+                  for t in reversed(ts)]
+        assert shared[::-1] == alone
+        assert sorted(boxes) == [8, 16, 32, 64, 128, 256]
+        assert [solve_adaptive(spec, 2, t, 1e-4, boxes=boxes)
+                for t in ts] == alone
+
 
 class TestSandwich:
     def test_eigenvalue_sandwich_small(self):
