@@ -39,8 +39,8 @@ CONFIG_ERROR = 2
 NUMERICAL_ERROR = 3
 
 
-class ConfigError(Exception):
-    pass
+class ConfigError(ValueError):
+    """A bad argument or input file; exits CONFIG_ERROR like any ValueError."""
 
 
 def _fmt(x) -> str:
@@ -156,18 +156,11 @@ def _cmd_field(args) -> None:
     _emit_table(args, ["x", "heavy", "value"], rows)
 
 
-def _cmd_h(args) -> None:
+def _cmd_cumulant(args) -> None:
     spec = _load_spec(args)
     grid = _parse_grid(args.l_grid)
-    rows = [(l, cumulant_H(spec, float(l))) for l in grid]
-    _emit_table(args, ["l", "H"], rows)
-
-
-def _cmd_g(args) -> None:
-    spec = _load_spec(args)
-    grid = _parse_grid(args.l_grid)
-    rows = [(l, cumulant_G(spec, float(l))) for l in grid]
-    _emit_table(args, ["l", "G"], rows)
+    rows = [(l, args.cumulant(spec, float(l))) for l in grid]
+    _emit_table(args, ["l", args.column], rows)
 
 
 def _cmd_scales(args) -> None:
@@ -351,12 +344,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--hi", type=int, default=50)
     p.set_defaults(func=_cmd_field)
 
-    for name, fn, hlp in (("h", _cmd_h, "upper-tail cumulant H"),
-                          ("g", _cmd_g, "lower-tail scale G")):
-        p = sub.add_parser(name, help=hlp)
+    for col, fn, hlp in (("H", cumulant_H, "upper-tail cumulant H"),
+                         ("G", cumulant_G, "lower-tail scale G")):
+        p = sub.add_parser(col.lower(), help=hlp)
         _add_common(p, "csv")
         p.add_argument("--l-grid", default="1:1e6:geometric:13")
-        p.set_defaults(func=fn)
+        p.set_defaults(func=_cmd_cumulant, cumulant=fn, column=col)
 
     p = sub.add_parser("scales", help="deterministic scale table")
     _add_common(p, "csv")
@@ -467,9 +460,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         args.func(args)
-    except ConfigError as exc:
-        print(f"pam1d: error: {exc}", file=sys.stderr)
-        return CONFIG_ERROR
     except ValueError as exc:
         print(f"pam1d: error: {exc}", file=sys.stderr)
         return CONFIG_ERROR

@@ -19,6 +19,7 @@ from .lattice import solve_adaptive
 from .potential import (PotentialSpec, canonical_A, cumulant_H, g_tilde,
                         g_tilde_inverse, sample_field)
 from .scales import ScaleParams, alpha, b_scale, gamma_box, invert_G
+from .variational import legendre_L
 
 __all__ = [
     "ExperimentConfig",
@@ -85,9 +86,11 @@ def rate_curve(cfg: ExperimentConfig, t_values: np.ndarray,
     once.  Rows come in t-major order.  Rows where the solver hit its box
     cap are flagged via ``converged`` but kept in the table.
     """
+    t_values = np.asarray(t_values, float)
+    if t_values.size == 0:
+        raise ValueError("t_values must not be empty")
     spec = cfg.spec
     params = ScaleParams.from_spec(spec)
-    t_values = np.asarray(t_values, float)
     scale = []
     for t in t_values:
         b = b_scale(spec, params, t)
@@ -177,24 +180,22 @@ def check_lln(spec: PotentialSpec, b: float, n_values, seeds) -> dict:
 _X0 = 1.0  # concavification point of 1/G^_eta, and log of the threshold a
 
 
-def _g_hat_eta(spec: PotentialSpec, eta: float, x: np.ndarray) -> np.ndarray:
-    """Concavified tail scale: 1/G^ is linear below _X0 and shifted 1/G~ above.
+def _inv_g_hat_eta(spec: PotentialSpec, eta: float,
+                   x: np.ndarray) -> np.ndarray:
+    """Concavified 1/G^ at x > 0: linear below _X0, shifted 1/G~ above.
 
     The linear piece has the right derivative of 1/G~ at _X0, making 1/G^
     positive, increasing and concave on all of (0, infinity).
     """
     x = np.asarray(x, float)
     dx = 1e-6 * _X0
-    d0 = (1.0 / g_tilde(spec, eta, _X0 + dx)
-          - 1.0 / g_tilde(spec, eta, _X0)) / dx
-    inv = np.where(x <= _X0, d0 * np.maximum(x, 1e-300), 0.0)
+    inv0 = 1.0 / g_tilde(spec, eta, _X0)
+    d0 = (1.0 / g_tilde(spec, eta, _X0 + dx) - inv0) / dx
+    inv = d0 * x
     big = x > _X0
-    if np.any(big):
-        vals = np.array([1.0 / g_tilde(spec, eta, xi)
-                         for xi in np.atleast_1d(x[big])])
-        inv = inv.copy()
-        inv[big] = vals + d0 * _X0 - 1.0 / g_tilde(spec, eta, _X0)
-    return 1.0 / inv
+    inv[big] = np.array([1.0 / g_tilde(spec, eta, xi)
+                         for xi in x[big]]) + d0 * _X0 - inv0
+    return inv
 
 
 def estimate_rho(spec: PotentialSpec, eta: float,
@@ -207,8 +208,7 @@ def estimate_rho(spec: PotentialSpec, eta: float,
     """
     fld = sample_field(spec, 1, n_samples, 0)
     y = np.maximum(fld.log_neg_or1(1, n_samples), _X0)
-    vals = 1.0 / _g_hat_eta(spec, eta, y)
-    return 2.0 * float(vals.mean())
+    return 2.0 * float(_inv_g_hat_eta(spec, eta, y).mean())
 
 
 def check_last(spec: PotentialSpec, eta: float, n_values,
@@ -253,8 +253,6 @@ def check_microbox(spec: PotentialSpec, psi, eps: float, eta: float,
     at or above 1 makes the sought windows too rare for the macrobox scale,
     and eta below the budget breaks the normalizer ordering.
     """
-    from .variational import legendre_L
-
     budget = legendre_L(psi, canonical_A(spec), spec.gamma)
     if not budget < 1.0:
         raise ValueError(f"profile budget L(psi) = {budget:.6g} must be < 1")

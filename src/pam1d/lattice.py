@@ -55,15 +55,13 @@ class TridiagonalOperator:
     matrix norm bounded.
     """
 
-    z: int
-    R: int
     kappa: float
     diag: np.ndarray     # xi(z+x) - 2 kappa, heavy sites at -XI_CLAMP
     clamped: np.ndarray  # mask of sites entered as -XI_CLAMP
 
     @property
     def n(self) -> int:
-        return 2 * self.R + 1
+        return len(self.diag)
 
     def offdiag(self) -> np.ndarray:
         return np.full(self.n - 1, self.kappa)
@@ -95,7 +93,7 @@ def hamiltonian(field: Field, z: int, R: int, kappa: float) -> TridiagonalOperat
     if R < 0:
         raise ValueError(f"R must be >= 0, got {R}")
     xi = field.xi(z - R, z + R)
-    return TridiagonalOperator(z=z, R=R, kappa=kappa,
+    return TridiagonalOperator(kappa=kappa,
                                diag=np.maximum(xi, -XI_CLAMP) - 2.0 * kappa,
                                clamped=xi < -XI_CLAMP)
 

@@ -43,7 +43,6 @@ class FkResult:
     stderr: float
     n_samples: int
     exit_fraction: float
-    lower_bound: bool
 
 
 def jump_budget(kappa: float, t: float) -> int:
@@ -132,12 +131,11 @@ def fk_estimate(field: Field, kappa: float, t: float, n_samples: int,
     return FkResult(estimate=mean,
                     stderr=math.sqrt(var / n_samples),
                     n_samples=n_samples,
-                    exit_fraction=exited / n_samples,
-                    lower_bound=box is not None)
+                    exit_fraction=exited / n_samples)
 
 
-def screening_lower_bound(field: Field, kappa: float, t: float, y: int, R: int,
-                          s: float | None = None) -> float:
+def screening_lower_bound(field: Field, kappa: float, t: float, y: int,
+                          R: int) -> float:
     """Log of an explicit lower bound for u(t, 0) via the travel strategy.
 
     The walk crosses from 0 to the centre y of the window y + [-R, R],
@@ -151,15 +149,14 @@ def screening_lower_bound(field: Field, kappa: float, t: float, y: int, R: int,
     After arriving (in total time at most sum r_x), the walk waits at the
     window centre until the split time s, paying the penalty (xi(y) - 2 kappa)
     per unit of waiting time, and then stays in the window over [s, t].  The
-    split defaults to s = min(sum r_x, t/2); raises ValueError when the
-    crossing budget sum r_x exceeds s (strategy infeasible at this split).
+    split is fixed at s = min(sum r_x, t/2), which is sum r_x whenever the
+    strategy is feasible; raises ValueError when the crossing budget sum r_x
+    exceeds t/2 (strategy infeasible).
     """
     if kappa <= 0:
         raise ValueError(f"kappa must be > 0, got {kappa}")
     if t <= 0:
         raise ValueError(f"t must be > 0, got {t}")
-    if s is not None and not 0.0 <= s <= t:
-        raise ValueError(f"s must be in [0, t], got {s}")
     if y == 0:
         budget = 0.0
         log_travel = 0.0
@@ -183,12 +180,11 @@ def screening_lower_bound(field: Field, kappa: float, t: float, y: int, R: int,
             jump = np.log(-np.expm1(-2.0 * kappa * r)) - math.log(2.0)
         pot = np.maximum(field.xi(lo_x, hi_x), -1.0)
         log_travel = float(jump.sum() + pot.sum())
-    if s is None:
-        s = min(budget, t / 2.0)
-    if budget > s:
+    if budget > t / 2.0:
         raise ValueError(
-            f"crossing budget sum r_x = {budget:.6g} exceeds the split "
-            f"time s = {s:.6g}; strategy infeasible")
+            f"crossing budget sum r_x = {budget:.6g} exceeds half the time "
+            f"t/2 = {t / 2.0:.6g}; strategy infeasible")
+    s = budget  # the split time min(sum r_x, t/2)
     # waiting penalty at the centre until time s, with the exact potential
     xi_c = field.xi(y, y).item()
     log_wait = (xi_c - 2.0 * kappa) * s

@@ -107,10 +107,8 @@ class LowerTailSpec:
         return LowerTailSpec("bounded", wmax=wmax)
 
     def has_infinite_log_moment(self) -> bool:
-        """Whether <log(-xi v 1)> = infinity (the heavy-lower-tail regime)."""
-        if self.variant == "pareto":
-            return self.zeta <= 1.0
-        return self.variant == "loglog"
+        """Whether <log(-xi v 1)> = infinity (pareto has zeta <= 1)."""
+        return self.variant != "bounded"
 
     def sample_w(self, u: np.ndarray) -> np.ndarray:
         """Inverse-CDF map from uniforms in (0,1) to W values."""
@@ -603,16 +601,12 @@ def log_moment(spec: PotentialSpec, delta: float) -> float:
         return math.inf
     if lt.variant == "loglog":
         return math.inf  # w^{delta-1}/log^{1+theta} w is non-integrable for delta > 0
-    # heavy branch by quadrature
+    # heavy branch in closed form: W uniform on [0, wmax], or
+    # zeta w^{-zeta-1} on [1, inf) with delta < zeta
     if lt.variant == "bounded":
-        if lt.wmax == 0.0:
-            heavy = 0.0
-        else:
-            heavy = _quad(lambda w: w ** delta / lt.wmax, 0.0, lt.wmax)
+        heavy = lt.wmax ** delta / (delta + 1.0)
     else:
-        heavy = _quad(
-            lambda w: w ** delta * math.exp(float(lt.log_density_w(np.array([w]))[0])),
-            1.0, math.inf)
+        heavy = lt.zeta / (lt.zeta - delta)
     light = 0.0
     if spec.mix_q < 1.0 and spec.gamma > 0.0:
         a, d = spec.frechet_a, spec.frechet_d

@@ -26,7 +26,6 @@ __all__ = [
     "r_box",
     "gamma_box",
     "invert_G",
-    "find_tmin",
 ]
 
 _INV_E = math.exp(-1.0)  # b_t needs G(t) < 1/e, i.e. -log G(t) > 1
@@ -36,26 +35,11 @@ _INV_E = math.exp(-1.0)  # b_t needs G(t) < 1/e, i.e. -log G(t) > 1
 class ScaleParams:
     nu: float
     beta: float
-    tmin: float
 
     @staticmethod
     def from_spec(spec: PotentialSpec) -> "ScaleParams":
         nu = spec.nu
-        return ScaleParams(
-            nu=nu,
-            beta=2.0 * nu / (1.0 - 2.0 * nu),
-            tmin=find_tmin(spec),
-        )
-
-
-def find_tmin(spec: PotentialSpec) -> float:
-    """Smallest power-of-2 t with G(t) < 1/e, so -log G(t) >= 1."""
-    t = 1.0
-    for _ in range(200):
-        if cumulant_G(spec, t) < _INV_E:
-            return t
-        t *= 2.0
-    raise ArithmeticError("G(t) did not drop below 1/e for t up to 2^200")
+        return ScaleParams(nu=nu, beta=2.0 * nu / (1.0 - 2.0 * nu))
 
 
 def alpha(params: ScaleParams, t: float) -> float:
@@ -69,7 +53,7 @@ def b_scale(spec: PotentialSpec, params: ScaleParams, t: float) -> float:
     """Time scale b_t solving b / alpha(b)^2 = -log G(t)."""
     g = cumulant_G(spec, t)
     if g >= _INV_E:
-        raise ValueError(f"t = {t} below tmin (G(t) = {g} >= 1/e)")
+        raise ValueError(f"t = {t} too small: G(t) = {g} >= 1/e")
     target = -math.log(g)
     b = target ** (1.0 / (1.0 - 2.0 * params.nu))
     ident = b / alpha(params, b) ** 2
@@ -89,7 +73,7 @@ def r_box(spec: PotentialSpec, t: float) -> int:
     """Macrobox radius ceil(-3 log G(t) / G(t))."""
     g = cumulant_G(spec, t)
     if g >= 1.0:
-        raise ValueError(f"t = {t} below tmin (G(t) = {g} >= 1)")
+        raise ValueError(f"t = {t} too small: G(t) = {g} >= 1")
     return math.ceil(-3.0 * math.log(g) / g)
 
 

@@ -72,9 +72,9 @@ class ShapeFunction:
 
     @staticmethod
     def from_callable(fn, R: float, n: int) -> "ShapeFunction":
-        h = 2.0 * R / (n + 1)
-        x = -R + h * np.arange(1, n + 1)
-        return ShapeFunction(R=R, values=np.asarray([fn(xi) for xi in x], float))
+        """Profile sampled at the n nodes by one call of a vectorized ``fn``."""
+        x = -R + 2.0 * R / (n + 1) * np.arange(1, n + 1)
+        return ShapeFunction(R=R, values=np.asarray(fn(x), float))
 
     def __call__(self, x):
         return np.interp(x, self.grid(), self.values, left=0.0, right=0.0)
@@ -153,17 +153,15 @@ def brute_legendre(psi: ShapeFunction, A: float, gamma: float) -> float:
     return psi.h * total
 
 
-def _fd_principal(psi_vals: np.ndarray, h: float, kappa: float,
-                  want_vector: bool = False):
-    """Principal Dirichlet eigenpair of kappa d^2/dx^2 + psi on the grid."""
+def _fd_principal(psi_vals: np.ndarray, h: float, kappa: float
+                  ) -> tuple[float, np.ndarray]:
+    """Principal Dirichlet eigenpair (lam, g) of kappa d^2/dx^2 + psi."""
     n = len(psi_vals)
     diag = psi_vals - 2.0 * kappa / h ** 2
     off = np.full(n - 1, kappa / h ** 2)
     w, v = eigh_tridiagonal(diag, off, select="i", select_range=(n - 1, n - 1),
                             lapack_driver="stebz")
     lam = float(w[0])
-    if not want_vector:
-        return lam
     g = v[:, 0]
     if g[np.argmax(np.abs(g))] < 0:
         g = -g
@@ -174,15 +172,14 @@ def _fd_principal(psi_vals: np.ndarray, h: float, kappa: float,
 def eig_continuum(psi, R: float, kappa: float, n: int = 2000) -> float:
     """Principal Dirichlet eigenvalue of kappa*Laplacian + psi on [-R, R].
 
-    ``psi`` is a callable (a ShapeFunction works).  Second-order finite
-    differences at two resolutions with Richardson extrapolation remove the
-    leading O(h^2) error.
+    ``psi`` is a vectorized callable (a ShapeFunction works).  Second-order
+    finite differences at two resolutions with Richardson extrapolation
+    remove the leading O(h^2) error.
     """
     lams = []
     for m in (n, 2 * n + 1):
-        h = 2.0 * R / (m + 1)
-        x = -R + h * np.arange(1, m + 1)
-        lams.append(_fd_principal(np.asarray(psi(x), float), h, kappa))
+        grid = ShapeFunction.from_callable(psi, R, m)
+        lams.append(_fd_principal(grid.values, grid.h, kappa)[0])
     return (4.0 * lams[1] - lams[0]) / 3.0
 
 
@@ -220,7 +217,7 @@ def _optimize_profile(cfg: VariationalConfig, R: float, u0: np.ndarray,
     theta = 0.5
     for it in range(1, cfg.max_iter + 1):
         lam_prev = lam
-        lam, g = _fd_principal(-u, h, kappa, want_vector=True)
+        lam, g = _fd_principal(-u, h, kappa)
         if abs(lam - lam_prev) < cfg.tol * (1.0 + abs(lam)) or it == cfg.max_iter:
             return lam, u, it  # the pair just evaluated
         prop = (g * g + 1e-300) ** (-1.0 / (p + 1.0))

@@ -68,6 +68,9 @@ class TestRateCurve:
             ExperimentConfig(spec=atom_spec, seeds=())
         with pytest.raises(ValueError):
             ExperimentConfig(spec=atom_spec, rtol=0.0)
+        with pytest.raises(ValueError, match="t_values must not be empty"):
+            rate_curve(ExperimentConfig(spec=atom_spec, seeds=(0,)),
+                       np.array([]))
 
     # on make_spec(0, 1) seed 2 stops at R = 64, 128 and 256 on these t
     SHARED_T = np.array([3.0, 30.0, 300.0])

@@ -99,7 +99,6 @@ class TestFkEstimate:
         res = fk_estimate(fld, 1.0, 2.0, 500, 0)
         assert res.estimate == pytest.approx(1.0)
         assert res.stderr == pytest.approx(0.0, abs=1e-12)
-        assert not res.lower_bound
 
     def test_constant_potential(self):
         # xi = -1: the path integral is -t for every path, so the estimator
@@ -115,7 +114,6 @@ class TestFkEstimate:
             fld = sample_field(spec, -10, 10, seed)
             exact = solve_box(fld, 0, 10, 1.0, 3.0)[10]
             res = fk_estimate(fld, 1.0, 3.0, 40_000, seed, box=10)
-            assert res.lower_bound
             assert abs(res.estimate - exact) < 4 * max(res.stderr, 1e-12)
 
     def test_block_consistency(self):
@@ -190,16 +188,14 @@ class TestScreeningLowerBound:
         fld = zero_field(-10, 10)
         op = hamiltonian(fld, 2, 4, 1.0)
         lam = principal_eigpair(op).principal
-        lb5 = screening_lower_bound(fld, 1.0, 5.0, 2, 4, s=2.0)
-        lb9 = screening_lower_bound(fld, 1.0, 9.0, 2, 4, s=2.0)
+        # the split min(sum r_x, t/2) is sum r_x = 2 at both times
+        lb5 = screening_lower_bound(fld, 1.0, 5.0, 2, 4)
+        lb9 = screening_lower_bound(fld, 1.0, 9.0, 2, 4)
         assert lb9 - lb5 == pytest.approx(4.0 * lam, abs=1e-10)
 
     def test_infeasible_split_raises(self):
         fld = zero_field(-10, 10)
-        # crossing 5 zero-potential sites needs sum r_x = 5 > s
-        with pytest.raises(ValueError, match="infeasible"):
-            screening_lower_bound(fld, 1.0, 20.0, 6, 3, s=1.0)
-        # default split min(sum r, t/2) infeasible for t too small
+        # crossing 6 zero-potential sites needs sum r_x = 6 > t/2 = 2
         with pytest.raises(ValueError, match="infeasible"):
             screening_lower_bound(fld, 1.0, 4.0, 6, 3)
 

@@ -361,7 +361,9 @@ class TestGTilde:
 class TestLogMoment:
     def test_pareto_divergence(self, atom_spec):
         assert log_moment(atom_spec, 1.0) == math.inf
-        assert log_moment(atom_spec, 0.5) < math.inf
+        # q * zeta / (zeta - delta); the atom branch contributes log 1 = 0
+        assert log_moment(atom_spec, 0.5) == pytest.approx(
+            0.2 * 1.0 / (1.0 - 0.5), rel=0.0, abs=1e-15)
 
     def test_bounded_uniform_oracle(self, bounded_spec):
         # q * E[W^d] with W ~ U[0, 3]: q * wmax^d / (d+1)

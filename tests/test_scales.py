@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from pam1d import scales
 from pam1d.potential import LowerTailSpec, PotentialSpec, cumulant_G
 from pam1d.scales import (ScaleParams, alpha, b_scale, b_star, gamma_box,
                           invert_G, r_box)
@@ -27,18 +28,25 @@ class TestAlphaBeta:
                 pytest.approx(2.0 ** params.nu)
 
     @pytest.mark.parametrize("gamma", [0.0, 0.25, 0.5])
-    def test_beta_algebraic_identity(self, gamma):
+    def test_beta_algebraic_identity(self, gamma, monkeypatch):
+        calls = []
+        monkeypatch.setattr(scales, "cumulant_G",
+                            lambda *a: calls.append(a) or cumulant_G(*a))
         params = ScaleParams.from_spec(make_spec(gamma, 1.0))
         nu = params.nu
         assert params.beta == pytest.approx(2 * nu / (1 - 2 * nu))
         assert params.beta == pytest.approx(2 * (1 - gamma) / (1 + gamma))
+        assert calls == []  # the exponents need no cumulant evaluation
 
     def test_frechet_cumulant_warning_free(self):
         # the Frechet Laplace integrand is evaluated down to y = 1e-300,
         # where y**(-1/a) exceeds the double range; its limit is used there
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            params = ScaleParams.from_spec(make_spec(0.25, 1.0))
+            spec = make_spec(0.25, 1.0)
+            params = ScaleParams.from_spec(spec)
+            for t in (1.0, 2.0, 4.0):
+                cumulant_G(spec, t)
             ratios = [alpha(params, 2 * t) / alpha(params, t)
                       for t in (10.0, 1e3, 1e6)]
         assert ratios == pytest.approx([2.0 ** params.nu] * 3)
@@ -57,7 +65,7 @@ class TestBScale:
         spec = make_spec(gamma, zeta)
         params = ScaleParams.from_spec(spec)
         rng = np.random.default_rng(0)
-        ts = np.exp(rng.uniform(math.log(max(params.tmin * 2, 10.0)),
+        ts = np.exp(rng.uniform(math.log(10.0),
                                 math.log(1e10), 25))
         for t in ts:
             b = b_scale(spec, params, float(t))
@@ -71,12 +79,12 @@ class TestBScale:
                              lower=LowerTailSpec.pareto(1.0))
         params = ScaleParams.from_spec(spec)
         with pytest.raises(ValueError):
-            b_scale(spec, params, params.tmin * 0.25)
+            b_scale(spec, params, 4.0)  # G(4) = 0.66
 
     def test_monotone(self):
         spec = make_spec(0.0, 1.0)
         params = ScaleParams.from_spec(spec)
-        ts = np.geomspace(max(params.tmin * 2, 10.0), 1e9, 12)
+        ts = np.geomspace(10.0, 1e9, 12)
         bs = [b_scale(spec, params, float(t)) for t in ts]
         assert all(a < b for a, b in zip(bs, bs[1:]))
 

@@ -22,8 +22,11 @@ class TestShapeFunction:
         assert psi(5.0) == 0.0 and psi(-5.0) == 0.0
 
     def test_from_callable(self):
-        psi = ShapeFunction.from_callable(lambda x: -x * x, 2.0, 9)
+        calls = []
+        psi = ShapeFunction.from_callable(
+            lambda x: calls.append(x) or -x * x, 2.0, 9)
         assert np.allclose(psi.values, -psi.grid() ** 2)
+        assert len(calls) == 1  # one vectorized call on the whole grid
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -145,7 +148,7 @@ class TestChiTilde:
                                 max_iter=3)
         res = chi_tilde(cfg)
         assert res.iterations == cfg.max_iter
-        assert _fd_principal(res.psi.values, res.psi.h, 1.0) == -res.chi
+        assert _fd_principal(res.psi.values, res.psi.h, 1.0)[0] == -res.chi
 
     def test_invalid_config(self):
         with pytest.raises(ValueError):
