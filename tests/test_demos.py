@@ -1,8 +1,4 @@
-"""The narrative demos run to completion with RuntimeWarning as an error.
-
-``variational_landscape.py`` is left out: it takes about 12 s, against about
-1 s for each demo run here.
-"""
+"""The narrative demos run to completion with RuntimeWarning as an error."""
 
 import os
 import subprocess
@@ -14,7 +10,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("demo", ["decay_rate_tour.py", "screening_strategy.py"])
+@pytest.mark.parametrize("demo", ["decay_rate_tour.py", "screening_strategy.py",
+                                  "variational_landscape.py"])
 def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from pam1d import variational
 from pam1d.variational import (ChiResult, ShapeFunction, VariationalConfig,
-                               _fd_principal, brute_legendre, chi_tilde,
-                               eig_continuum, functional_H, legendre_L)
+                               _fd_principal, _warm_principal, brute_legendre,
+                               chi_tilde, eig_continuum, functional_H,
+                               legendre_L)
 
 
 def _const_profile(R, depth, n=51):
@@ -107,6 +109,61 @@ class TestEigContinuum:
         assert lam == pytest.approx(-1.0, abs=1e-4)
 
 
+class TestPrincipalPair:
+    def test_capped_profile_against_mpmath(self):
+        # entries at the 1e12 cap of the KKT iteration: a norm-wise bisection
+        # stop (eps times the norm) puts lambda 4.4e-6 relative off here
+        mpmath = pytest.importorskip("mpmath")
+        R, n = 1.0, 41
+        x = -R + 2.0 * R / (n + 1) * np.arange(1, n + 1)
+        vals = -(1.0 + 3.0 * x ** 2)
+        vals[np.abs(x) > 0.6] = -1e12
+        vals[n // 2 + 3] = -1e12
+        psi = ShapeFunction(R=R, values=vals)
+        lam = _fd_principal(psi.values, psi.h, 1.0)[0]
+        with mpmath.workdps(30):
+            off = 1 / mpmath.mpf(psi.h) ** 2
+            M = mpmath.matrix(n, n)
+            for i in range(n):
+                M[i, i] = mpmath.mpf(float(vals[i])) - 2 * off
+                if i + 1 < n:
+                    M[i, i + 1] = M[i + 1, i] = off
+            exact = float(max(mpmath.eigsy(M, eigvals_only=True)))
+        assert lam == pytest.approx(exact, rel=1e-12)
+
+    def test_warm_matches_bisection_on_kkt_iterates(self, monkeypatch):
+        # every warm solve of a full chi_tilde run, profiles at the 1e12 cap
+        # included; the coarse grid keeps the bisection's own error, which
+        # scales with kappa/h^2, far below the tolerance
+        calls = []
+
+        def record(psi_vals, h, kappa, g0):
+            lam, g = _warm_principal(psi_vals, h, kappa, g0)
+            calls.append((psi_vals, h, kappa, lam, g))
+            return lam, g
+
+        monkeypatch.setattr(variational, "_warm_principal", record)
+        chi_tilde(VariationalConfig(A=1.0, gamma=0.5, n_grid=41))
+        assert len(calls) > 100
+        assert max(np.abs(c[0]).max() for c in calls) >= 1e12
+        for psi_vals, h, kappa, lam, g in calls:
+            lam_b, g_b = _fd_principal(psi_vals, h, kappa)
+            assert lam == pytest.approx(lam_b, rel=1e-12)
+            assert np.abs(g - g_b).max() <= 1e-6 * g_b.max()
+
+    def test_warm_raises_when_steps_run_out(self, monkeypatch):
+        n = 101
+        psi = -np.ones(n)
+        psi[:10] = -1e12
+        start = np.ones(n)
+        lam = _warm_principal(psi, 2.0 / (n + 1), 1.0, start)[0]
+        assert lam == pytest.approx(_fd_principal(psi, 2.0 / (n + 1), 1.0)[0],
+                                    rel=1e-12)
+        monkeypatch.setattr(variational, "_WARM_STEPS", 1)
+        with pytest.raises(ArithmeticError, match="inverse iteration"):
+            _warm_principal(psi, 2.0 / (n + 1), 1.0, start)
+
+
 class TestChiTilde:
     def test_gamma0_closed_form(self):
         for a, kappa in ((math.log(2.0), 1.0), (1.0, 2.0)):
@@ -123,6 +180,17 @@ class TestChiTilde:
         res = chi_tilde(cfg)
         assert res.chi == pytest.approx(1.351216, rel=2e-2)
         assert res.budget == pytest.approx(1.0, abs=1e-6)
+
+    def test_gamma_half_closed_form(self):
+        # chi = (pi/2)^{2/3} at A = kappa = 1, gamma = 1/2, from the closed
+        # form [(C/gamma)(2J)^{(1-gamma)/gamma}]^{2 gamma/(1+gamma)} with
+        # C = 1/4 and J = B(3/2, 1/2) = pi/2
+        res = chi_tilde(VariationalConfig(A=1.0, gamma=0.5))
+        assert res.chi == pytest.approx((math.pi / 2.0) ** (2.0 / 3.0), rel=1e-6)
+
+    def test_gamma_quarter_converges(self):
+        cfg = VariationalConfig(A=math.log(2.0), gamma=0.25)
+        assert chi_tilde(cfg).iterations < cfg.max_iter
 
     def test_monotone_in_gamma(self):
         chis = []
