@@ -202,12 +202,12 @@ def _warm_principal(psi_vals: np.ndarray, h: float, kappa: float,
     off = kappa / h ** 2
     diag = psi_vals - 2.0 * off
     neg_off = np.full(len(diag) - 1, -off)
-    x = np.abs(g0)
     # sums by np.sum, not by a BLAS dot, which OpenBLAS spreads over threads
     # above 10^4 entries: with one of two cores busy, dots made a chi_tilde
     # run take 2.7-12 s instead of 0.3 s
+    x = np.abs(g0)
+    x = x / math.sqrt(np.sum(x * x))
     for _ in range(_WARM_STEPS):
-        x = x / math.sqrt(np.sum(x * x))
         hx = diag * x
         hx[:-1] += off * x[1:]
         hx[1:] += off * x[:-1]
