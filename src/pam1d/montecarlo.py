@@ -59,30 +59,33 @@ def jump_budget(kappa: float, t: float) -> int:
 def _occupation_batch(kappa: float, t: float, max_jumps: int,
                       rng: np.random.Generator, batch: int
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized batch of walks: displacements, holding times, jump counts.
+    """Ragged batch of walks: steps, holding times and each walk's offset.
 
-    Returns (steps, holds, counts): counts[b] the number of jumps before t,
-    steps[b, j] in {-1, +1}, and holds[b, j] the time spent at the j-th
-    visited site, 0 beyond the walk's jump count.  The arrays are k + 1 (holds)
-    and k (steps) wide, with k = counts.max() <= max_jumps; a larger count
-    raises ArithmeticError.
+    Returns (steps, holds, starts), flat over the batch.  Walk b makes
+    N_b jumps and visits N_b + 1 sites: its holding times are
+    holds[starts[b]:starts[b] + N_b + 1], never empty, and its steps in
+    {-1, +1} are steps[starts[b] - b:starts[b] - b + N_b].  So holds has
+    sum (N_b + 1) entries and steps sum N_b.  A count above max_jumps raises
+    ArithmeticError.
 
-    Each walk draws only the jumps it makes.  Given N jumps on [0, t], the
-    holding times are t times a flat Dirichlet vector: t E_i / sum_{j<=N} E_j
-    with E_i ~ Exp(1), i = 0..N.  Draw order within a batch: the ``batch``
-    jump counts, then a (batch, k + 1) array of Exp(1) variates row by row
-    (those past a walk's count are discarded), then the (batch, k) steps.
+    Given N jumps on [0, t], the holding times are t times a flat Dirichlet
+    vector: t E_i / sum_{j<=N} E_j with E_i ~ Exp(1), i = 0..N.  Draw order
+    within a batch: the ``batch`` Poisson(2 kappa t) jump counts, then the
+    sum (N_b + 1) Exp(1) variates walk by walk, then the sum N_b steps walk
+    by walk.  Nothing is drawn that a walk does not use.
     """
     counts = rng.poisson(2.0 * kappa * t, size=batch)
-    k = int(counts.max())
-    if k > max_jumps:
+    if int(counts.max()) > max_jumps:
         raise ArithmeticError("max_jumps exceeded; raise the jump budget")
-    e = rng.standard_exponential(size=(batch, k + 1))
-    e[np.arange(k + 1) > counts[:, None]] = 0.0
-    # t * (e / sum) keeps a walk without jumps at exactly t
-    holds = t * (e / e.sum(axis=1, keepdims=True))
-    steps = 2 * rng.integers(0, 2, size=(batch, k)) - 1
-    return steps, holds, counts
+    sizes = counts + 1
+    starts = np.zeros(batch, dtype=np.int64)
+    np.cumsum(sizes[:-1], out=starts[1:])
+    holds = rng.standard_exponential(size=int(starts[-1] + sizes[-1]))
+    # (e / sum) * t keeps a walk without jumps at exactly t
+    holds /= np.repeat(np.add.reduceat(holds, starts), sizes)
+    holds *= t
+    steps = 2 * rng.integers(0, 2, size=int(counts.sum()), dtype=np.int8) - 1
+    return steps, holds, starts
 
 
 def fk_estimate(field: Field, kappa: float, t: float, n_samples: int,
@@ -93,6 +96,11 @@ def fk_estimate(field: Field, kappa: float, t: float, n_samples: int,
     making the estimate an unbiased lower bound of the full-space value.
     Walks reach at most r = jump_budget(kappa, t) sites, or the box radius if
     smaller; a field not covering [-r, r] raises ValueError before any draw.
+
+    Walks are drawn in batches of 4096 (``_occupation_batch``).  Draw order
+    per batch: the Poisson(2 kappa t) jump counts N, then sum (N + 1) Exp(1)
+    variates for the holding times, then sum N steps; nothing is drawn that
+    a walk does not use.  The estimate for a seed is fixed by that order.
     """
     if n_samples <= 0:
         raise ValueError(f"n_samples must be > 0, got {n_samples}")
@@ -110,16 +118,21 @@ def fk_estimate(field: Field, kappa: float, t: float, n_samples: int,
     exited = 0
     for start in range(0, n_samples, _BATCH):
         b = min(_BATCH, n_samples - start)
-        steps, holds, counts = _occupation_batch(kappa, t, max_jumps, rng, b)
-        pos = np.zeros(holds.shape, dtype=np.int64)
-        np.cumsum(steps, axis=1, out=pos[:, 1:])
+        steps, holds, starts = _occupation_batch(kappa, t, max_jumps, rng, b)
+        # every site after a walk's first moves by one step; its first site
+        # is 0, so a cumsum over the batch, less its value at the walk's
+        # start, is the walk's position
+        moves = np.ones(holds.size, dtype=bool)
+        moves[starts] = False
+        pos = np.zeros(holds.size, dtype=np.int64)
+        pos[moves] = steps
+        np.cumsum(pos, out=pos)
+        pos -= np.repeat(pos[starts], np.diff(starts, append=holds.size))
         # only sites beyond the box, where paths die, can be outside the field
         xi = xi_field[np.clip(pos - field.lo, 0, field.hi - field.lo)]
-        # holding times are 0 beyond each walk's jump count
-        log_w = np.sum(xi * holds, axis=1)
+        log_w = np.add.reduceat(xi * holds, starts)
         if box is not None:
-            live = np.arange(holds.shape[1]) <= counts[:, None]
-            killed = np.any(live & (np.abs(pos) > box), axis=1)
+            killed = np.maximum.reduceat(np.abs(pos), starts) > box
             exited += int(killed.sum())
             log_w[killed] = -np.inf
         with np.errstate(under="ignore"):

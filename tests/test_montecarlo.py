@@ -5,23 +5,28 @@ import pytest
 
 from pam1d.lattice import (hamiltonian, principal_eigpair, solve_box,
                            solve_point_log)
-from pam1d.montecarlo import (_occupation_batch, best_screening_bound,
-                              fk_estimate, jump_budget, screening_lower_bound)
+from pam1d.montecarlo import (_BATCH, _occupation_batch,
+                              best_screening_bound, fk_estimate, jump_budget,
+                              screening_lower_bound)
 from pam1d.potential import Field, sample_field
 
 from conftest import constant_field, make_spec, zero_field
 
 
 def _walks(kappa, t, seed, n):
-    """n walks from the generator fk_estimate samples, with its jump budget."""
-    return _occupation_batch(kappa, t, jump_budget(kappa, t),
-                             np.random.default_rng(seed), n)
+    """n walks from the generator fk_estimate samples, with its jump budget:
+    (steps, holds, starts) as drawn, and each walk's jump count."""
+    steps, holds, starts = _occupation_batch(kappa, t, jump_budget(kappa, t),
+                                             np.random.default_rng(seed), n)
+    return steps, holds, starts, np.diff(starts, append=holds.size) - 1
 
 
 class TestSimulateWalk:
     def test_zero_time_no_jumps(self):
-        steps, holds, counts = _walks(1.0, 0.0, 0, 5)
+        steps, holds, starts, counts = _walks(1.0, 0.0, 0, 5)
         assert counts.tolist() == [0] * 5
+        assert starts.tolist() == [0, 1, 2, 3, 4]
+        assert steps.size == 0
         assert np.all(holds == 0.0)
 
     def test_deterministic_given_seed(self):
@@ -32,18 +37,23 @@ class TestSimulateWalk:
 
     def test_path_structure(self):
         t = 10.0
-        steps, holds, counts = _walks(0.7, t, 3, 200)
+        steps, holds, starts, counts = _walks(0.7, t, 3, 200)
         assert np.all(np.abs(steps) == 1)
         assert np.all(holds >= 0.0)
-        # holding times fill [0, t] and vanish beyond the jump count
-        assert np.allclose(holds.sum(axis=1), t, rtol=1e-12)
-        beyond = np.arange(holds.shape[1]) > counts[:, None]
-        assert np.all(holds[beyond] == 0.0)
+        # each walk's holding times fill [0, t]
+        assert np.allclose(np.add.reduceat(holds, starts), t, rtol=1e-12)
+
+    def test_walk_without_jumps_holds_exactly_t(self):
+        # P(N = 0) = e^{-2 kappa t} = e^{-1}: many such walks among 200
+        t = 0.5
+        _, holds, starts, counts = _walks(1.0, t, 4, 200)
+        assert np.count_nonzero(counts == 0) > 10
+        assert np.all(holds[starts[counts == 0]] == t)
 
     def test_mean_jump_count(self):
         # number of jumps by time t is Poisson(2 kappa t)
         kappa, t, n = 1.0, 3.0, 3000
-        _, _, counts = _walks(kappa, t, 0, n)
+        *_, counts = _walks(kappa, t, 0, n)
         mean = 2 * kappa * t
         sigma = math.sqrt(mean / n)
         assert abs(counts.mean() - mean) < 4 * sigma
@@ -51,9 +61,12 @@ class TestSimulateWalk:
     def test_variance_of_position(self):
         # Var X(t) = 2 kappa t for the rate-2kappa walk with +-1 steps
         kappa, t, n = 0.5, 4.0, 3000
-        steps, _, counts = _walks(kappa, t, 0, n)
-        taken = np.arange(steps.shape[1]) < counts[:, None]
-        finals = np.sum(np.where(taken, steps, 0), axis=1)
+        steps, _, starts, counts = _walks(kappa, t, 0, n)
+        # walk b's steps start at starts[b] - b: one site more than steps
+        # per walk before it
+        first = starts - np.arange(n)
+        c = np.concatenate([[0], np.cumsum(steps, dtype=np.int64)])
+        finals = c[first + counts] - c[first]
         var = 2 * kappa * t
         # fourth-moment bound for the stderr of a variance estimate
         sigma = math.sqrt((3 * var ** 2 + var) / n)
@@ -63,32 +76,33 @@ class TestSimulateWalk:
         # the first jump comes at rate 2 kappa: P(h_0 > s) = e^{-2 kappa s}
         # for s < t; uniform draws normalised to sum to t fail this
         kappa, t, n = 1.0, 3.0, 20_000
-        _, holds, _ = _walks(kappa, t, 1, n)
+        _, holds, starts, _ = _walks(kappa, t, 1, n)
         for s in (0.1, 0.5, 1.5):
             p = math.exp(-2 * kappa * s)
             sigma = math.sqrt(p * (1 - p) / n)
-            assert abs((holds[:, 0] > s).mean() - p) < 4 * sigma
+            assert abs((holds[starts] > s).mean() - p) < 4 * sigma
 
     def test_holding_times_given_count(self):
         # given N = n jumps, each of the n + 1 holding times has mean
         # t / (n + 1) and variance t^2 n / ((n + 1)^2 (n + 2)) (flat
-        # Dirichlet); spacings spread over more columns than N + 1 fail this
+        # Dirichlet); spacings spread over more sites than N + 1 fail this
         kappa, t, n = 1.0, 3.0, 20_000
-        _, holds, counts = _walks(kappa, t, 2, n)
+        _, holds, starts, counts = _walks(kappa, t, 2, n)
         for jumps in (2, 6, 10):
-            rows = holds[counts == jumps, :jumps + 1]
+            rows = holds[starts[counts == jumps, None] + np.arange(jumps + 1)]
             mean = t / (jumps + 1)
             sigma = math.sqrt(t * t * jumps / ((jumps + 1) ** 2 * (jumps + 2))
                               / len(rows))
             assert np.all(np.abs(rows.mean(axis=0) - mean) < 4 * sigma)
 
-    def test_arrays_as_wide_as_the_longest_walk(self):
-        # only the jumps the walks make are drawn; the budget caps the count
+    def test_draws_exactly_the_jumps_made(self):
+        # sum (N + 1) holding times and sum N steps; the budget caps N
         kappa, t, n = 1.0, 3.0, 20_000
-        steps, holds, counts = _walks(kappa, t, 3, n)
-        k = int(counts.max())
-        assert holds.shape == (n, k + 1) and steps.shape == (n, k)
-        assert k + 1 < (jump_budget(kappa, t) + 1) // 2
+        steps, holds, starts, counts = _walks(kappa, t, 3, n)
+        assert starts.shape == (n,) and starts[0] == 0
+        assert np.all(counts >= 0)
+        assert holds.size == int((counts + 1).sum())
+        assert steps.size == int(counts.sum())
         with pytest.raises(ArithmeticError, match="max_jumps exceeded"):
             _occupation_batch(kappa, t, 2, np.random.default_rng(3), n)
 
@@ -144,15 +158,38 @@ class TestFkEstimate:
 
     def test_frozen_estimates(self):
         # frozen outputs, exact to the bit: any change to the number or the
-        # order of the RNG draws moves them
+        # order of the RNG draws moves them.  The boxed one is also checked
+        # against the exact box value, so the frozen number is a sound one
         fld = sample_field(make_spec(0.5, 1.0), -10, 10, 2000)
         res = fk_estimate(fld, 1.0, 3.0, 100_000, 2000, box=10)
         assert (res.estimate, res.stderr, res.exit_fraction) == (
-            0.03879945483088774, 0.00017807406584591625, 2e-05)
+            0.038696090389775506, 0.00017786040880016384, 4e-05)
+        exact = solve_box(fld, 0, 10, 1.0, 3.0)[10]
+        assert exact == pytest.approx(0.0384166576, rel=1e-9)
+        assert abs(res.estimate - exact) < 4 * res.stderr
         fld = sample_field(make_spec(0.5, 1.0), -200, 200, 40)
         res = fk_estimate(fld, 1.0, 1.0, 20_000, 7)
         assert (res.estimate, res.stderr, res.exit_fraction) == (
-            0.4197390274377758, 0.0012998711264255926, 0.0)
+            0.4199000475673234, 0.001307739655617261, 0.0)
+
+    def test_box_zero_keeps_only_walks_without_jumps(self):
+        # with box = 0 a walk survives only if it never jumps, which it does
+        # with probability p = e^{-2 kappa t}, and then holds exactly t at 0.
+        # Several full batches and a partial one: a walk whose position is
+        # not reset at its own start would leave 0 and be killed
+        kappa, t, xi0 = 0.5, 1.0, -0.5
+        x = np.arange(-3, 4)
+        fld = Field(lo=-3, hi=3, heavy=np.zeros(7, bool),
+                    values=np.where(x == 0, xi0, -0.1 * np.abs(x)))
+        n = 3 * _BATCH + 17
+        res = fk_estimate(fld, kappa, t, n, 11, box=0)
+        p = math.exp(-2 * kappa * t)
+        w = math.exp(xi0 * t)
+        assert abs(res.estimate - p * w) < 4 * w * math.sqrt(p * (1 - p) / n)
+        assert abs(res.exit_fraction - (1 - p)) < 4 * math.sqrt(p * (1 - p) / n)
+        # every survivor carries exactly the weight e^{xi(0) t}
+        assert res.estimate == pytest.approx((1 - res.exit_fraction) * w,
+                                             rel=1e-12)
 
     def test_zero_samples_rejected(self):
         with pytest.raises(ValueError):
