@@ -216,7 +216,9 @@ def _cmd_solve(args) -> None:
 
 def _cmd_fk(args) -> None:
     spec = _load_spec(args)
-    half = jump_budget(args.kappa, args.t) if args.box is None else args.box
+    # fk_estimate itself rejects a negative box
+    half = (jump_budget(args.kappa, args.t) if args.box is None
+            else max(args.box, 0))
     fld = sample_field(spec, -half, half, args.seed)
     res = fk_estimate(fld, args.kappa, args.t, args.samples, args.seed,
                       box=args.box)

@@ -59,33 +59,64 @@ def jump_budget(kappa: float, t: float) -> int:
 def _occupation_batch(kappa: float, t: float, max_jumps: int,
                       rng: np.random.Generator, batch: int
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Ragged batch of walks: steps, holding times and each walk's offset.
+    """Ragged batch of walks: jump counts, holding variates and steps.
 
-    Returns (steps, holds, starts), flat over the batch.  Walk b makes
-    N_b jumps and visits N_b + 1 sites: its holding times are
-    holds[starts[b]:starts[b] + N_b + 1], never empty, and its steps in
-    {-1, +1} are steps[starts[b] - b:starts[b] - b + N_b].  So holds has
-    sum (N_b + 1) entries and steps sum N_b.  A count above max_jumps raises
-    ArithmeticError.
+    Returns (counts, e, steps), flat over the batch.  Walk w makes
+    N_w = counts[w] jumps and visits N_w + 1 sites.  With
+    S_w = sum_{v<w} (N_v + 1), its Exp(1) variates are e[S_w:S_w + N_w + 1],
+    never empty, and its steps in {-1, +1} are steps[S_w - w:S_w - w + N_w].
+    So e has sum (N_w + 1) entries and steps sum N_w.  A count above
+    max_jumps raises ArithmeticError.
 
     Given N jumps on [0, t], the holding times are t times a flat Dirichlet
-    vector: t E_i / sum_{j<=N} E_j with E_i ~ Exp(1), i = 0..N.  Draw order
-    within a batch: the ``batch`` Poisson(2 kappa t) jump counts, then the
-    sum (N_b + 1) Exp(1) variates walk by walk, then the sum N_b steps walk
-    by walk.  Nothing is drawn that a walk does not use.
+    vector: t E_i / sum_{j<=N} E_j with E_i ~ Exp(1), i = 0..N; the caller
+    normalises.  Draw order within a batch: the ``batch`` Poisson(2 kappa t)
+    jump counts, then the sum (N_w + 1) Exp(1) variates walk by walk, then
+    ceil(sum N_w / 8) random bytes, whose bits in ``np.unpackbits`` order
+    are the steps walk by walk (1 is +1, 0 is -1).
     """
     counts = rng.poisson(2.0 * kappa * t, size=batch)
     if int(counts.max()) > max_jumps:
         raise ArithmeticError("max_jumps exceeded; raise the jump budget")
-    sizes = counts + 1
-    starts = np.zeros(batch, dtype=np.int64)
-    np.cumsum(sizes[:-1], out=starts[1:])
-    holds = rng.standard_exponential(size=int(starts[-1] + sizes[-1]))
-    # (e / sum) * t keeps a walk without jumps at exactly t
-    holds /= np.repeat(np.add.reduceat(holds, starts), sizes)
-    holds *= t
-    steps = 2 * rng.integers(0, 2, size=int(counts.sum()), dtype=np.int8) - 1
-    return steps, holds, starts
+    n_jumps = int(counts.sum())
+    e = rng.standard_exponential(size=n_jumps + batch)
+    packed = rng.integers(0, 256, size=(n_jumps + 7) // 8, dtype=np.uint8)
+    steps = np.unpackbits(packed, count=n_jumps).view(np.int8)
+    steps *= 2
+    steps -= 1
+    return counts, e, steps
+
+
+def _log_weights(counts: np.ndarray, e: np.ndarray, steps: np.ndarray,
+                 t_xi: np.ndarray, box: int | None
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Log-weights of one batch of walks, and which walks leave the box.
+
+    ``counts``, ``e`` and ``steps`` are a batch from ``_occupation_batch``;
+    ``t_xi[x + m]`` is t xi(x) for every site |x| <= m = (t_xi.size - 1) / 2
+    that a walk can reach.  Returns (log_w, killed): log_w[w] is the
+    integral of xi along walk w over [0, t], and -inf where killed[w], that
+    is, where the walk leaves [-box, box] (never when box is None).
+    """
+    b = counts.size
+    m = t_xi.size // 2
+    walk = np.repeat(np.arange(b), counts + 1)
+    # site i of walk w has made the jumps steps[first[w]:i - w] since its
+    # start at 0, so its position is a difference of one cumsum
+    cs = np.zeros(steps.size + 1, dtype=np.int64)
+    np.cumsum(steps, out=cs[1:])
+    first = np.cumsum(counts) - counts
+    idx = cs[np.arange(e.size) - walk]
+    idx -= (cs[first] - m)[walk]                  # position + m
+    # a site holds t e / (sum of its walk's e): one division per walk, and
+    # a walk without jumps gets t xi(0) to within an ulp
+    log_w = np.bincount(walk, t_xi[idx] * e, b) / np.bincount(walk, e, b)
+    killed = np.zeros(b, dtype=bool)
+    if box is not None and int(counts.max()) > box:
+        # only a walk with more than box jumps can leave the box
+        killed[walk[np.abs(idx - m) > box]] = True
+        log_w[killed] = -np.inf
+    return log_w, killed
 
 
 def fk_estimate(field: Field, kappa: float, t: float, n_samples: int,
@@ -95,46 +126,37 @@ def fk_estimate(field: Field, kappa: float, t: float, n_samples: int,
     With ``box`` set, paths leaving [-box, box] are killed (contribute 0),
     making the estimate an unbiased lower bound of the full-space value.
     Walks reach at most r = jump_budget(kappa, t) sites, or the box radius if
-    smaller; a field not covering [-r, r] raises ValueError before any draw.
+    smaller; a field not covering [-r, r] raises ValueError before any draw,
+    and so does a negative box.
 
     Walks are drawn in batches of 4096 (``_occupation_batch``).  Draw order
     per batch: the Poisson(2 kappa t) jump counts N, then sum (N + 1) Exp(1)
-    variates for the holding times, then sum N steps; nothing is drawn that
-    a walk does not use.  The estimate for a seed is fixed by that order.
+    variates for the holding times, then ceil(sum N / 8) random bytes whose
+    bits are the steps.  The estimate for a seed is fixed by that order.
     """
     if n_samples <= 0:
         raise ValueError(f"n_samples must be > 0, got {n_samples}")
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
+    if box is not None and box < 0:
+        raise ValueError(f"box must be >= 0, got {box}")
     max_jumps = jump_budget(kappa, t)
     reach = max_jumps if box is None else min(box, max_jumps)
     if field.lo > -reach or field.hi < reach:
         raise ValueError(f"walks reach [{-reach}, {reach}], outside the "
                          f"sampled field [{field.lo}, {field.hi}]")
     rng = np.random.default_rng(seed)
-    xi_field = field.xi(field.lo, field.hi)
+    # sites beyond the box read 0; a walk that gets there is killed
+    t_xi = np.zeros(2 * max_jumps + 1)
+    t_xi[max_jumps - reach:max_jumps + reach + 1] = t * field.xi(-reach, reach)
     total = 0.0
     total_sq = 0.0
     exited = 0
     for start in range(0, n_samples, _BATCH):
-        b = min(_BATCH, n_samples - start)
-        steps, holds, starts = _occupation_batch(kappa, t, max_jumps, rng, b)
-        # every site after a walk's first moves by one step; its first site
-        # is 0, so a cumsum over the batch, less its value at the walk's
-        # start, is the walk's position
-        moves = np.ones(holds.size, dtype=bool)
-        moves[starts] = False
-        pos = np.zeros(holds.size, dtype=np.int64)
-        pos[moves] = steps
-        np.cumsum(pos, out=pos)
-        pos -= np.repeat(pos[starts], np.diff(starts, append=holds.size))
-        # only sites beyond the box, where paths die, can be outside the field
-        xi = xi_field[np.clip(pos - field.lo, 0, field.hi - field.lo)]
-        log_w = np.add.reduceat(xi * holds, starts)
-        if box is not None:
-            killed = np.maximum.reduceat(np.abs(pos), starts) > box
-            exited += int(killed.sum())
-            log_w[killed] = -np.inf
+        batch = _occupation_batch(kappa, t, max_jumps, rng,
+                                  min(_BATCH, n_samples - start))
+        log_w, killed = _log_weights(*batch, t_xi, box)
+        exited += int(np.count_nonzero(killed))
         with np.errstate(under="ignore"):
             w = np.exp(log_w)
         total += float(w.sum())
@@ -214,8 +236,15 @@ def best_screening_bound(field: Field, kappa: float, t: float, search: int,
 
     Scans candidate centres y of both signs with |y| <= search on a stride of
     R (every site when R <= 1), skipping centres whose crossing is infeasible
-    within the split time; raises ValueError when no candidate is feasible.
+    within the split time; raises ValueError when an argument is out of
+    range or when no candidate is feasible.
     """
+    if kappa <= 0:
+        raise ValueError(f"kappa must be > 0, got {kappa}")
+    if t <= 0:
+        raise ValueError(f"t must be > 0, got {t}")
+    if R < 0:
+        raise ValueError(f"window radius must be >= 0, got {R}")
     if search < 0:
         raise ValueError(f"search radius must be >= 0, got {search}")
     step = max(R, 1)
@@ -224,12 +253,25 @@ def best_screening_bound(field: Field, kappa: float, t: float, search: int,
     centres = centres[(centres - R >= field.lo) & (centres + R <= field.hi)]
     if centres.size == 0:
         raise ValueError("field too small for the window radius")
+    # crossing budget sum r_x of every centre, from prefix sums of r that
+    # run outward from 0: y > 0 crosses 0..y-1 and y < 0 crosses y+1..0
+    lo_x = min(int(centres[0]) + 1, 0)
+    with np.errstate(under="ignore"):
+        r = np.exp(-field.log_neg_or1(lo_x, max(int(centres[-1]) - 1, 0)))
+    right = np.concatenate([[0.0], np.cumsum(r[-lo_x:])])
+    left = np.concatenate([[0.0], np.cumsum(r[-lo_x::-1])])
+    budget = np.where(centres > 0, right[np.maximum(centres, 0)],
+                      left[np.maximum(-centres, 0)])
+    # over n crossed sites these sums and screening_lower_bound's own differ
+    # by a relative n eps at most, so for n below 1e6 the slack lets through
+    # every centre that it accepts
+    feasible = centres[budget <= t / 2.0 * (1.0 + 1e-9)]
     best = -math.inf
     best_y = None
-    for y in centres:
+    for y in feasible:
         try:
             val = screening_lower_bound(field, kappa, t, int(y), R)
-        except ValueError:
+        except ValueError:   # infeasible within the slack
             continue
         if val > best:
             best, best_y = val, int(y)

@@ -144,6 +144,12 @@ class TestFkAndLbound:
                        "exit_fraction": 0.0}
         assert 0.0 < obj["mean"] <= 1.0
 
+    def test_fk_negative_box_exits_2(self, capsys, spec_file):
+        code, _, err = run(capsys, "fk", "--spec", spec_file, "--t", "2",
+                           "--samples", "100", "--box", "-1")
+        assert code == 2
+        assert "box must be >= 0" in err
+
     def test_lbound_schema(self, capsys, spec_file):
         code, out, _ = run(capsys, "lbound", "--spec", spec_file,
                            "--t", "5", "--radius", "5", "--deterministic")

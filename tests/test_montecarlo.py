@@ -5,7 +5,7 @@ import pytest
 
 from pam1d.lattice import (hamiltonian, principal_eigpair, solve_box,
                            solve_point_log)
-from pam1d.montecarlo import (_BATCH, _occupation_batch,
+from pam1d.montecarlo import (_BATCH, _log_weights, _occupation_batch,
                               best_screening_bound, fk_estimate, jump_budget,
                               screening_lower_bound)
 from pam1d.potential import Field, sample_field
@@ -14,11 +14,14 @@ from conftest import constant_field, make_spec, zero_field
 
 
 def _walks(kappa, t, seed, n):
-    """n walks from the generator fk_estimate samples, with its jump budget:
-    (steps, holds, starts) as drawn, and each walk's jump count."""
-    steps, holds, starts = _occupation_batch(kappa, t, jump_budget(kappa, t),
-                                             np.random.default_rng(seed), n)
-    return steps, holds, starts, np.diff(starts, append=holds.size) - 1
+    """n walks from the sampler fk_estimate uses, with its jump budget:
+    (steps, holds, starts, counts), with walk b's holding times
+    holds[starts[b]:starts[b] + counts[b] + 1] = t e / (sum of its e)."""
+    counts, e, steps = _occupation_batch(kappa, t, jump_budget(kappa, t),
+                                         np.random.default_rng(seed), n)
+    starts = np.concatenate([[0], np.cumsum(counts + 1)[:-1]])
+    holds = t * (e / np.repeat(np.add.reduceat(e, starts), counts + 1))
+    return steps, holds, starts, counts
 
 
 class TestSimulateWalk:
@@ -38,17 +41,29 @@ class TestSimulateWalk:
     def test_path_structure(self):
         t = 10.0
         steps, holds, starts, counts = _walks(0.7, t, 3, 200)
-        assert np.all(np.abs(steps) == 1)
+        assert steps.dtype == np.int8 and np.all(np.abs(steps) == 1)
         assert np.all(holds >= 0.0)
         # each walk's holding times fill [0, t]
         assert np.allclose(np.add.reduceat(holds, starts), t, rtol=1e-12)
 
     def test_walk_without_jumps_holds_exactly_t(self):
-        # P(N = 0) = e^{-2 kappa t} = e^{-1}: many such walks among 200
-        t = 0.5
-        _, holds, starts, counts = _walks(1.0, t, 4, 200)
-        assert np.count_nonzero(counts == 0) > 10
-        assert np.all(holds[starts[counts == 0]] == t)
+        # P(N = 0) = e^{-2 kappa t}: hundreds of such walks per field; each
+        # holds all of [0, t] at 0, so its log-weight is xi(0) t to an ulp.
+        # Multiplying by t after the division misses by two ulps on about
+        # 50 of these 7000 walks
+        kappa, n = 1.0, 2000
+        for seed in range(1, 13):
+            t = 0.1 * (1 + seed % 9) + 0.037 * seed
+            m = jump_budget(kappa, t)
+            fld = sample_field(make_spec(0.5, 1.0), -m, m, seed)
+            xi0 = fld.xi(0, 0).item()
+            counts, e, steps = _occupation_batch(
+                kappa, t, m, np.random.default_rng(seed), n)
+            log_w, _ = _log_weights(counts, e, steps, t * fld.xi(-m, m), None)
+            alone = log_w[counts == 0]
+            assert alone.size > 100
+            assert np.all(np.abs(alone - xi0 * t)
+                          <= np.spacing(abs(xi0 * t)))
 
     def test_mean_jump_count(self):
         # number of jumps by time t is Poisson(2 kappa t)
@@ -96,15 +111,54 @@ class TestSimulateWalk:
             assert np.all(np.abs(rows.mean(axis=0) - mean) < 4 * sigma)
 
     def test_draws_exactly_the_jumps_made(self):
-        # sum (N + 1) holding times and sum N steps; the budget caps N
+        # sum (N + 1) exponentials and ceil(sum N / 8) bytes of steps, in
+        # that order after the counts; the budget caps N
         kappa, t, n = 1.0, 3.0, 20_000
-        steps, holds, starts, counts = _walks(kappa, t, 3, n)
-        assert starts.shape == (n,) and starts[0] == 0
-        assert np.all(counts >= 0)
-        assert holds.size == int((counts + 1).sum())
+        counts, e, steps = _occupation_batch(kappa, t, jump_budget(kappa, t),
+                                             np.random.default_rng(3), n)
+        assert counts.shape == (n,) and np.all(counts >= 0)
+        assert e.size == int((counts + 1).sum())
         assert steps.size == int(counts.sum())
+        rng = np.random.default_rng(3)
+        assert np.array_equal(rng.poisson(2 * kappa * t, size=n), counts)
+        assert np.array_equal(rng.standard_exponential(e.size), e)
+        bits = np.unpackbits(rng.integers(0, 256, size=(steps.size + 7) // 8,
+                                          dtype=np.uint8))
+        assert np.array_equal(2 * bits[:steps.size].astype(int) - 1, steps)
         with pytest.raises(ArithmeticError, match="max_jumps exceeded"):
             _occupation_batch(kappa, t, 2, np.random.default_rng(3), n)
+
+
+def _reference_log_weights(counts, e, steps, xi, t, box):
+    """Walk-by-walk loop: positions from the steps, holds t e / sum e, the
+    log-weight sum xi(x) * hold, and -inf for a walk that leaves the box."""
+    m = (xi.size - 1) // 2
+    out, site = [], 0
+    for b, n in enumerate(counts):
+        pos = np.concatenate([[0], np.cumsum(steps[site - b:site - b + n])])
+        ee = e[site:site + n + 1]
+        site += n + 1
+        if box is not None and np.abs(pos).max() > box:
+            out.append(-math.inf)
+        else:
+            out.append(float(np.sum(xi[pos + m] * (t * (ee / ee.sum())))))
+    return np.array(out)
+
+
+class TestLogWeights:
+    @pytest.mark.parametrize("box", [None, 4, 0])
+    def test_against_walk_by_walk_loop(self, box):
+        kappa, t, n = 1.0, 3.0, 500
+        m = jump_budget(kappa, t)
+        fld = sample_field(make_spec(0.5, 1.0), -m, m, 21)
+        xi = fld.xi(-m, m)
+        batch = _occupation_batch(kappa, t, m, np.random.default_rng(5), n)
+        log_w, killed = _log_weights(*batch, t * xi, box)
+        ref = _reference_log_weights(*batch, xi, t, box)
+        assert np.array_equal(killed, ref == -math.inf)
+        assert (box is None) == (not killed.any())
+        assert np.array_equal(log_w[killed], ref[killed])
+        assert np.allclose(log_w[~killed], ref[~killed], rtol=1e-13, atol=0)
 
 
 class TestFkEstimate:
@@ -163,14 +217,14 @@ class TestFkEstimate:
         fld = sample_field(make_spec(0.5, 1.0), -10, 10, 2000)
         res = fk_estimate(fld, 1.0, 3.0, 100_000, 2000, box=10)
         assert (res.estimate, res.stderr, res.exit_fraction) == (
-            0.038696090389775506, 0.00017786040880016384, 4e-05)
+            0.03834313899593823, 0.0001770837587785362, 6e-05)
         exact = solve_box(fld, 0, 10, 1.0, 3.0)[10]
         assert exact == pytest.approx(0.0384166576, rel=1e-9)
         assert abs(res.estimate - exact) < 4 * res.stderr
         fld = sample_field(make_spec(0.5, 1.0), -200, 200, 40)
         res = fk_estimate(fld, 1.0, 1.0, 20_000, 7)
         assert (res.estimate, res.stderr, res.exit_fraction) == (
-            0.4199000475673234, 0.001307739655617261, 0.0)
+            0.41908790852398525, 0.0013067376632426534, 0.0)
 
     def test_box_zero_keeps_only_walks_without_jumps(self):
         # with box = 0 a walk survives only if it never jumps, which it does
@@ -190,6 +244,10 @@ class TestFkEstimate:
         # every survivor carries exactly the weight e^{xi(0) t}
         assert res.estimate == pytest.approx((1 - res.exit_fraction) * w,
                                              rel=1e-12)
+
+    def test_negative_box_rejected(self):
+        with pytest.raises(ValueError, match="box must be >= 0"):
+            fk_estimate(zero_field(-5, 5), 1.0, 1.0, 10, 0, box=-1)
 
     def test_zero_samples_rejected(self):
         with pytest.raises(ValueError):
@@ -291,3 +349,51 @@ class TestBestScreeningBound:
         fld = zero_field(-3, 3)
         with pytest.raises(ValueError):
             best_screening_bound(fld, 1.0, 10.0, 2, 10)
+
+    @pytest.mark.parametrize("kappa, t, R, match", [
+        (1.0, 0.0, 2, "t must be > 0"),
+        (0.0, 3.0, 2, "kappa must be > 0"),
+        (1.0, 3.0, -1, "window radius must be >= 0"),
+    ])
+    def test_bad_arguments_raise(self, kappa, t, R, match):
+        fld = sample_field(make_spec(0.0, 1.0), -30, 30, 1)
+        with pytest.raises(ValueError, match=match):
+            best_screening_bound(fld, kappa, t, 20, R)
+
+    def test_equals_search_over_every_centre(self):
+        # the prefix-sum budgets skip only centres that screening_lower_bound
+        # rejects, so the result is that of calling it at every centre
+        skipped = 0
+        for i in range(300):
+            fld = sample_field(make_spec(0.5 if i % 2 else 0.0, 1.0),
+                               -30, 30, 4000 + i)
+            t, R, search = float(1 + i % 9), i % 4, 24
+            best, best_y = -math.inf, None
+            for y in range(-search, search + 1):
+                if y % max(R, 1):
+                    continue
+                try:
+                    val = screening_lower_bound(fld, 1.0, t, y, R)
+                except ValueError:
+                    skipped += 1
+                    continue
+                if val > best:
+                    best, best_y = val, y
+            assert best_screening_bound(fld, 1.0, t, search, R) == (best, best_y)
+        assert skipped > 1000
+
+    def test_budget_of_exactly_half_t_is_evaluated(self):
+        # xi = -10 (r_x = 0.1) everywhere but at y = 30; crossing to y costs
+        # t/2 exactly as screening_lower_bound sums it, and the prefix sum
+        # rounds above that.  With R = 0 and kappa = 20, sitting at y after
+        # the crossing beats staying at 0
+        k, kappa = 30, 20.0
+        x = np.arange(-40, 41)
+        fld = Field(lo=-40, hi=40, heavy=np.zeros(x.size, bool),
+                    values=np.where(x == k, 0.0, -10.0))
+        r = np.exp(-fld.log_neg_or1(0, k - 1))
+        t = 2.0 * float(r.sum())
+        assert np.cumsum(r)[-1] > t / 2
+        lb, y_star = best_screening_bound(fld, kappa, t, 35, 0)
+        assert y_star == k
+        assert lb == screening_lower_bound(fld, kappa, t, k, 0)
