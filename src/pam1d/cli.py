@@ -60,7 +60,7 @@ def _parse_grid(text: str) -> np.ndarray:
     lo, hi = float(parts[0]), float(parts[1])
     kind = parts[2]
     n = int(parts[3])
-    if n < 1 or hi < lo:
+    if not (math.isfinite(lo) and math.isfinite(hi)) or n < 1 or hi < lo:
         raise ConfigError(f"bad grid bounds/count in {text!r}")
     if kind == "geometric":
         if lo <= 0:
@@ -326,6 +326,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(CONFIG_ERROR, f"{self.prog}: error: {message}\n")
 
 
+def _finite_float(text: str) -> float:
+    """argparse type of every float flag: NaN and +-inf exit 2 at parsing."""
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number, got {text!r}")
+    return x
+
+
 def _add_common(p: argparse.ArgumentParser, fmt_default: str) -> None:
     p.add_argument("--spec", help="path to the potential spec JSON")
     p.add_argument("--seed", type=int, default=0)
@@ -356,49 +368,49 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("scales", help="deterministic scale table")
     _add_common(p, "csv")
     p.add_argument("--t-grid", default="1e3:1e12:geometric:16")
-    p.add_argument("--eta", type=float, default=0.8)
-    p.add_argument("--rho", type=float, default=1.0)
+    p.add_argument("--eta", type=_finite_float, default=0.8)
+    p.add_argument("--rho", type=_finite_float, default=1.0)
     p.set_defaults(func=_cmd_scales)
 
     p = sub.add_parser("eigen", help="principal Dirichlet eigenpair of a box")
     _add_common(p, "json")
     p.add_argument("--z", type=int, default=0)
     p.add_argument("--radius", type=int, default=50)
-    p.add_argument("--kappa", type=float, default=1.0)
+    p.add_argument("--kappa", type=_finite_float, default=1.0)
     p.set_defaults(func=_cmd_eigen)
 
     p = sub.add_parser("solve", help="adaptive point solve of u(t, 0)")
     _add_common(p, "json")
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--rtol", type=float, default=1e-8)
-    p.add_argument("--kappa", type=float, default=1.0)
+    p.add_argument("--t", type=_finite_float, required=True)
+    p.add_argument("--rtol", type=_finite_float, default=1e-8)
+    p.add_argument("--kappa", type=_finite_float, default=1.0)
     p.add_argument("--r-cap", type=int, default=1 << 14,
                    help="largest box radius the adaptive solver may use")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("fk", help="Feynman-Kac Monte Carlo estimate")
     _add_common(p, "json")
-    p.add_argument("--t", type=float, required=True)
+    p.add_argument("--t", type=_finite_float, required=True)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--box", type=int, default=None)
-    p.add_argument("--kappa", type=float, default=1.0)
+    p.add_argument("--kappa", type=_finite_float, default=1.0)
     p.set_defaults(func=_cmd_fk)
 
     p = sub.add_parser("lbound", help="best screening lower bound")
     _add_common(p, "json")
-    p.add_argument("--t", type=float, required=True)
+    p.add_argument("--t", type=_finite_float, required=True)
     p.add_argument("--radius", type=int, required=True)
     p.add_argument("--search", type=int, default=None)
-    p.add_argument("--kappa", type=float, default=1.0)
+    p.add_argument("--kappa", type=_finite_float, default=1.0)
     p.set_defaults(func=_cmd_lbound)
 
     p = sub.add_parser("legendre", help="Legendre budget of a profile")
     _add_common(p, "json")
-    p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--A", type=float, required=True)
+    p.add_argument("--gamma", type=_finite_float, required=True)
+    p.add_argument("--A", type=_finite_float, required=True)
     p.add_argument("--psi", help="profile JSON {R, values}")
-    p.add_argument("--R", type=float, default=None)
-    p.add_argument("--depth", type=float, default=1.0)
+    p.add_argument("--R", type=_finite_float, default=None)
+    p.add_argument("--depth", type=_finite_float, default=1.0)
     p.add_argument("--n-nodes", type=int, default=101)
     p.add_argument("--brute", action="store_true",
                    help="also report the per-node numeric transform")
@@ -406,17 +418,17 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("chi", help="variational decay constant chi")
     _add_common(p, "json")
-    p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--A", type=float, required=True)
-    p.add_argument("--kappa", type=float, default=1.0)
+    p.add_argument("--gamma", type=_finite_float, required=True)
+    p.add_argument("--A", type=_finite_float, required=True)
+    p.add_argument("--kappa", type=_finite_float, default=1.0)
     p.set_defaults(func=_cmd_chi)
 
     p = sub.add_parser("rate", help="decay-rate curve rho(t) per seed")
     _add_common(p, "csv")
     p.add_argument("--t-grid", default="1e2:1e4:geometric:5")
     p.add_argument("--seeds", type=int, default=20)
-    p.add_argument("--rtol", type=float, default=1e-4)
-    p.add_argument("--kappa", type=float, default=1.0)
+    p.add_argument("--rtol", type=_finite_float, default=1e-4)
+    p.add_argument("--kappa", type=_finite_float, default=1.0)
     p.set_defaults(func=_cmd_rate)
 
     p = sub.add_parser("verify-h", help="rescaled cumulant collapse check")
@@ -426,14 +438,14 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("verify-lln", help="screening-sum divergence check")
     _add_common(p, "csv")
-    p.add_argument("--b", type=float, default=1.0)
+    p.add_argument("--b", type=_finite_float, default=1.0)
     p.add_argument("--n-grid", default="1e2:1e4:geometric:3")
     p.add_argument("--seeds", type=int, default=100)
     p.set_defaults(func=_cmd_verify_lln)
 
     p = sub.add_parser("verify-last", help="screening-sum upper-bound check")
     _add_common(p, "csv")
-    p.add_argument("--eta", type=float, default=0.8)
+    p.add_argument("--eta", type=_finite_float, default=0.8)
     p.add_argument("--n-grid", default="1e2:1e4:geometric:3")
     p.add_argument("--seeds", type=int, default=100)
     p.set_defaults(func=_cmd_verify_last)
@@ -441,11 +453,11 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("verify-microbox", help="favourable-microbox frequency")
     _add_common(p, "csv")
     p.add_argument("--psi", help="profile JSON {R, values}")
-    p.add_argument("--R", type=float, default=None)
-    p.add_argument("--depth", type=float, default=0.05)
+    p.add_argument("--R", type=_finite_float, default=None)
+    p.add_argument("--depth", type=_finite_float, default=0.05)
     p.add_argument("--n-nodes", type=int, default=101)
-    p.add_argument("--eps", type=float, default=0.05)
-    p.add_argument("--eta", type=float, default=0.95)
+    p.add_argument("--eps", type=_finite_float, default=0.05)
+    p.add_argument("--eta", type=_finite_float, default=0.95)
     p.add_argument("--t-grid", default=None,
                    help="default: the canonical 1/G in {e^n} grid, n in 8..10")
     p.add_argument("--seeds", type=int, default=20)

@@ -13,7 +13,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
+
+# scipy.special is imported inside ``_sum_over``, its one caller: loading it
+# at module level adds start-up time and memory to every ``pam1d`` command.
 
 from .lattice import solve_adaptive
 from .potential import (PotentialSpec, canonical_A, cumulant_H, g_tilde,
@@ -141,6 +143,8 @@ def _sum_over(terms: np.ndarray, norm: float) -> float:
     Log-log heavy sites reach W ~ 1e308, so a plain sum can overflow; only
     a ratio beyond the double range is inf.  Zero terms have log -inf.
     """
+    from scipy.special import logsumexp
+
     with np.errstate(divide="ignore", over="ignore"):
         return float(np.exp(logsumexp(np.log(terms)) - math.log(norm)))
 

@@ -51,7 +51,13 @@ def jump_budget(kappa: float, t: float) -> int:
     Each walk draws its own Poisson(2 kappa t) jump count; a count above this
     budget raises ArithmeticError.  The budget is also the walk's reach: an
     unboxed walk stays within [-budget, budget], which the field must cover.
+    A kappa that is not > 0 or a t that is not >= 0, NaN included, raises
+    ValueError.
     """
+    if not kappa > 0:
+        raise ValueError(f"kappa must be > 0, got {kappa}")
+    if not t >= 0:
+        raise ValueError(f"t must be >= 0, got {t}")
     rate = 2.0 * kappa
     return int(rate * t + 12.0 * math.sqrt(rate * t + 1.0) + 30)
 
@@ -127,7 +133,7 @@ def fk_estimate(field: Field, kappa: float, t: float, n_samples: int,
     making the estimate an unbiased lower bound of the full-space value.
     Walks reach at most r = jump_budget(kappa, t) sites, or the box radius if
     smaller; a field not covering [-r, r] raises ValueError before any draw,
-    and so does a negative box.
+    and so do a negative box and the kappa or t that ``jump_budget`` rejects.
 
     Walks are drawn in batches of 4096 (``_occupation_batch``).  Draw order
     per batch: the Poisson(2 kappa t) jump counts N, then sum (N + 1) Exp(1)
@@ -136,11 +142,9 @@ def fk_estimate(field: Field, kappa: float, t: float, n_samples: int,
     """
     if n_samples <= 0:
         raise ValueError(f"n_samples must be > 0, got {n_samples}")
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    max_jumps = jump_budget(kappa, t)
     if box is not None and box < 0:
         raise ValueError(f"box must be >= 0, got {box}")
-    max_jumps = jump_budget(kappa, t)
     reach = max_jumps if box is None else min(box, max_jumps)
     if field.lo > -reach or field.hi < reach:
         raise ValueError(f"walks reach [{-reach}, {reach}], outside the "

@@ -23,8 +23,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, optimize
-from scipy.special import logsumexp
+
+# scipy.optimize, scipy.integrate and scipy.special are imported inside the
+# functions that call them: loading them adds about 0.25 s and 20 MB to
+# ``import pam1d``, and only the cumulant and scale-inversion paths need them.
 
 __all__ = [
     "LowerTailSpec",
@@ -345,6 +347,8 @@ def _log_integral(log_f, lo: float, hi: float, peak: float) -> float:
     where log_f stays within _LOG_CUTOFF of the peak value before handing the
     normalized integrand to adaptive quadrature.
     """
+    from scipy.optimize import brentq
+
     peak = min(max(peak, lo), hi if math.isfinite(hi) else peak)
     m = float(log_f(np.array([peak]))[0])
 
@@ -355,7 +359,7 @@ def _log_integral(log_f, lo: float, hi: float, peak: float) -> float:
     a = lo
     if lo < peak and math.isfinite(lo):
         if drop(lo) < -_LOG_CUTOFF:
-            a = optimize.brentq(lambda x: drop(x) + _LOG_CUTOFF, lo, peak, xtol=1e-12, rtol=1e-12)
+            a = brentq(lambda x: drop(x) + _LOG_CUTOFF, lo, peak, xtol=1e-12, rtol=1e-12)
     # trim right edge; a peak at 0 can be narrower than any absolute xtol
     b = hi
     if not math.isfinite(hi):
@@ -364,9 +368,9 @@ def _log_integral(log_f, lo: float, hi: float, peak: float) -> float:
         while drop(b) > -_LOG_CUTOFF:
             step *= 2.0
             b = peak + step
-        b = optimize.brentq(lambda x: drop(x) + _LOG_CUTOFF, peak, b, xtol=1e-300, rtol=1e-12)
+        b = brentq(lambda x: drop(x) + _LOG_CUTOFF, peak, b, xtol=1e-300, rtol=1e-12)
     elif hi > peak and drop(hi) < -_LOG_CUTOFF:
-        b = optimize.brentq(lambda x: drop(x) + _LOG_CUTOFF, peak, hi, xtol=1e-300, rtol=1e-12)
+        b = brentq(lambda x: drop(x) + _LOG_CUTOFF, peak, hi, xtol=1e-300, rtol=1e-12)
 
     def f(x):
         return float(np.exp(log_f(np.atleast_1d(x)) - m)[0])
@@ -380,9 +384,10 @@ def _quad(f, a: float, b: float, points=None) -> float:
     Raises ArithmeticError, with QUADPACK's message, when the value is not
     finite and positive or its error estimate exceeds 1e-8 of the value.
     """
-    val, err, _, *msg = integrate.quad(f, a, b, points=points, limit=400,
-                                       epsabs=0.0, epsrel=_QUAD_RTOL,
-                                       full_output=1)
+    from scipy.integrate import quad
+
+    val, err, _, *msg = quad(f, a, b, points=points, limit=400, epsabs=0.0,
+                             epsrel=_QUAD_RTOL, full_output=1)
     if not 0.0 < val < math.inf or err > 1e-8 * val:
         cause = ": " + " ".join(msg[0].split()) if msg else ""
         raise ArithmeticError(
@@ -458,6 +463,8 @@ def _log_frechet_laplace(spec: PotentialSpec, ell: float) -> float:
 
 def cumulant_H(spec: PotentialSpec, ell: float) -> float:
     """H(ell) = log < e^{ell xi(0)} >, computed branch by branch in log space."""
+    from scipy.special import logsumexp
+
     if ell < 0:
         raise ValueError(f"ell must be >= 0, got {ell}")
     if ell == 0.0:
@@ -559,6 +566,8 @@ def _invert_scale(scale, name: str, y: float) -> float:
     Brent's method on a x4 bracket grown from [1, 2].  A y above the scale's
     range is a ValueError; a root beyond ell = _ELL_MAX is an ArithmeticError.
     """
+    from scipy.optimize import brentq
+
     if y <= 0:
         raise ValueError(f"y must be > 0, got {y}")
     lo, hi = 1.0, 2.0
@@ -571,7 +580,7 @@ def _invert_scale(scale, name: str, y: float) -> float:
         hi, lo = lo, lo / 4.0
         if lo < 1.0 / _ELL_MAX:
             raise ValueError(f"y = {y} above the range of {name}")
-    ell = optimize.brentq(lambda l: scale(l) - y, lo, hi, rtol=1e-15)
+    ell = brentq(lambda l: scale(l) - y, lo, hi, rtol=1e-15)
     if abs(scale(ell) - y) > 1e-9 * y:
         raise ArithmeticError(f"{name}^-1 tolerance not met at y = {y}")
     return ell

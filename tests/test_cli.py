@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,6 +54,12 @@ class TestExitCodes:
                            "--t-grid", "nope")
         assert code == 2
 
+    @pytest.mark.parametrize("grid", ["nan:10:linear:2", "1:inf:geometric:2"])
+    def test_non_finite_grid_bound(self, capsys, spec_file, grid):
+        code, _, err = run(capsys, "h", "--spec", spec_file, "--l-grid", grid)
+        assert code == 2
+        assert "bad grid bounds" in err
+
     def test_numerical_failure(self, capsys, spec_file):
         # force the adaptive solver cap with an out-of-reach horizon
         code, _, err = run(capsys, "solve", "--spec", spec_file,
@@ -69,6 +79,25 @@ class TestExitCodes:
         code, _, err = run(capsys, *argv, "--spec", spec_file)
         assert code == 2
         assert "pam1d: error:" in err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("solve", "--t", "nan"), "--t"),
+        (("lbound", "--t", "nan", "--radius", "2"), "--t"),
+        (("chi", "--gamma", "0.5", "--A", "1", "--kappa", "nan"), "--kappa"),
+        (("eigen", "--kappa", "nan"), "--kappa"),
+    ], ids=["solve-t", "lbound-t", "chi-kappa", "eigen-kappa"])
+    def test_non_finite_number_rejected_at_parsing(self, capsys, spec_file,
+                                                   argv, flag):
+        code, _, err = run(capsys, *argv, "--spec", spec_file)
+        assert code == 2
+        assert f"argument {flag}: expected a finite number, got 'nan'" in err
+
+    @pytest.mark.parametrize("kappa", ["-1", "-0.1", "nan", "0"])
+    def test_fk_rejects_bad_kappa(self, capsys, spec_file, kappa):
+        code, _, err = run(capsys, "fk", "--spec", spec_file, "--t", "3",
+                           "--samples", "10", "--box", "5", "--kappa", kappa)
+        assert code == 2
+        assert "kappa" in err
 
     @pytest.mark.parametrize("command", ["verify-lln", "verify-last"])
     def test_normalizer_beyond_double_range(self, capsys, tmp_path, command):
@@ -255,3 +284,20 @@ class TestTables:
         rows = out.strip().splitlines()[1:]
         ts = [float(row.split(",")[0]) for row in rows]
         assert ts == t_grid(spec_from_json(spec_json), 8, 10).tolist()
+
+
+class TestStartup:
+    def test_import_leaves_out_optimize_integrate_special(self):
+        # they load on first use only: about 0.25 s and 20 MB that the
+        # solver, Monte Carlo and chi paths of every command do not need
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+        code = ("import sys, pam1d.cli; "
+                "print(*sorted(m for m in ('scipy.optimize', "
+                "'scipy.integrate', 'scipy.special') if m in sys.modules))")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == []

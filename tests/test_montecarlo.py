@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pam1d import montecarlo
 from pam1d.lattice import (hamiltonian, principal_eigpair, solve_box,
                            solve_point_log)
 from pam1d.montecarlo import (_BATCH, _log_weights, _occupation_batch,
@@ -252,6 +253,19 @@ class TestFkEstimate:
     def test_zero_samples_rejected(self):
         with pytest.raises(ValueError):
             fk_estimate(zero_field(-5, 5), 1.0, 1.0, 0, 0)
+
+    @pytest.mark.parametrize("kappa", [-1.0, -0.1, 0.0, math.nan])
+    def test_bad_kappa_rejected_before_any_draw(self, monkeypatch, kappa):
+        def no_draw(*args):
+            raise AssertionError("walks drawn")
+        monkeypatch.setattr(montecarlo, "_occupation_batch", no_draw)
+        with pytest.raises(ValueError, match="kappa must be > 0"):
+            fk_estimate(zero_field(-5, 5), kappa, 1.0, 10, 0, box=5)
+
+    @pytest.mark.parametrize("t", [-1.0, math.nan])
+    def test_bad_t_rejected(self, t):
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            jump_budget(1.0, t)
 
 
 class TestScreeningLowerBound:
