@@ -5,9 +5,9 @@ a symmetric tridiagonal matrix with diagonal xi - 2 kappa and off-diagonal
 kappa.  Heavy potential sites screen parts of the box so strongly that
 eigenvector tails and point values of the solution drop far below the double
 floating-point range; every quantity that can underflow is therefore carried
-in log space, with tails reconstructed by the three-term recurrence shot from
-the Dirichlet boundary toward the localization peak (the numerically stable
-direction).
+in log space.  LAPACK bisects eigenvalues only; each eigenvector joins two
+shots of the three-term recurrence, one from each Dirichlet end, at the row
+where they agree best (the twist index of a twisted factorisation).
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ _LOG_TINY = math.log(np.finfo(float).smallest_subnormal)  # log of a zero entry
 
 DENSE_LIMIT = 20000
 R_START = 8  # first box radius of solve_adaptive
-_RELIABLE = 1e-6  # dense eigenvector entries below this are treated as noise
 
 
 @dataclass(frozen=True)
@@ -99,7 +98,7 @@ def hamiltonian(field: Field, z: int, R: int, kappa: float) -> TridiagonalOperat
 
 
 # ---------------------------------------------------------------------------
-# Stable tail reconstruction
+# Eigenvectors in log space
 
 
 def _shoot_log_multi(diag: np.ndarray, kappa: float, lams: np.ndarray,
@@ -116,7 +115,9 @@ def _shoot_log_multi(diag: np.ndarray, kappa: float, lams: np.ndarray,
     of column j is k sites in from that column's own end.
     """
     n, m = len(diag), len(lams)
-    r = np.where(from_left, diag[:n - 1, None], diag[:0:-1, None])
+    logabs = np.zeros((n, m))
+    r = logabs[1:]  # the ratios, then their logs, then log|v[1:]|, in place
+    r[:] = np.where(from_left, diag[:n - 1, None], diag[:0:-1, None])
     np.subtract(lams, r, out=r)
     r /= kappa  # the recurrence coefficient c of each row
     # the ratio r[i] = v[i+1] / v[i] obeys r[0] = c[0], r[i] = c[i] - 1/r[i-1];
@@ -125,83 +126,78 @@ def _shoot_log_multi(diag: np.ndarray, kappa: float, lams: np.ndarray,
     with np.errstate(divide="ignore"):
         for prev, row in zip(rows, rows[1:]):
             row -= 1.0 / prev
-        logr = np.log(np.abs(r))
+        flips = np.logical_xor.accumulate(np.signbit(r), axis=0)
+        np.log(np.abs(r, out=r), out=r)
     # that pair becomes log|v[i+1]| = log|v[i]| + _LOG_TINY, and
     # log|v[i+2]| = log|v[i]| with the sign flipped by the pair's signbits
-    np.clip(logr, _LOG_TINY, -_LOG_TINY, out=logr)
-    logabs = np.zeros((n, m))
-    np.cumsum(logr, axis=0, out=logabs[1:])
-    flips = np.logical_xor.accumulate(np.signbit(r), axis=0)
+    np.clip(r, _LOG_TINY, -_LOG_TINY, out=r)
+    np.cumsum(r, axis=0, out=r)
     signs = np.ones((n, m))
     signs[1:][flips] = -1.0
     return logabs, signs
 
 
-def _log_entries(op: TridiagonalOperator, lams: np.ndarray, vecs: np.ndarray,
-                 rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """log|v_j(i)| and sign of the entries (i, j) = (rows[k], cols[k]).
+def _log_vectors(op: TridiagonalOperator, lams: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """log|v| and sign of the unit eigenvectors of ``op`` for eigenvalues ``lams``.
 
-    The columns of ``vecs`` are unit eigenvectors of ``op`` with eigenvalues
-    ``lams``.  An entry of magnitude >= _RELIABLE is read from the dense
-    vector; every other entry is rebuilt from the recurrence solution shot
-    from the Dirichlet end on its side of the column's peak, scaled to match
-    the peak entry, which recovers entries that are noise in the dense
-    vector.  Only the (column, side) pairs with a shot entry are shot.
+    Returns arrays of shape (n, m), column j for lams[j].  Each eigenvalue is
+    shot from both Dirichlet ends in one sweep, and the shots are joined at
+    the twist row k that minimises |v^L[k+1]/v^L[k] - v^R[k+1]/v^R[k]|, the
+    joined vector's residual over kappa (gamma_k of a twisted factorisation,
+    Dhillon & Parlett 2004): rows <= k come from the left shot, rows >= k
+    from the right one, both scaled to 1 at row k.  Each shot is read only
+    where it grows from its end, so every entry is relatively accurate.
     """
-    vals = vecs[rows, cols]
-    direct = np.abs(vals) >= _RELIABLE
-    logv = np.empty(len(vals))
-    sgn = np.empty(len(vals))
-    logv[direct] = np.log(np.abs(vals[direct]))
-    sgn[direct] = np.sign(vals[direct])
-    shot = np.nonzero(~direct)[0]
-    if not shot.size:
-        return logv, sgn
-    rows, cols = rows[shot], cols[shot]
-    used, c = np.unique(cols, return_inverse=True)
-    peaks = np.argmax(np.abs(vecs[:, used]), axis=0)
-    peak_vals = vecs[peaks, used]
-    peak_log = np.log(np.abs(peak_vals))
-    peak_sign = np.where(peak_vals >= 0, 1.0, -1.0)
-    a = peaks[c]
-    left = rows <= a
-    # pair code 2 * column + 1 for the right side; one shot column per pair
-    pairs, q = np.unique(2 * c + ~left, return_inverse=True)
-    logs, signs = _shoot_log_multi(op.diag, op.kappa, lams[used][pairs // 2],
-                                   pairs % 2 == 0)
-    i = np.where(left, rows, op.n - 1 - rows)
-    p = np.where(left, a, op.n - 1 - a)
-    logv[shot] = logs[i, q] - logs[p, q] + peak_log[c]
-    sgn[shot] = signs[i, q] * signs[p, q] * peak_sign[c]
-    return logv, sgn
+    n, m = op.n, len(lams)
+    logs, signs = _shoot_log_multi(op.diag, op.kappa, np.concatenate([lams, lams]),
+                                   np.arange(2 * m) < m)
+    ll, sl = logs[:, :m], signs[:, :m]
+    lr, sr = logs[::-1, m:], signs[::-1, m:]  # right shots in row order
+    # beyond the shots only gap and rq are allocated, 4 MB each at n = 8193
+    # and m = 64; the vectors are built in place in the left shots' arrays
+    gap = np.full((n, m), np.inf)  # no twist at row n - 1 unless n = 1
+    lq, rq = gap[:-1], np.empty((n - 1, m))  # v[k+1] / v[k] of each shot
+    with np.errstate(over="ignore", invalid="ignore"):
+        for q, lg, sg in ((lq, ll, sl), (rq, lr, sr)):
+            np.exp(np.subtract(lg[1:], lg[:-1], out=q), out=q)
+            np.negative(q, out=q, where=sg[1:] != sg[:-1])
+        lq -= rq
+    np.fmin(np.abs(gap, out=gap), np.inf, out=gap)  # a NaN (inf - inf) reads inf
+    k, cols = np.argmin(gap, axis=0), np.arange(m)
+    right = np.arange(n)[:, None] > k
+    ll -= ll[k, cols]
+    sl *= sl[k, cols]
+    np.copyto(ll, np.subtract(lr, lr[k, cols], out=gap), where=right)
+    np.copyto(sl, np.multiply(sr, sr[k, cols], out=gap), where=right)
+    ll -= ll.max(axis=0)
+    np.exp(np.multiply(ll, 2.0, out=gap), out=gap)
+    ll -= 0.5 * np.log(gap.sum(axis=0))
+    return ll, sl
 
 
 # ---------------------------------------------------------------------------
 # Eigenpairs
 
 
-def _eigpairs(op: TridiagonalOperator, first: int, stop: int
-              ) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs first..stop-1 counted from the top, largest first.
+def _eigvals(op: TridiagonalOperator, first: int, stop: int) -> np.ndarray:
+    """Eigenvalues first..stop-1 counted from the top, largest first.
 
-    Sturm-sequence bisection + inverse iteration on the requested index range.
-    The bisection tolerance 2 * tiny makes every eigenvalue accurate to
-    relative precision, so every caller sees the same lambda for a box.
+    Sturm-sequence bisection on the requested index range, ascending.  The
+    bisection tolerance 2 * tiny makes every eigenvalue accurate to relative
+    precision, so every caller sees the same lambda for a box.
     """
     n = op.n
-    w, v = eigh_tridiagonal(op.diag, op.offdiag(), select="i",
-                            select_range=(n - stop, n - 1 - first),
-                            lapack_driver="stebz", tol=2 * np.finfo(float).tiny)
-    order = np.argsort(w)[::-1]
-    return w[order], v[:, order]
+    w = eigh_tridiagonal(op.diag, op.offdiag(), eigvals_only=True, select="i",
+                         select_range=(n - stop, n - 1 - first),
+                         lapack_driver="stebz", tol=2 * np.finfo(float).tiny)
+    return w[::-1]
 
 
 def principal_eigpair(op: TridiagonalOperator) -> SpectralData:
     """Principal Dirichlet eigenpair; eigenvector strictly positive, in log space."""
-    w, v = _eigpairs(op, 0, 1)
-    logv, _ = _log_entries(op, w, v, np.arange(op.n), np.zeros(op.n, dtype=int))
-    logv -= logv.max()
-    logv -= 0.5 * math.log(float(np.sum(np.exp(2.0 * logv))))
+    w = _eigvals(op, 0, 1)
+    logv = _log_vectors(op, w)[0][:, 0]
     lam, vec = float(w[0]), np.exp(logv)
     res = float(np.linalg.norm(op.matvec(vec) - lam * vec))
     return SpectralData(principal=lam, log_eigvec=logv, residual=res)
@@ -258,12 +254,11 @@ class _ModeSum:
     """The pruned spectral mode sum of u_R(t, x) at one site, for any t.
 
     Mode j contributes exp(t lam_j) v_j(x) <v_j, 1>.  Eigenpairs are taken
-    from the top of the spectrum in batches of 16, 32, ..., 512 modes, each
-    batch computed the first time a t reaches it.  A batch keeps only what
-    the sum reads: lam_j, log|v_j(x)| (rebuilt by boundary shooting when the
-    dense entry is at noise level), log|<v_j, 1>| and the sign of the term;
-    the eigenvectors are dropped.  Every t reads an exact prefix of the same
-    batches, so ``point(t)`` does not depend on the t evaluated before it.
+    from the top of the spectrum in batches of 16, 32, 64, 64, ... modes,
+    each batch computed the first time a t reaches it.  A batch keeps only
+    what the sum reads: lam_j, log|v_j(x)|, log|<v_j, 1>| and the term's
+    sign; the eigenvectors are dropped.  Every t reads an exact prefix of
+    the same batches, so ``point(t)`` does not depend on earlier t.
     """
 
     def __init__(self, op: TridiagonalOperator, x_idx: int):
@@ -275,15 +270,15 @@ class _ModeSum:
     def _batch(self, i: int) -> tuple[np.ndarray, ...]:
         """(lam, log|v(x)|, log|<v, 1>|, term sign) of batch i."""
         if i == len(self.batches):
-            op, first = self.op, self.modes_done
-            w, v = _eigpairs(op, first, min(op.n, first + min(16 << i, 512)))
-            logv, sgn = _log_entries(op, w, v, np.full(len(w), self.x_idx),
-                                     np.arange(len(w)))
-            ip = v.T @ np.ones(op.n)
+            op, first, x = self.op, self.modes_done, self.x_idx
+            w = _eigvals(op, first, min(op.n, first + min(16 << i, 64)))
+            logv, sgn = _log_vectors(op, w)
+            ip = np.sum(sgn * np.exp(logv), axis=0)
             with np.errstate(divide="ignore"):
                 logip = np.log(np.abs(ip))
-            self.batches.append((w, logv, logip,
-                                 sgn * np.where(ip >= 0, 1.0, -1.0)))
+            # copies of row x: a view would keep the (n, m) arrays alive
+            self.batches.append((w, logv[x].copy(), logip,
+                                 sgn[x] * np.where(ip >= 0, 1.0, -1.0)))
             self.modes_done += len(w)
         return self.batches[i]
 
@@ -316,6 +311,9 @@ class _ModeSum:
         if not sign_ok:
             # cancellation at noise level; fall back to the positive part,
             # which still dominates the true value up to roundoff
+            if not (sg > 0).any():
+                raise ArithmeticError(f"mode sum of u on a box of n = {n} sites "
+                                      f"at t = {t} cancelled: no positive term")
             total = float(np.sum(np.exp(arr[sg > 0] - m)))
         w0, logv0 = self.batches[0][:2]
         return PointSolution(log_u=m + math.log(total), principal=float(w0[0]),
@@ -329,11 +327,11 @@ def solve_point_log(field: Field, z: int, R: int, kappa: float, t: float,
                     x: int | None = None) -> PointSolution:
     """log u_R(t, x) via a pruned spectral mode sum, stable far below underflow.
 
-    Contributions are summed in log space, with |v_j(x)| reconstructed by
-    boundary shooting when the dense eigenvector entry is at noise level.
-    Modes are taken from the top of the spectrum until the a-priori bound
-    t*lam + 0.5 log n falls 46 nats below the running total.  The result's
-    ``mode_sum`` evaluates the same box and site at further t.
+    Contributions are summed in log space, from eigenvectors built in log
+    space by ``_log_vectors``.  Modes are taken from the top of the spectrum
+    until the a-priori bound t*lam + 0.5 log n falls 46 nats below the
+    running total.  The result's ``mode_sum`` evaluates the same box and
+    site at further t.
     """
     if x is None:
         x = z

@@ -51,13 +51,13 @@ def jump_budget(kappa: float, t: float) -> int:
     Each walk draws its own Poisson(2 kappa t) jump count; a count above this
     budget raises ArithmeticError.  The budget is also the walk's reach: an
     unboxed walk stays within [-budget, budget], which the field must cover.
-    A kappa that is not > 0 or a t that is not >= 0, NaN included, raises
-    ValueError.
+    A kappa that is not > 0 or a t that is not >= 0, NaN and inf included,
+    raises ValueError.
     """
-    if not kappa > 0:
-        raise ValueError(f"kappa must be > 0, got {kappa}")
-    if not t >= 0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    if not 0 < kappa < math.inf:
+        raise ValueError(f"kappa must be > 0 and finite, got {kappa}")
+    if not 0 <= t < math.inf:
+        raise ValueError(f"t must be >= 0 and finite, got {t}")
     rate = 2.0 * kappa
     return int(rate * t + 12.0 * math.sqrt(rate * t + 1.0) + 30)
 

@@ -174,22 +174,32 @@ class TestSolvePointLog:
         assert logs[1] >= logs[0] - 1e-6
         assert abs(logs[2] - logs[1]) < 1e-5
 
+    def test_cancelled_mode_sum_raises(self):
+        # every term negative: the positive part is empty, a numerical failure
+        ms = solve_point_log(zero_field(-3, 3), 0, 3, 1.0, 1.0).mode_sum
+        ms.batches = [(w, logv, logip, -np.ones_like(w))
+                      for w, logv, logip, _ in ms.batches]
+        with pytest.raises(ArithmeticError, match=r"n = 7 .*t = 2\.0"):
+            ms.point(2.0)
+
 
 class TestTailRebuildOracle:
-    """Shot tails on both sides of the peak against a 40-digit eigsy.
+    """Joined eigenvectors on both sides of the peak against a 40-digit eigsy.
 
     Each box has 25 sites and a principal vector with entries below 1e-6 of
-    its peak on both sides of it; at x = -R/2 and x = R/2 some modes have
-    dense entries below 1e-6, so both shooting directions are used.
-    Eigenvalues are bisected to relative accuracy and tails are shot as
-    ratios, so both log u and log v carry relative, not norm-wise, roundoff:
-    on these boxes the errors were at most 8.9e-16 in log u and 4.0e-16 in
-    log v, relative to max(1, |log|).  The tolerance is 4e-15; a norm-wise
-    error (eps times the norm, up to 2.2e-8 here) would fail it.
+    its peak on both sides of it, and at x = -R/2 and x = R/2 some modes
+    have entries below 1e-6.  Eigenvalues are bisected to relative accuracy
+    and every vector is joined from two ratio shots, so both log u and log v
+    carry relative, not norm-wise, roundoff: on these boxes the errors were
+    at most 7.4e-16 in log u and 3.3e-15 in log v, relative to
+    max(1, |log|).  The largest log v errors sit near the peak, where an
+    entry is the difference of two shot logs of size up to 30.  The
+    tolerance is 4e-15; a norm-wise error (eps times the norm, up to 2.2e-8
+    here) would fail it.
 
-    One box holds a site at the clamp.  Its dense entries below 1e-6 are not
-    relatively accurate: read in place of the shot ones, they put log u off
-    by 1.9e-14 at x = R/2, so this box fails without the tail shot.
+    One box holds a site at the clamp.  Dense LAPACK entries below 1e-6 on
+    it are not relatively accurate: read in place of the joined ones, they
+    put log u off by 1.9e-14 at x = R/2.
     """
 
     BOXES = [(0.0, 8), (0.0, 10), (0.5, 167), (0.5, 239)]
@@ -305,6 +315,45 @@ class TestExactOracle:
                 small = solve_point_log(fld, 0, R, 1.0, t).log_u
                 large = solve_point_log(fld, 0, 4 * R, 1.0, t).log_u
                 assert small <= large + 1e-12
+
+    def test_modes_from_different_batches(self):
+        # 25 modes in batches of 16 and 9 around a site at the clamp (x = -2);
+        # eigenvectors computed per batch by inverse iteration were 1.1e-9
+        # off orthogonal here and put log u off by 1.7e-9 (t = 1) and 1.5e-9
+        # (t = 4)
+        mpmath = pytest.importorskip("mpmath")
+        R, n, x = 12, 25, 6
+        fld = sample_field(make_spec(0.0, 1.0), -R, R, 380)
+        assert np.nonzero(hamiltonian(fld, 0, R, 1.0).clamped)[0].tolist() == [R - 2]
+        with mpmath.workdps(60):
+            E, Q = mpmath.eigsy(mpmath.matrix(_dense_matrix(fld, 0, R, 1.0).tolist()))
+            ip = [mpmath.fsum(Q[:, j]) for j in range(n)]
+            for t in (1.0, 4.0):
+                u = mpmath.fsum(Q[x + R, j] * mpmath.exp(t * E[j]) * ip[j]
+                                for j in range(n))
+                sol = solve_point_log(fld, 0, R, 1.0, t, x)
+                assert sol.modes_used == n
+                assert sol.log_u == pytest.approx(float(mpmath.log(u)),
+                                                  rel=1e-13, abs=0.0)
+
+    def test_point_value_does_not_depend_on_the_clamp(self, monkeypatch):
+        # Pareto zeta = 0.5 with three sites at a clamp raised to 1e16: the
+        # principal entry at x = 0 is 1.1e-6 of the unit vector, and the
+        # value is 18 nats below t * lambda
+        mpmath = pytest.importorskip("mpmath")
+        monkeypatch.setattr(lattice, "XI_CLAMP", 1e16)
+        R, n, t = 32, 65, 1e4
+        fld = sample_field(make_spec(0.0, 0.5, atom_p=0.625), -R, R, 1)
+        assert hamiltonian(fld, 0, R, 1.0).clamped.sum() == 3
+        sol = solve_point_log(fld, 0, R, 1.0, t)
+        with mpmath.workdps(60):
+            E, Q = mpmath.eigsy(mpmath.matrix(_dense_matrix(fld, 0, R, 1.0).tolist()))
+            u = mpmath.fsum(Q[R, j] * mpmath.exp(t * E[j]) * mpmath.fsum(Q[:, j])
+                            for j in range(n))
+            exact = float(mpmath.log(u))
+        assert exact == pytest.approx(-2048.76936, abs=1e-5)
+        assert sol.sign_ok
+        assert sol.log_u == pytest.approx(exact, rel=1e-12, abs=0.0)
 
 
 class TestSolveAdaptive:

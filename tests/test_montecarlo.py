@@ -254,7 +254,7 @@ class TestFkEstimate:
         with pytest.raises(ValueError):
             fk_estimate(zero_field(-5, 5), 1.0, 1.0, 0, 0)
 
-    @pytest.mark.parametrize("kappa", [-1.0, -0.1, 0.0, math.nan])
+    @pytest.mark.parametrize("kappa", [-1.0, -0.1, 0.0, math.nan, math.inf])
     def test_bad_kappa_rejected_before_any_draw(self, monkeypatch, kappa):
         def no_draw(*args):
             raise AssertionError("walks drawn")
@@ -262,7 +262,7 @@ class TestFkEstimate:
         with pytest.raises(ValueError, match="kappa must be > 0"):
             fk_estimate(zero_field(-5, 5), kappa, 1.0, 10, 0, box=5)
 
-    @pytest.mark.parametrize("t", [-1.0, math.nan])
+    @pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])
     def test_bad_t_rejected(self, t):
         with pytest.raises(ValueError, match="t must be >= 0"):
             jump_budget(1.0, t)
