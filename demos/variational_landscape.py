@@ -2,8 +2,10 @@
 
 For gamma = 0 the optimal profile is an arbitrarily shallow well on an
 interval of length 1/A and chi = kappa pi^2 A^2 exactly; for gamma > 0 the
-optimizer balances well depth against the Legendre budget.  This demo prints
-chi across gamma and sketches the optimal profile shapes.
+optimizer balances well depth against the Legendre budget, and its optimum
+psi*(x) = -gamma chi sec^2(omega x) is explicit too.  This demo prints chi
+across gamma next to that closed form and sketches the optimal profile
+shapes.
 
 Run:  python3 demos/variational_landscape.py
 """
@@ -13,6 +15,7 @@ import math
 import numpy as np
 
 from pam1d import VariationalConfig, chi_tilde, legendre_L
+from pam1d.variational import _chi_closed
 
 
 def sketch(psi, width=51):
@@ -41,13 +44,16 @@ def main():
     print(f"  optimal interval length 1/A = {1 / math.log(2.0):.4f}\n")
 
     print("gamma > 0 (A = 1, kappa = 1): damped fixed-point optimization")
-    print(f"  {'gamma':>6}  {'chi':>10}  {'R*':>6}  {'budget':>8}  profile")
+    print(f"  {'gamma':>6}  {'chi':>10}  {'closed':>10}  {'rel err':>8}"
+          f"  {'R*':>6}  {'budget':>8}  profile")
     for gamma in (0.2, 0.4, 0.6, 0.8):
         cfg = VariationalConfig(A=1.0, gamma=gamma, kappa=1.0, n_grid=201,
                                 tol=1e-6)
         res = chi_tilde(cfg)
+        exact = _chi_closed(1.0, gamma, 1.0)
         budget = legendre_L(res.psi, 1.0, gamma)
-        print(f"  {gamma:>6.1f}  {res.chi:>10.5f}  {res.R:>6.1f}"
+        print(f"  {gamma:>6.1f}  {res.chi:>10.5f}  {exact:>10.5f}"
+              f"  {abs(res.chi / exact - 1.0):>8.1e}  {res.R:>6.1f}"
               f"  {budget:>8.4f}  |{sketch(res.psi)}|")
 
     print("\nchi decreases in gamma: a heavier upper tail supplies deeper")

@@ -17,8 +17,10 @@ whose closed form is, for psi < 0 (and +infinity for psi == 0),
 (The transform maps into [0, infinity], which fixes the overall sign; see
 ``brute_legendre`` for an independent pointwise-maximization oracle.)  For
 gamma = 0 the optimum is explicit -- psi -> 0- on an interval of length 1/A
--- giving chi = kappa pi^2 A^2; for gamma in (0, 1) a damped KKT fixed-point
-iteration on the discretized profile is used.
+-- giving chi = kappa pi^2 A^2.  For gamma in (0, 1) the optimum is explicit
+as well (``_chi_closed``, ``_optimal_psi``); ``chi_tilde`` starts a damped
+KKT fixed-point iteration on the discretized profile from it and from a
+profile that does not use it, and reports the discrete optimum.
 """
 
 from __future__ import annotations
@@ -45,6 +47,10 @@ __all__ = [
     "chi_tilde",
     "ChiResult",
 ]
+
+# Depth cap of the KKT profiles: a node at the cap is a wall for the
+# eigenvalue, and still charges the budget pref * h * _DEPTH_CAP^(-p).
+_DEPTH_CAP = 1e12
 
 
 @dataclass(frozen=True)
@@ -256,6 +262,41 @@ def eig_continuum(psi, R: float, kappa: float, n: int = 2000) -> float:
     return (4.0 * lams[1] - lams[0]) / 3.0
 
 
+def _chi_closed(A: float, gamma: float, kappa: float) -> float:
+    """Closed-form decay constant chi(A, gamma, kappa) for gamma in [0, 1).
+
+    KKT stationarity gives u = -psi proportional to g^{-2(1-gamma)}, so the
+    ground state solves kappa g'' = lambda g + c g^{2 gamma - 1}, whose first
+    integral is g = G cos(omega x)^{1/(1-gamma)}: see ``_optimal_psi``.  Its
+    budget pref (gamma chi)^{-p} B(p + 1/2, 1/2) / omega, with p and pref as
+    in ``legendre_L``, equals 1 at
+
+        chi = [A^{1/(1-gamma)} B(p + 1/2, 1/2) sqrt(kappa)]^{2(1-gamma)/(1+gamma)},
+
+    which is kappa pi^2 A^2 at gamma = 0.  B is evaluated by ``math.lgamma``.
+    """
+    p = gamma / (1.0 - gamma)
+    log_beta = (math.lgamma(p + 0.5) + math.lgamma(0.5)
+                - math.lgamma(p + 1.0))
+    inner = math.log(A) / (1.0 - gamma) + log_beta + 0.5 * math.log(kappa)
+    return math.exp(2.0 * (1.0 - gamma) / (1.0 + gamma) * inner)
+
+
+def _optimal_psi(A: float, gamma: float, kappa: float, x) -> np.ndarray:
+    """Closed-form optimal profile psi*(x) = -gamma chi sec^2(omega x).
+
+    omega = (1 - gamma) sqrt(chi / kappa), and the principal eigenvalue of
+    kappa d^2/dx^2 + psi* is -chi.  The well has half-width pi/(2 omega);
+    depths are capped at ``_DEPTH_CAP``, which they reach just inside its
+    edge and keep beyond it.
+    """
+    chi = _chi_closed(A, gamma, kappa)
+    omega = (1.0 - gamma) * math.sqrt(chi / kappa)
+    # cos(pi/2) is 6e-17 in doubles, so the quotient stays finite and caps
+    c = np.cos(np.minimum(np.abs(omega * np.asarray(x, float)), 0.5 * math.pi))
+    return -np.minimum(gamma * chi / (c * c), _DEPTH_CAP)
+
+
 @dataclass(frozen=True)
 class ChiResult:
     chi: float
@@ -296,7 +337,7 @@ def _optimize_profile(cfg: VariationalConfig, R: float, u0: np.ndarray,
            and not abs(lam - lam_prev) < cfg.tol * (1.0 + abs(lam))):
         prop = (g * g + 1e-300) ** (-1.0 / (p + 1.0))
         u_new = rescale(np.exp((1 - theta) * np.log(u) + theta * np.log(prop)))
-        u = rescale(np.minimum(u_new, 1e12))
+        u = rescale(np.minimum(u_new, _DEPTH_CAP))
         lam_prev = lam
         lam, g = _warm_principal(-u, h, kappa, g)
         it += 1
@@ -311,8 +352,11 @@ def chi_tilde(cfg: VariationalConfig, r_max: float = 256.0) -> ChiResult:
     interval; computed numerically (and equal to kappa pi^2 A^2 up to
     discretization).
 
-    gamma > 0: damped KKT iteration at each R with two starting profiles,
+    gamma > 0: damped KKT iteration at each R from two starting profiles,
     doubling R from 1 until enlarging the box stops improving the eigenvalue.
+    The warm start is the closed-form optimum ``_optimal_psi`` on the grid;
+    the cold start 1 + 10 (x/R)^2 keeps a route at every R that does not
+    use the formula.  The returned chi is bisected on the discrete profile.
     """
     if cfg.gamma == 0.0:
         L = 1.0 / cfg.A
@@ -330,7 +374,8 @@ def chi_tilde(cfg: VariationalConfig, r_max: float = 256.0) -> ChiResult:
         # eigenvalue improvements
         n = min(int(cfg.n_grid * R), 20000)
         x = -R + 2.0 * R / (n + 1) * np.arange(1, n + 1)
-        starts = [np.ones(n), 1.0 + (x / R) ** 2 * 10.0]
+        starts = [-_optimal_psi(cfg.A, cfg.gamma, cfg.kappa, x),
+                  1.0 + (x / R) ** 2 * 10.0]
         lam_R = -math.inf
         for u0 in starts:
             lam, u, its = _optimize_profile(cfg, R, u0)
