@@ -13,7 +13,6 @@ where they agree best (the twist index of a twisted factorisation).
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -44,6 +43,11 @@ _LOG_TINY = math.log(np.finfo(float).smallest_subnormal)  # log of a zero entry
 
 DENSE_LIMIT = 20000
 R_START = 8  # first box radius of solve_adaptive
+_BATCH = 8  # eigenvalues per bisection call of a point solve, from the top
+_GROWTH = 8  # most a point solve's round multiplies the modes it has
+# entries of one (m, n) array of a point solve's _log_vectors call: 4 MB,
+# 63 vectors at n = 8193
+_SHOT_ENTRIES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -103,7 +107,7 @@ def hamiltonian(field: Field, z: int, R: int, kappa: float) -> TridiagonalOperat
 
 def _shoot_log_multi(diag: np.ndarray, kappa: float, lams: np.ndarray,
                      from_left: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Log-magnitude and sign of the recurrence solution with one Dirichlet end.
+    """Log-ratios and signs of the recurrence solution with one Dirichlet end.
 
     Solves kappa v[i+1] = (lam + 2 kappa - xi[i]) v[i] - kappa v[i-1] for all
     shifts ``lams`` at once, starting from v = (0, 1) at the boundary.
@@ -111,13 +115,13 @@ def _shoot_log_multi(diag: np.ndarray, kappa: float, lams: np.ndarray,
     right end over the reversed diagonal; both kinds run in one sweep over
     the rows.  Shooting from the boundary toward the interior follows the
     growing solution, so the decaying eigenvector tail is obtained with
-    relative accuracy.  Returns arrays of shape (n, m) in sweep order: row k
-    of column j is k sites in from that column's own end.
+    relative accuracy.  Returns log|v[i+1] / v[i]|, shape (n - 1, m), and
+    the sign of v, shape (n, m), in sweep order: row i of column j is i
+    sites in from that column's own end, and log|v[i]| is the sum of the
+    first i log-ratios.
     """
-    n, m = len(diag), len(lams)
-    logabs = np.zeros((n, m))
-    r = logabs[1:]  # the ratios, then their logs, then log|v[1:]|, in place
-    r[:] = np.where(from_left, diag[:n - 1, None], diag[:0:-1, None])
+    n = len(diag)
+    r = np.where(from_left, diag[:n - 1, None], diag[:0:-1, None])
     np.subtract(lams, r, out=r)
     r /= kappa  # the recurrence coefficient c of each row
     # the ratio r[i] = v[i+1] / v[i] obeys r[0] = c[0], r[i] = c[i] - 1/r[i-1];
@@ -128,52 +132,61 @@ def _shoot_log_multi(diag: np.ndarray, kappa: float, lams: np.ndarray,
             row -= 1.0 / prev
         flips = np.logical_xor.accumulate(np.signbit(r), axis=0)
         np.log(np.abs(r, out=r), out=r)
-    # that pair becomes log|v[i+1]| = log|v[i]| + _LOG_TINY, and
-    # log|v[i+2]| = log|v[i]| with the sign flipped by the pair's signbits
+    # that pair of log-ratios becomes _LOG_TINY and -_LOG_TINY: v[i+1] reads
+    # v[i] e^_LOG_TINY, and v[i+2] the size of v[i] with the sign that the
+    # pair's signbits give it
     np.clip(r, _LOG_TINY, -_LOG_TINY, out=r)
-    np.cumsum(r, axis=0, out=r)
-    signs = np.ones((n, m))
+    signs = np.ones((n, len(lams)))
     signs[1:][flips] = -1.0
-    return logabs, signs
+    return r, signs
 
 
 def _log_vectors(op: TridiagonalOperator, lams: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray]:
     """log|v| and sign of the unit eigenvectors of ``op`` for eigenvalues ``lams``.
 
-    Returns arrays of shape (n, m), column j for lams[j].  Each eigenvalue is
+    Returns arrays of shape (m, n), row j for lams[j].  Each eigenvalue is
     shot from both Dirichlet ends in one sweep, and the shots are joined at
     the twist row k that minimises |v^L[k+1]/v^L[k] - v^R[k+1]/v^R[k]|, the
     joined vector's residual over kappa (gamma_k of a twisted factorisation,
-    Dhillon & Parlett 2004): rows <= k come from the left shot, rows >= k
-    from the right one, both scaled to 1 at row k.  Each shot is read only
-    where it grows from its end, so every entry is relatively accurate.
+    Dhillon & Parlett 2004).  From v[k] = 1 the left shot's log-ratios are
+    summed outward to the rows below k and the right shot's to the rows
+    above it, so each shot is read only where it grows from its end and
+    every entry, next to the twist row too, is relatively accurate.  Each
+    vector is built in its own contiguous row and every reduction runs along
+    that row, so its bits do not depend on the other eigenvalues of the call.
     """
     n, m = op.n, len(lams)
-    logs, signs = _shoot_log_multi(op.diag, op.kappa, np.concatenate([lams, lams]),
-                                   np.arange(2 * m) < m)
-    ll, sl = logs[:, :m], signs[:, :m]
-    lr, sr = logs[::-1, m:], signs[::-1, m:]  # right shots in row order
-    # beyond the shots only gap and rq are allocated, 4 MB each at n = 8193
-    # and m = 64; the vectors are built in place in the left shots' arrays
-    gap = np.full((n, m), np.inf)  # no twist at row n - 1 unless n = 1
-    lq, rq = gap[:-1], np.empty((n - 1, m))  # v[k+1] / v[k] of each shot
+    q, s = _shoot_log_multi(op.diag, op.kappa, np.concatenate([lams, lams]),
+                            np.arange(2 * m) < m)
+    # one row per vector, the right shots turned into row order:
+    # lq[:, i] = log|v^L[i+1] / v^L[i]| and rq[:, i] = log|v^R[i] / v^R[i+1]|
+    lq, rq = np.ascontiguousarray(q[:, :m].T), np.ascontiguousarray(q[::-1, m:].T)
+    sl, sr = s[:, :m].T, s[::-1, m:].T
+    del q
+    gap = np.full((m, n), np.inf)  # no twist at row n - 1 unless n = 1
     with np.errstate(over="ignore", invalid="ignore"):
-        for q, lg, sg in ((lq, ll, sl), (rq, lr, sr)):
-            np.exp(np.subtract(lg[1:], lg[:-1], out=q), out=q)
-            np.negative(q, out=q, where=sg[1:] != sg[:-1])
-        lq -= rq
+        a, b = np.exp(lq), np.exp(np.negative(rq))  # |v[i+1] / v[i]| of each shot
+        np.negative(a, out=a, where=sl[:, 1:] != sl[:, :-1])
+        np.negative(b, out=b, where=sr[:, 1:] != sr[:, :-1])
+        np.subtract(a, b, out=gap[:, :-1])
+    del a, b
     np.fmin(np.abs(gap, out=gap), np.inf, out=gap)  # a NaN (inf - inf) reads inf
-    k, cols = np.argmin(gap, axis=0), np.arange(m)
-    right = np.arange(n)[:, None] > k
-    ll -= ll[k, cols]
-    sl *= sl[k, cols]
-    np.copyto(ll, np.subtract(lr, lr[k, cols], out=gap), where=right)
-    np.copyto(sl, np.multiply(sr, sr[k, cols], out=gap), where=right)
-    ll -= ll.max(axis=0)
-    np.exp(np.multiply(ll, 2.0, out=gap), out=gap)
-    ll -= 0.5 * np.log(gap.sum(axis=0))
-    return ll, sl
+    k = np.argmin(gap, axis=1)[:, None]
+    # -log|v[i]| is the sum of the steps from row k to row i, taken outward
+    # from k: a masked step adds an exact zero, so each cumulative sum starts
+    # at the twist row
+    below = np.arange(n - 1) < k  # step i joins rows i and i + 1
+    ll = gap
+    ll[:, -1] = 0.0
+    np.cumsum(np.where(below, lq, 0.0)[:, ::-1], axis=1, out=ll[:, -2::-1])
+    ll[:, 1:] += np.cumsum(np.where(below, 0.0, rq), axis=1)
+    np.negative(ll, out=ll)
+    rows = np.arange(m)[:, None]
+    sgn = np.where(np.arange(n) > k, sr * sr[rows, k], sl * sl[rows, k])
+    ll -= ll.max(axis=1, keepdims=True)
+    ll -= 0.5 * np.log(np.sum(np.exp(2.0 * ll), axis=1, keepdims=True))
+    return ll, sgn
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +210,7 @@ def _eigvals(op: TridiagonalOperator, first: int, stop: int) -> np.ndarray:
 def principal_eigpair(op: TridiagonalOperator) -> SpectralData:
     """Principal Dirichlet eigenpair; eigenvector strictly positive, in log space."""
     w = _eigvals(op, 0, 1)
-    logv = _log_vectors(op, w)[0][:, 0]
+    logv = _log_vectors(op, w)[0][0]
     lam, vec = float(w[0]), np.exp(logv)
     res = float(np.linalg.norm(op.matvec(vec) - lam * vec))
     return SpectralData(principal=lam, log_eigvec=logv, residual=res)
@@ -246,65 +259,92 @@ class PointSolution:
     sign_ok: bool
     clamped_sites: int  # sites of the box held at -XI_CLAMP
     # the mode sum this value was read from; its point(t) gives the same box
-    # and site at any other t without a new eigensolve
+    # and site at any other t and computes only the modes no t reached yet
     mode_sum: _ModeSum = dataclasses.field(repr=False, compare=False)
 
 
 class _ModeSum:
     """The pruned spectral mode sum of u_R(t, x) at one site, for any t.
 
-    Mode j contributes exp(t lam_j) v_j(x) <v_j, 1>.  Eigenpairs are taken
-    from the top of the spectrum in batches of 16, 32, 64, 64, ... modes,
-    each batch computed the first time a t reaches it.  A batch keeps only
-    what the sum reads: lam_j, log|v_j(x)|, log|<v_j, 1>| and the term's
-    sign; the eigenvectors are dropped.  Every t reads an exact prefix of
-    the same batches, so ``point(t)`` does not depend on earlier t.
+    Mode j contributes exp(t lam_j) v_j(x) <v_j, 1>.  Eigenvalues are
+    bisected from the top of the spectrum in batches of _BATCH, and vectors
+    are built in one call for the eigenvalues that have none yet; a mode is
+    computed the first time some t reaches it.  Per mode only what the sum
+    reads is kept: lam_j, log|v_j(x)|, log|<v_j, 1>| and the term's sign;
+    the eigenvectors are dropped.  A t sums the batches up to the first one
+    after which the a-priori bound t*lam + 0.5 log n of the rest falls 46
+    nats below the largest positive term of those batches.  That prefix is
+    set by t alone, and every eigenvalue and vector is the same whatever
+    was computed with it, so ``point(t)`` does not depend on earlier t.
     """
 
     def __init__(self, op: TridiagonalOperator, x_idx: int):
         self.op = op
         self.x_idx = x_idx
-        self.batches: list[tuple[np.ndarray, ...]] = []
-        self.modes_done = 0
+        self.lam = np.empty(0)  # bisected eigenvalues, largest first
+        # for the first len(term_sign) modes, those with a vector:
+        self.log_vx = np.empty(0)     # log|v(x)|
+        self.log_ip = np.empty(0)     # log|<v, 1>|
+        self.term_sign = np.empty(0)  # sign of v(x) <v, 1>
 
-    def _batch(self, i: int) -> tuple[np.ndarray, ...]:
-        """(lam, log|v(x)|, log|<v, 1>|, term sign) of batch i."""
-        if i == len(self.batches):
-            op, first, x = self.op, self.modes_done, self.x_idx
-            w = _eigvals(op, first, min(op.n, first + min(16 << i, 64)))
-            logv, sgn = _log_vectors(op, w)
-            ip = np.sum(sgn * np.exp(logv), axis=0)
+    def _bisect_batch(self) -> None:
+        first = len(self.lam)
+        w = _eigvals(self.op, first, min(self.op.n, first + _BATCH))
+        self.lam = np.concatenate([self.lam, w])
+
+    def _shoot_new(self) -> None:
+        """Vectors of every eigenvalue that has none, in as few calls as
+        _SHOT_ENTRIES allows."""
+        op, x = self.op, self.x_idx
+        step = max(1, _SHOT_ENTRIES // op.n)
+        for first in range(len(self.term_sign), len(self.lam), step):
+            logv, sgn = _log_vectors(op, self.lam[first:first + step])
+            ip = np.sum(sgn * np.exp(logv), axis=1)
             with np.errstate(divide="ignore"):
                 logip = np.log(np.abs(ip))
-            # copies of row x: a view would keep the (n, m) arrays alive
-            self.batches.append((w, logv[x].copy(), logip,
-                                 sgn[x] * np.where(ip >= 0, 1.0, -1.0)))
-            self.modes_done += len(w)
-        return self.batches[i]
+            self.log_vx = np.concatenate([self.log_vx, logv[:, x]])
+            self.log_ip = np.concatenate([self.log_ip, logip])
+            self.term_sign = np.concatenate([self.term_sign,
+                                             sgn[:, x] * np.where(ip >= 0, 1.0, -1.0)])
+
+    def _log_terms(self, t: float) -> np.ndarray:
+        return t * self.lam[:len(self.term_sign)] + self.log_vx + self.log_ip
 
     def point(self, t: float) -> PointSolution:
-        """log u_R(t, x): modes are summed until the a-priori bound
-        t*lam + 0.5 log n of the rest falls 46 nats below the running total."""
+        """log u_R(t, x): batches are summed until the a-priori bound
+        t*lam + 0.5 log n of the rest falls 46 nats below the largest term."""
         if t < 0:
             raise ValueError(f"t must be >= 0, got {t}")
         n = self.op.n
-        log_terms: list[np.ndarray] = []
-        signs: list[np.ndarray] = []
-        k_done = 0
-        best = -math.inf
-        for i in itertools.count():
-            w, logv, logip, term_sign = self._batch(i)
-            lt = t * w + logv + logip
-            kept = lt > -math.inf  # a mode orthogonal to 1 contributes nothing
-            log_terms.append(lt[kept])
-            signs.append(term_sign[kept])
-            best = float(np.max(lt, where=term_sign > 0, initial=best))
-            k_done += len(w)
-            # the next eigenvalues are no larger than the last one taken
-            if k_done == n or t * w[-1] + 0.5 * math.log(n) < best - 46.0:
+        if not len(self.term_sign):
+            self._bisect_batch()
+            self._shoot_new()
+        # bisect until the rest is negligible against the largest positive
+        # term with a vector: that term is at most the best of the prefix, so
+        # the prefix ends within the modes bisected.  It can lie far below
+        # the best, so a round at most multiplies the modes by _GROWTH before
+        # their vectors are built and the bound is read again
+        while True:
+            lt = self._log_terms(t)
+            best = float(np.max(lt, where=self.term_sign > 0, initial=-math.inf))
+            stop = min(n, _GROWTH * len(self.lam))
+            while (len(self.lam) < stop
+                   and t * self.lam[-1] + 0.5 * math.log(n) >= best - 46.0):
+                self._bisect_batch()
+            if len(self.lam) == len(self.term_sign):
                 break
-        arr = np.concatenate(log_terms)
-        sg = np.concatenate(signs)
+            self._shoot_new()
+        # the first batch end at which the next eigenvalues, no larger than
+        # the last one taken, are negligible against the best term so far
+        ends = np.append(np.arange(_BATCH, len(lt), _BATCH), len(lt))
+        best_so_far = np.maximum.accumulate(
+            np.where(self.term_sign > 0, lt, -math.inf))
+        done = (ends == n) | (t * self.lam[ends - 1] + 0.5 * math.log(n)
+                              < best_so_far[ends - 1] - 46.0)
+        k_done = int(ends[np.argmax(done)])
+        arr, sg = lt[:k_done], self.term_sign[:k_done]
+        kept = arr > -math.inf  # a mode orthogonal to 1 contributes nothing
+        arr, sg = arr[kept], sg[kept]
         m = arr.max()
         total = float(np.sum(sg * np.exp(arr - m)))
         sign_ok = total > 0.0
@@ -315,9 +355,8 @@ class _ModeSum:
                 raise ArithmeticError(f"mode sum of u on a box of n = {n} sites "
                                       f"at t = {t} cancelled: no positive term")
             total = float(np.sum(np.exp(arr[sg > 0] - m)))
-        w0, logv0 = self.batches[0][:2]
-        return PointSolution(log_u=m + math.log(total), principal=float(w0[0]),
-                             log_e_center=float(logv0[0]), n=n,
+        return PointSolution(log_u=m + math.log(total), principal=float(self.lam[0]),
+                             log_e_center=float(self.log_vx[0]), n=n,
                              modes_used=k_done, sign_ok=sign_ok,
                              clamped_sites=int(self.op.clamped.sum()),
                              mode_sum=self)
@@ -329,9 +368,11 @@ def solve_point_log(field: Field, z: int, R: int, kappa: float, t: float,
 
     Contributions are summed in log space, from eigenvectors built in log
     space by ``_log_vectors``.  Modes are taken from the top of the spectrum
-    until the a-priori bound t*lam + 0.5 log n falls 46 nats below the
-    running total.  The result's ``mode_sum`` evaluates the same box and
-    site at further t.
+    in batches of _BATCH until the a-priori bound t*lam + 0.5 log n of the
+    rest falls 46 nats below the largest term, and eigenpairs are computed
+    about as deep as that cut.  The result's ``mode_sum`` evaluates the
+    same box and site at further t, computing only the modes that no
+    earlier t reached.
     """
     if x is None:
         x = z
@@ -365,9 +406,10 @@ def solve_adaptive(spec: PotentialSpec, seed: int, t: float, rtol: float,
     ``boxes`` maps R to the mode sum of the box of radius R for this
     (spec, seed, kappa), as held by ``PointSolution.mode_sum``.  A box
     missing from it is sampled, solved by ``solve_point_log`` and added; a
-    box present is evaluated at t without a new eigensolve.  A caller that
-    solves one field at several t passes the same dict to each call; the
-    result does not depend on what the dict already holds.
+    box present is evaluated at t, and only modes that no earlier t reached
+    are computed.  A caller that solves one field at several t passes the
+    same dict to each call; the result does not depend on what the dict
+    already holds.
     """
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")

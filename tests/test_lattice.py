@@ -177,10 +177,70 @@ class TestSolvePointLog:
     def test_cancelled_mode_sum_raises(self):
         # every term negative: the positive part is empty, a numerical failure
         ms = solve_point_log(zero_field(-3, 3), 0, 3, 1.0, 1.0).mode_sum
-        ms.batches = [(w, logv, logip, -np.ones_like(w))
-                      for w, logv, logip, _ in ms.batches]
+        ms.term_sign = -np.ones_like(ms.term_sign)
         with pytest.raises(ArithmeticError, match=r"n = 7 .*t = 2\.0"):
             ms.point(2.0)
+
+
+class TestModeSum:
+    """Eigenvalues and vectors computed lazily, each once, in any order."""
+
+    SPEC = make_spec(0.0, 1.0, atom_p=0.625)  # the rate_sweep benchmark spec
+
+    @pytest.mark.parametrize("R, seed", [(64, 1), (512, 2)])
+    def test_vectors_do_not_depend_on_grouping(self, R, seed):
+        # a vector shot alone, with every other eigenvalue or with the rest
+        # of its batch has the same bits, so a mode sum's terms do not
+        # depend on which t computed them
+        op = hamiltonian(sample_field(self.SPEC, -R, R, seed), 0, R, 1.0)
+        lams = lattice._eigvals(op, 0, 24)
+        logv, sgn = lattice._log_vectors(op, lams)
+        for groups in ([[j] for j in range(24)],
+                       [list(range(0, 24, 2)), list(range(1, 24, 2))],
+                       [list(range(5)), list(range(5, 24))]):
+            for g in groups:
+                logv_g, sgn_g = lattice._log_vectors(op, lams[g])
+                np.testing.assert_array_equal(logv_g, logv[g])
+                np.testing.assert_array_equal(sgn_g, sgn[g])
+
+    def test_any_order_of_t(self, monkeypatch):
+        # t = 1e2 first shoots 8, 56 and 24 vectors, t = 1e3 first 8, 24 and
+        # 56; every order reads the same prefix at each t
+        R, seed = 256, 5
+        fld = sample_field(self.SPEC, -R, R, seed)
+        shots = []
+        log_vectors = lattice._log_vectors
+
+        def recording(op, lams):
+            shots[-1].append(len(lams))
+            return log_vectors(op, lams)
+        monkeypatch.setattr(lattice, "_log_vectors", recording)
+        ts = (1e2, 1e3, 1e4)
+        results = []
+        for order in ((1e2, 1e4), (1e4, 1e2), (1e3, 1e4, 1e2)):
+            shots.append([])
+            ms = solve_point_log(fld, 0, R, 1.0, order[0]).mode_sum
+            results.append({t: ms.point(t) for t in order})
+        assert shots[0] != shots[2]
+        for t in ts:
+            sols = [res[t] for res in results if t in res]
+            assert len({(s.log_u, s.modes_used) for s in sols}) == 1
+
+    def test_large_t_bisects_one_batch(self, monkeypatch):
+        # 8 modes reach the 46-nat cut at t = 1e4, so one batch of 8
+        # eigenvalues is bisected and no more
+        found = []
+        eigh = lattice.eigh_tridiagonal
+
+        def counting(d, e, **kwargs):
+            w = eigh(d, e, **kwargs)
+            found.append(len(w))
+            return w
+        monkeypatch.setattr(lattice, "eigh_tridiagonal", counting)
+        R = 256
+        sol = solve_point_log(sample_field(self.SPEC, -R, R, 5), 0, R, 1.0, 1e4)
+        assert sol.modes_used <= 8
+        assert found == [8]
 
 
 class TestTailRebuildOracle:
@@ -189,13 +249,13 @@ class TestTailRebuildOracle:
     Each box has 25 sites and a principal vector with entries below 1e-6 of
     its peak on both sides of it, and at x = -R/2 and x = R/2 some modes
     have entries below 1e-6.  Eigenvalues are bisected to relative accuracy
-    and every vector is joined from two ratio shots, so both log u and log v
-    carry relative, not norm-wise, roundoff: on these boxes the errors were
-    at most 7.4e-16 in log u and 3.3e-15 in log v, relative to
-    max(1, |log|).  The largest log v errors sit near the peak, where an
-    entry is the difference of two shot logs of size up to 30.  The
-    tolerance is 4e-15; a norm-wise error (eps times the norm, up to 2.2e-8
-    here) would fail it.
+    and every vector is summed outward from the twist row over the log-ratios
+    of two shots, so both log u and log v carry relative, not norm-wise,
+    roundoff: on these boxes the errors were at most 5.0e-16 in log u and
+    4.0e-16 in log v, relative to max(1, |log|).  Read as differences of two
+    shot logs of size up to 30, the entries near the peak were 3.3e-15 off.
+    The tolerance is 4e-15; a norm-wise error (eps times the norm, up to
+    2.2e-8 here) would fail it.
 
     One box holds a site at the clamp.  Dense LAPACK entries below 1e-6 on
     it are not relatively accurate: read in place of the joined ones, they
@@ -208,7 +268,7 @@ class TestTailRebuildOracle:
     def test_shooting_against_exact_recurrence(self):
         # every row of the ratio recurrence, summed in log space through
         # solutions that grow past 1e200, with columns shot from both ends;
-        # over seeds 0-39 the largest error was 13 eps relative to
+        # over seeds 0-39 the largest error was 36 eps relative to
         # max(1, |log v|)
         mpmath = pytest.importorskip("mpmath")
         lams = np.array([-0.5, -1.5, -3.0, -3.0])
@@ -219,7 +279,9 @@ class TestTailRebuildOracle:
             diag = np.where(rng.random(n) < 0.3,
                             -np.exp(rng.uniform(5.0, 15.0, n)),
                             -rng.uniform(0.0, 4.0, n)) - 2.0
-            logs, signs = _shoot_log_multi(diag, 1.0, lams, from_left)
+            ratios, signs = _shoot_log_multi(diag, 1.0, lams, from_left)
+            logs = np.zeros((n, len(lams)))
+            np.cumsum(ratios, axis=0, out=logs[1:])
             assert logs.max() > 2 * math.log(1e100)
             exact_log = np.empty((n, len(lams)))
             exact_sign = np.empty((n, len(lams)))
@@ -317,10 +379,10 @@ class TestExactOracle:
                 assert small <= large + 1e-12
 
     def test_modes_from_different_batches(self):
-        # 25 modes in batches of 16 and 9 around a site at the clamp (x = -2);
-        # eigenvectors computed per batch by inverse iteration were 1.1e-9
-        # off orthogonal here and put log u off by 1.7e-9 (t = 1) and 1.5e-9
-        # (t = 4)
+        # modes of three or four bisection batches around a site at the clamp
+        # (x = -2); eigenvectors computed per batch by inverse iteration were
+        # 1.1e-9 off orthogonal here and put log u off by 1.7e-9 (t = 1) and
+        # 1.5e-9 (t = 4)
         mpmath = pytest.importorskip("mpmath")
         R, n, x = 12, 25, 6
         fld = sample_field(make_spec(0.0, 1.0), -R, R, 380)
@@ -332,7 +394,7 @@ class TestExactOracle:
                 u = mpmath.fsum(Q[x + R, j] * mpmath.exp(t * E[j]) * ip[j]
                                 for j in range(n))
                 sol = solve_point_log(fld, 0, R, 1.0, t, x)
-                assert sol.modes_used == n
+                assert sol.modes_used > 2 * lattice._BATCH
                 assert sol.log_u == pytest.approx(float(mpmath.log(u)),
                                                   rel=1e-13, abs=0.0)
 

@@ -255,12 +255,44 @@ class TestChiTilde:
         # the KKT iteration stops at its cap: psi is the profile whose
         # eigenvalue chi is, not the next iterate.  The closed-form start
         # converges here in 2 iterations, the fewest a run can take, so only
-        # a cap of 2 stops the best run at its cap
+        # a cap of 2 stops the best run at its cap.  chi is the warm Rayleigh
+        # quotient, 2e-13 from a bisection of psi; the next iterate's
+        # lambda is 4.8e-10 away
         cfg = VariationalConfig(A=1.0, gamma=0.5, kappa=1.0, n_grid=201,
                                 max_iter=2)
         res = chi_tilde(cfg)
         assert res.iterations == cfg.max_iter
-        assert _fd_principal(res.psi.values, res.psi.h, 1.0)[0] == -res.chi
+        assert _fd_principal(res.psi.values, res.psi.h, 1.0)[0] == pytest.approx(
+            -res.chi, rel=1e-12)
+
+    def test_lambda_against_sturm_bisection(self):
+        # chi is -lambda of kappa d^2/dx^2 + psi on the returned profile's
+        # grid, to 1e-13; a bisection in doubles, whose diagonal psi - 2/h^2
+        # is rounded, is 4.0e-12 off here (the Rayleigh quotient 5e-17)
+        mpmath = pytest.importorskip("mpmath")
+        res = chi_tilde(VariationalConfig(A=1.0, gamma=0.5))
+        with mpmath.workdps(40):
+            off = mpmath.mpf(1.0 / res.psi.h ** 2)
+            off2 = off ** 2
+            d = [mpmath.mpf(float(v)) - 2 * off for v in res.psi.values]
+
+            def above(s):
+                # eigenvalues above s: positive pivots of the LDL^T of H - s
+                q = d[0] - s
+                count = int(q > 0)
+                for di in d[1:]:
+                    q = di - s - off2 / q
+                    count += q > 0
+                return count
+
+            lo = mpmath.mpf(-res.chi) * (1 + mpmath.mpf(1e-9))
+            hi = mpmath.mpf(-res.chi) * (1 - mpmath.mpf(1e-9))
+            assert above(lo) == 1 and above(hi) == 0
+            for _ in range(50):
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if above(mid) else (lo, mid)
+            exact = float((lo + hi) / 2)
+        assert -res.chi == pytest.approx(exact, rel=1e-13, abs=0.0)
 
     def test_invalid_config(self):
         with pytest.raises(ValueError):
