@@ -113,15 +113,15 @@ def _shoot_log_multi(diag: np.ndarray, kappa: float, lams: np.ndarray,
     shifts ``lams`` at once, starting from v = (0, 1) at the boundary.
     Column j is shot from the left end where ``from_left[j]``, else from the
     right end over the reversed diagonal; both kinds run in one sweep over
-    the rows.  Shooting from the boundary toward the interior follows the
-    growing solution, so the decaying eigenvector tail is obtained with
-    relative accuracy.  Returns log|v[i+1] / v[i]|, shape (n - 1, m), and
-    the sign of v, shape (n, m), in sweep order: row i of column j is i
-    sites in from that column's own end, and log|v[i]| is the sum of the
-    first i log-ratios.
+    all n rows, so the last value v[n] lies on the far Dirichlet end, where
+    an eigenvector is zero.  Shooting from the boundary toward the interior
+    follows the growing solution, so the decaying eigenvector tail is
+    obtained with relative accuracy.  Returns log|v[i+1] / v[i]|, shape
+    (n, m), and the sign of v, shape (n + 1, m), in sweep order: row i of
+    column j is i sites in from that column's own end, and log|v[i]| is the
+    sum of the first i log-ratios.
     """
-    n = len(diag)
-    r = np.where(from_left, diag[:n - 1, None], diag[:0:-1, None])
+    r = np.where(from_left, diag[:, None], diag[::-1, None])
     np.subtract(lams, r, out=r)
     r /= kappa  # the recurrence coefficient c of each row
     # the ratio r[i] = v[i+1] / v[i] obeys r[0] = c[0], r[i] = c[i] - 1/r[i-1];
@@ -136,7 +136,7 @@ def _shoot_log_multi(diag: np.ndarray, kappa: float, lams: np.ndarray,
     # v[i] e^_LOG_TINY, and v[i+2] the size of v[i] with the sign that the
     # pair's signbits give it
     np.clip(r, _LOG_TINY, -_LOG_TINY, out=r)
-    signs = np.ones((n, len(lams)))
+    signs = np.ones((len(diag) + 1, len(lams)))
     signs[1:][flips] = -1.0
     return r, signs
 
@@ -149,41 +149,45 @@ def _log_vectors(op: TridiagonalOperator, lams: np.ndarray
     shot from both Dirichlet ends in one sweep, and the shots are joined at
     the twist row k that minimises |v^L[k+1]/v^L[k] - v^R[k+1]/v^R[k]|, the
     joined vector's residual over kappa (gamma_k of a twisted factorisation,
-    Dhillon & Parlett 2004).  From v[k] = 1 the left shot's log-ratios are
-    summed outward to the rows below k and the right shot's to the rows
-    above it, so each shot is read only where it grows from its end and
-    every entry, next to the twist row too, is relatively accurate.  Each
-    vector is built in its own contiguous row and every reduction runs along
-    that row, so its bits do not depend on the other eigenvalues of the call.
+    Dhillon & Parlett 2004).  Every row may be the twist row: at k = n - 1
+    the right shot's v^R[n] is its Dirichlet zero, as v^L[-1] is the left
+    shot's at k = 0.  From v[k] = 1 the left shot's log-ratios are summed
+    outward to the rows below k and the right shot's to the rows above it,
+    so each shot is read only where it grows from its end and every entry,
+    next to the twist row too, is relatively accurate.  Each vector is built
+    in its own contiguous row and every reduction runs along that row, so
+    its bits do not depend on the other eigenvalues of the call.
     """
     n, m = op.n, len(lams)
     q, s = _shoot_log_multi(op.diag, op.kappa, np.concatenate([lams, lams]),
                             np.arange(2 * m) < m)
     # one row per vector, the right shots turned into row order:
-    # lq[:, i] = log|v^L[i+1] / v^L[i]| and rq[:, i] = log|v^R[i] / v^R[i+1]|
+    # lq[:, i] = log|v^L[i+1] / v^L[i]| and rq[:, i] = log|v^R[i-1] / v^R[i]|,
+    # sl[:, i] the sign of v^L[i] and sr[:, i] that of v^R[i - 1]
     lq, rq = np.ascontiguousarray(q[:, :m].T), np.ascontiguousarray(q[::-1, m:].T)
     sl, sr = s[:, :m].T, s[::-1, m:].T
     del q
-    gap = np.full((m, n), np.inf)  # no twist at row n - 1 unless n = 1
     with np.errstate(over="ignore", invalid="ignore"):
-        a, b = np.exp(lq), np.exp(np.negative(rq))  # |v[i+1] / v[i]| of each shot
-        np.negative(a, out=a, where=sl[:, 1:] != sl[:, :-1])
-        np.negative(b, out=b, where=sr[:, 1:] != sr[:, :-1])
-        np.subtract(a, b, out=gap[:, :-1])
-    del a, b
+        # the gap of row i is v^L[i+1]/v^L[i] - v^R[i+1]/v^R[i], and at
+        # i = n - 1 the right shot's v^R[n] is zero
+        gap, b = np.exp(lq), np.exp(np.negative(rq[:, 1:]))
+        np.negative(gap, out=gap, where=sl[:, 1:] != sl[:, :-1])
+        np.negative(b, out=b, where=sr[:, 2:] != sr[:, 1:-1])
+        gap[:, :-1] -= b
+    del b
     np.fmin(np.abs(gap, out=gap), np.inf, out=gap)  # a NaN (inf - inf) reads inf
     k = np.argmin(gap, axis=1)[:, None]
     # -log|v[i]| is the sum of the steps from row k to row i, taken outward
     # from k: a masked step adds an exact zero, so each cumulative sum starts
     # at the twist row
-    below = np.arange(n - 1) < k  # step i joins rows i and i + 1
+    rank = np.arange(n)
     ll = gap
-    ll[:, -1] = 0.0
-    np.cumsum(np.where(below, lq, 0.0)[:, ::-1], axis=1, out=ll[:, -2::-1])
-    ll[:, 1:] += np.cumsum(np.where(below, 0.0, rq), axis=1)
+    np.cumsum(np.where(rank < k, lq, 0.0)[:, ::-1], axis=1, out=ll[:, ::-1])
+    ll += np.cumsum(np.where(rank > k, rq, 0.0), axis=1)
     np.negative(ll, out=ll)
     rows = np.arange(m)[:, None]
-    sgn = np.where(np.arange(n) > k, sr * sr[rows, k], sl * sl[rows, k])
+    sgn = np.where(rank > k, sr[:, 1:] * sr[rows, k + 1],
+                   sl[:, :-1] * sl[rows, k])
     ll -= ll.max(axis=1, keepdims=True)
     ll -= 0.5 * np.log(np.sum(np.exp(2.0 * ll), axis=1, keepdims=True))
     return ll, sgn
@@ -256,7 +260,7 @@ class PointSolution:
     log_e_center: float
     n: int
     modes_used: int
-    sign_ok: bool
+    sign_ok: bool       # always True: a sum that cancels raises
     clamped_sites: int  # sites of the box held at -XI_CLAMP
     # the mode sum this value was read from; its point(t) gives the same box
     # and site at any other t and computes only the modes no t reached yet
@@ -347,17 +351,13 @@ class _ModeSum:
         arr, sg = arr[kept], sg[kept]
         m = arr.max()
         total = float(np.sum(sg * np.exp(arr - m)))
-        sign_ok = total > 0.0
-        if not sign_ok:
-            # cancellation at noise level; fall back to the positive part,
-            # which still dominates the true value up to roundoff
-            if not (sg > 0).any():
-                raise ArithmeticError(f"mode sum of u on a box of n = {n} sites "
-                                      f"at t = {t} cancelled: no positive term")
-            total = float(np.sum(np.exp(arr[sg > 0] - m)))
+        if not total > 0.0:
+            raise ArithmeticError(f"mode sum of u on a box of n = {n} sites "
+                                  f"at t = {t} is not positive: {total:g} "
+                                  f"times its largest term")
         return PointSolution(log_u=m + math.log(total), principal=float(self.lam[0]),
                              log_e_center=float(self.log_vx[0]), n=n,
-                             modes_used=k_done, sign_ok=sign_ok,
+                             modes_used=k_done, sign_ok=True,
                              clamped_sites=int(self.op.clamped.sum()),
                              mode_sum=self)
 
@@ -391,7 +391,7 @@ class SolveResult:
     principal: float
     clamped_sites: int  # sites of the final box held at -XI_CLAMP
     modes_used: int     # spectral modes summed by the final point solve
-    sign_ok: bool       # False if that sum cancelled and log_u is its positive part
+    sign_ok: bool       # always True: a sum that cancels raises
     converged: bool
 
 

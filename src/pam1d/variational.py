@@ -351,9 +351,8 @@ def chi_tilde(cfg: VariationalConfig, r_max: float = 256.0) -> ChiResult:
     """Decay constant chi = -sup_R sup{lambda(psi) : L(psi) <= 1}.
 
     gamma = 0: the optimal profile is an arbitrarily shallow well on an
-    interval of length 1/A, so chi equals -lambda of the free Dirichlet
-    interval; computed numerically (and equal to kappa pi^2 A^2 up to
-    discretization).
+    interval of length 1/A, so chi is -lambda of the free Dirichlet
+    interval, kappa pi^2 A^2, read from ``_chi_closed`` with no eigen solve.
 
     gamma > 0: damped KKT iteration at each R from two starting profiles,
     doubling R from 1 until enlarging the box stops improving the eigenvalue.
@@ -363,11 +362,9 @@ def chi_tilde(cfg: VariationalConfig, r_max: float = 256.0) -> ChiResult:
     """
     if cfg.gamma == 0.0:
         L = 1.0 / cfg.A
-        lam = eig_continuum(lambda x: np.zeros_like(x), L / 2.0, cfg.kappa,
-                            n=cfg.n_grid)
         psi = ShapeFunction(R=L / 2.0, values=np.zeros(cfg.n_grid))
-        return ChiResult(chi=-lam, R=L / 2.0, psi=psi,
-                         budget=cfg.A * L, iterations=0)
+        return ChiResult(chi=_chi_closed(cfg.A, 0.0, cfg.kappa), R=L / 2.0,
+                         psi=psi, budget=cfg.A * L, iterations=0)
 
     best = (-math.inf, None, None, 0)
     R = 1.0

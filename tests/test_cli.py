@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from pam1d.cli import main
-from pam1d.experiments import t_grid
+from pam1d.experiments import ExperimentConfig, rate_curve, t_grid
+from pam1d.lattice import hamiltonian, principal_eigpair
 from pam1d.montecarlo import fk_estimate, jump_budget
 from pam1d.potential import sample_field, spec_from_json
 
@@ -148,6 +149,33 @@ class TestSolve:
         assert obj["sign_ok"] is True
         assert obj["u"] == pytest.approx(math.exp(obj["log_u"]))
         assert obj["log_u"] <= 0.0
+
+
+class TestRateAndEigen:
+    def test_rate_rows_match_rate_curve(self, capsys, spec_file):
+        code, out, _ = run(capsys, "rate", "--spec", spec_file, "--seeds", "2",
+                           "--t-grid", "1e2:1e3:geometric:2", "--deterministic")
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert lines[0].strip() == ("t,seed,R_used,log_u,b_t,alpha_bt_sq,rho,"
+                                    "converged")
+        rows = [line.strip().split(",") for line in lines[1:]]
+        curve = rate_curve(ExperimentConfig(spec=spec_from_json(ATOM_SPEC),
+                                            seeds=(0, 1)), np.array([1e2, 1e3]))
+        assert len(rows) == len(curve.t) == 4
+        assert [int(row[1]) for row in rows] == curve.seed.tolist()
+        assert [float(row[3]) for row in rows] == curve.log_u.tolist()
+
+    def test_eigen_schema(self, capsys, spec_file):
+        code, out, _ = run(capsys, "eigen", "--spec", spec_file, "--seed", "1",
+                           "--radius", "20", "--deterministic")
+        assert code == 0
+        obj = json.loads(out)
+        assert list(obj) == ["lambda", "e_center", "residual", "R", "z"]
+        fld = sample_field(spec_from_json(ATOM_SPEC), -20, 20, 1)
+        pe = principal_eigpair(hamiltonian(fld, 0, 20, 1.0))
+        assert obj["lambda"] == pe.principal
+        assert (obj["R"], obj["z"]) == (20, 0)
 
 
 class TestFkAndLbound:

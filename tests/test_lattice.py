@@ -175,11 +175,16 @@ class TestSolvePointLog:
         assert abs(logs[2] - logs[1]) < 1e-5
 
     def test_cancelled_mode_sum_raises(self):
-        # every term negative: the positive part is empty, a numerical failure
-        ms = solve_point_log(zero_field(-3, 3), 0, 3, 1.0, 1.0).mode_sum
-        ms.term_sign = -np.ones_like(ms.term_sign)
-        with pytest.raises(ArithmeticError, match=r"n = 7 .*t = 2\.0"):
-            ms.point(2.0)
+        # a sum that is not positive is a numerical failure, never a value:
+        # every term negative, or every sign flipped, which leaves terms of
+        # both signs that sum to -u
+        for mixed in (False, True):
+            ms = solve_point_log(zero_field(-3, 3), 0, 3, 1.0, 1.0).mode_sum
+            ms.term_sign = (-ms.term_sign if mixed
+                            else -np.ones_like(ms.term_sign))
+            assert (ms.term_sign > 0).any() == mixed
+            with pytest.raises(ArithmeticError, match=r"n = 7 .*t = 2\.0"):
+                ms.point(2.0)
 
 
 class TestModeSum:
@@ -267,9 +272,9 @@ class TestTailRebuildOracle:
 
     def test_shooting_against_exact_recurrence(self):
         # every row of the ratio recurrence, summed in log space through
-        # solutions that grow past 1e200, with columns shot from both ends;
-        # over seeds 0-39 the largest error was 36 eps relative to
-        # max(1, |log v|)
+        # solutions that grow past 1e200, with columns shot from both ends
+        # over all n rows to the far end's value v[n]; over seeds 0-39 the
+        # largest error was 36 eps relative to max(1, |log v|)
         mpmath = pytest.importorskip("mpmath")
         lams = np.array([-0.5, -1.5, -3.0, -3.0])
         from_left = np.array([True, False, True, False])
@@ -280,19 +285,21 @@ class TestTailRebuildOracle:
                             -np.exp(rng.uniform(5.0, 15.0, n)),
                             -rng.uniform(0.0, 4.0, n)) - 2.0
             ratios, signs = _shoot_log_multi(diag, 1.0, lams, from_left)
-            logs = np.zeros((n, len(lams)))
+            assert ratios.shape == (n, len(lams))
+            logs = np.zeros((n + 1, len(lams)))
             np.cumsum(ratios, axis=0, out=logs[1:])
             assert logs.max() > 2 * math.log(1e100)
-            exact_log = np.empty((n, len(lams)))
-            exact_sign = np.empty((n, len(lams)))
+            exact_log = np.empty((n + 1, len(lams)))
+            exact_sign = np.empty((n + 1, len(lams)))
             with mpmath.workdps(40):
                 for j, lam in enumerate(lams):
-                    d = diag if from_left[j] else diag[::-1]
                     prev, cur = mpmath.mpf(0), mpmath.mpf(1)
-                    for i in range(n):
-                        exact_log[i, j] = float(mpmath.log(abs(cur)))
-                        exact_sign[i, j] = 1.0 if cur >= 0 else -1.0
-                        prev, cur = cur, (mpmath.mpf(lam) - d[i]) * cur - prev
+                    v = [cur]
+                    for d in (diag if from_left[j] else diag[::-1]):
+                        prev, cur = cur, (mpmath.mpf(lam) - d) * cur - prev
+                        v.append(cur)
+                    exact_log[:, j] = [float(mpmath.log(abs(x))) for x in v]
+                    exact_sign[:, j] = [1.0 if x >= 0 else -1.0 for x in v]
             np.testing.assert_array_equal(signs, exact_sign)
             np.testing.assert_allclose(logs, exact_log, rtol=1e-14, atol=1e-14)
 
@@ -416,6 +423,46 @@ class TestExactOracle:
         assert exact == pytest.approx(-2048.76936, abs=1e-5)
         assert sol.sign_ok
         assert sol.log_u == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+
+class TestWalledBoxes:
+    """Point values next to and behind clamped walls against exact expm.
+
+    The reference is a 40-digit ``mpmath.expm`` of the same clamped matrix.
+    Each box has a clamped wall at its second-last site, so one mode sits
+    on the last site alone and its twist row is n - 1.  With that row
+    barred from the twist search, log u was off by 4.3e-3 to 16.9 nats,
+    and in the first two cases the signed mode sum cancelled.
+    """
+
+    @pytest.mark.parametrize("gamma, zeta, seed, R, x, t", [
+        (0.5, 0.25, 29, 16, 16, 0.5), (0.5, 0.25, 29, 16, 16, 10.0),
+        (0.5, 0.5, 17, 16, 0, 0.5), (0.0, 0.5, 17, 16, 6, 0.5),
+        (0.5, 0.5, 17, 16, -12, 0.5)])
+    def test_against_exact_exponential(self, gamma, zeta, seed, R, x, t):
+        mpmath = pytest.importorskip("mpmath")
+        fld = sample_field(make_spec(gamma, zeta, atom_p=0.625), -R, R, seed)
+        assert hamiltonian(fld, 0, R, 1.0).clamped.any()
+        with mpmath.workdps(40):
+            m = mpmath.matrix((t * _dense_matrix(fld, 0, R, 1.0)).tolist())
+            u = (mpmath.expm(m) * mpmath.matrix([1] * (2 * R + 1)))[x + R]
+            exact = float(mpmath.log(u))
+        sol = solve_point_log(fld, 0, R, 1.0, t, x)
+        assert sol.sign_ok
+        assert sol.log_u == pytest.approx(exact, rel=0.0, abs=1e-12)
+
+    @pytest.mark.xfail(strict=True, reason="bit-equal eigenvalues of twin "
+                       "blocks give one vector twice and lose the other mode")
+    def test_twin_blocks_with_tied_eigenvalues(self):
+        # gamma = 0 light values are exactly 0 or -1, so the runs [14..17]
+        # and [39..42], each fenced by clamped walls, have equal eigenvalues
+        # to the bit: 16 neighbouring pairs of the 129 are equal, 21 vectors
+        # duplicate another, and log u reads -33.34 against -19.358
+        R, x, t = 64, 14, 30.0
+        fld = sample_field(make_spec(0.0, 0.25, atom_p=0.625), -R, R, 1)
+        sol = solve_point_log(fld, 0, R, 1.0, t, x)
+        ref = solve_box(fld, 0, R, 1.0, t)[x + R]
+        assert sol.log_u == pytest.approx(math.log(ref), rel=0.0, abs=1e-6)
 
 
 class TestSolveAdaptive:

@@ -204,13 +204,21 @@ class TestClosedForm:
 
 
 class TestChiTilde:
-    def test_gamma0_closed_form(self):
+    def test_gamma0_closed_form(self, monkeypatch):
+        # the free interval of length 1/A, read from its closed form with no
+        # eigen solve
+        def no_solve(*args, **kwargs):
+            raise AssertionError("eigen solve at gamma = 0")
+        monkeypatch.setattr(variational, "eigh_tridiagonal", no_solve)
         for a, kappa in ((math.log(2.0), 1.0), (1.0, 2.0)):
             cfg = VariationalConfig(A=a, gamma=0.0, kappa=kappa)
             res = chi_tilde(cfg)
             assert res.chi == pytest.approx(kappa * math.pi ** 2 * a ** 2,
-                                            rel=1e-6)
+                                            rel=1e-14)
+            assert res.R == 0.5 / a
             assert res.budget == pytest.approx(1.0)
+            assert res.iterations == 0
+            assert np.array_equal(res.psi.values, np.zeros(cfg.n_grid))
 
     def test_gamma_half_frozen_value(self):
         # frozen from a fine-grid run (n_grid = 801, tol = 1e-8)
