@@ -72,8 +72,6 @@ def _parse_grid(text: str) -> np.ndarray:
 
 
 def _load_spec(args) -> PotentialSpec:
-    if args.spec is None:
-        raise ConfigError("--spec is required for this subcommand")
     try:
         with open(args.spec, "r", encoding="utf-8") as fh:
             return spec_from_json(fh.read())
@@ -338,11 +336,17 @@ def _finite_float(text: str) -> float:
     return x
 
 
-def _add_common(p: argparse.ArgumentParser, fmt_default: str) -> None:
-    p.add_argument("--spec", help="path to the potential spec JSON")
-    p.add_argument("--seed", type=int, default=0)
+def _add_common(p: argparse.ArgumentParser, table: bool,
+                field: bool = True) -> None:
+    """Shared flags: --spec (required) and --seed where the subcommand reads
+    a spec, and --format (csv by default) where it prints a table, not JSON."""
+    if field:
+        p.add_argument("--spec", required=True,
+                       help="path to the potential spec JSON")
+        p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="output path (default: stdout)")
-    p.add_argument("--format", choices=("csv", "json"), default=fmt_default)
+    if table:
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--deterministic", action="store_true",
                    help="suppress the timestamp header line")
 
@@ -353,7 +357,7 @@ def _build_parser() -> _Parser:
                                 parser_class=_Parser)
 
     p = sub.add_parser("field", help="print one field realization")
-    _add_common(p, "csv")
+    _add_common(p, table=True)
     p.add_argument("--lo", type=int, default=-50)
     p.add_argument("--hi", type=int, default=50)
     p.set_defaults(func=_cmd_field)
@@ -361,26 +365,26 @@ def _build_parser() -> _Parser:
     for col, fn, hlp in (("H", cumulant_H, "upper-tail cumulant H"),
                          ("G", cumulant_G, "lower-tail scale G")):
         p = sub.add_parser(col.lower(), help=hlp)
-        _add_common(p, "csv")
+        _add_common(p, table=True)
         p.add_argument("--l-grid", default="1:1e6:geometric:13")
         p.set_defaults(func=_cmd_cumulant, cumulant=fn, column=col)
 
     p = sub.add_parser("scales", help="deterministic scale table")
-    _add_common(p, "csv")
+    _add_common(p, table=True)
     p.add_argument("--t-grid", default="1e3:1e12:geometric:16")
     p.add_argument("--eta", type=_finite_float, default=0.8)
     p.add_argument("--rho", type=_finite_float, default=1.0)
     p.set_defaults(func=_cmd_scales)
 
     p = sub.add_parser("eigen", help="principal Dirichlet eigenpair of a box")
-    _add_common(p, "json")
+    _add_common(p, table=False)
     p.add_argument("--z", type=int, default=0)
     p.add_argument("--radius", type=int, default=50)
     p.add_argument("--kappa", type=_finite_float, default=1.0)
     p.set_defaults(func=_cmd_eigen)
 
     p = sub.add_parser("solve", help="adaptive point solve of u(t, 0)")
-    _add_common(p, "json")
+    _add_common(p, table=False)
     p.add_argument("--t", type=_finite_float, required=True)
     p.add_argument("--rtol", type=_finite_float, default=1e-8)
     p.add_argument("--kappa", type=_finite_float, default=1.0)
@@ -389,7 +393,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("fk", help="Feynman-Kac Monte Carlo estimate")
-    _add_common(p, "json")
+    _add_common(p, table=False)
     p.add_argument("--t", type=_finite_float, required=True)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--box", type=int, default=None)
@@ -397,7 +401,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_fk)
 
     p = sub.add_parser("lbound", help="best screening lower bound")
-    _add_common(p, "json")
+    _add_common(p, table=False)
     p.add_argument("--t", type=_finite_float, required=True)
     p.add_argument("--radius", type=int, required=True)
     p.add_argument("--search", type=int, default=None)
@@ -405,7 +409,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_lbound)
 
     p = sub.add_parser("legendre", help="Legendre budget of a profile")
-    _add_common(p, "json")
+    _add_common(p, table=False, field=False)
     p.add_argument("--gamma", type=_finite_float, required=True)
     p.add_argument("--A", type=_finite_float, required=True)
     p.add_argument("--psi", help="profile JSON {R, values}")
@@ -417,14 +421,14 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_legendre)
 
     p = sub.add_parser("chi", help="variational decay constant chi")
-    _add_common(p, "json")
+    _add_common(p, table=False, field=False)
     p.add_argument("--gamma", type=_finite_float, required=True)
     p.add_argument("--A", type=_finite_float, required=True)
     p.add_argument("--kappa", type=_finite_float, default=1.0)
     p.set_defaults(func=_cmd_chi)
 
     p = sub.add_parser("rate", help="decay-rate curve rho(t) per seed")
-    _add_common(p, "csv")
+    _add_common(p, table=True)
     p.add_argument("--t-grid", default="1e2:1e4:geometric:5")
     p.add_argument("--seeds", type=int, default=20)
     p.add_argument("--rtol", type=_finite_float, default=1e-4)
@@ -432,26 +436,26 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_rate)
 
     p = sub.add_parser("verify-h", help="rescaled cumulant collapse check")
-    _add_common(p, "csv")
+    _add_common(p, table=True)
     p.add_argument("--t-grid", default="1e4:1e8:geometric:5")
     p.set_defaults(func=_cmd_verify_h)
 
     p = sub.add_parser("verify-lln", help="screening-sum divergence check")
-    _add_common(p, "csv")
+    _add_common(p, table=True)
     p.add_argument("--b", type=_finite_float, default=1.0)
     p.add_argument("--n-grid", default="1e2:1e4:geometric:3")
     p.add_argument("--seeds", type=int, default=100)
     p.set_defaults(func=_cmd_verify_lln)
 
     p = sub.add_parser("verify-last", help="screening-sum upper-bound check")
-    _add_common(p, "csv")
+    _add_common(p, table=True)
     p.add_argument("--eta", type=_finite_float, default=0.8)
     p.add_argument("--n-grid", default="1e2:1e4:geometric:3")
     p.add_argument("--seeds", type=int, default=100)
     p.set_defaults(func=_cmd_verify_last)
 
     p = sub.add_parser("verify-microbox", help="favourable-microbox frequency")
-    _add_common(p, "csv")
+    _add_common(p, table=True)
     p.add_argument("--psi", help="profile JSON {R, values}")
     p.add_argument("--R", type=_finite_float, default=None)
     p.add_argument("--depth", type=_finite_float, default=0.05)

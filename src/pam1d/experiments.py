@@ -46,10 +46,16 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kappa <= 0:
             raise ValueError(f"kappa must be > 0, got {self.kappa}")
-        if len(self.seeds) == 0:
-            raise ValueError("seeds must not be empty")
+        _nonempty_seeds(self.seeds)
         if not self.rtol > 0:
             raise ValueError(f"rtol must be > 0, got {self.rtol}")
+
+
+def _nonempty_seeds(seeds) -> list:
+    seeds = list(seeds)
+    if not seeds:
+        raise ValueError("seeds must not be empty")
+    return seeds
 
 
 def t_grid(spec: PotentialSpec, n_lo: int, n_hi: int) -> np.ndarray:
@@ -157,6 +163,7 @@ def check_lln(spec: PotentialSpec, b: float, n_values, seeds) -> dict:
     above 1.  Returns {"n", "stats" (seeds x n), "frac_gt_1", "frac_gt_10"}.
     Requires an infinite log-moment lower tail (the divergence hypothesis).
     """
+    seeds = _nonempty_seeds(seeds)
     if b < 1.0:
         raise ValueError(f"b must be >= 1, got {b}")
     if not spec.lower.has_infinite_log_moment():
@@ -166,7 +173,6 @@ def check_lln(spec: PotentialSpec, b: float, n_values, seeds) -> dict:
     n_values = [int(n) for n in np.atleast_1d(n_values)]
     if min(n_values) < 3:
         raise ValueError(f"n values must be >= 3, got {n_values}")
-    seeds = list(seeds)
     log_b = math.log(b)
     stats = np.empty((len(seeds), len(n_values)))
     for j, n in enumerate(n_values):
@@ -224,13 +230,13 @@ def check_last(spec: PotentialSpec, eta: float, n_values,
     concentrates below 1.  Returns ({"n", "stats", "frac_le_1p2"}, rho).
     Requires an infinite log-moment lower tail, matching check_lln.
     """
+    seeds = _nonempty_seeds(seeds)
     if not spec.lower.has_infinite_log_moment():
         raise ValueError(
             "lower tail has a finite log-moment; the upper-bound statement "
             "does not apply to this spec")
     rho = estimate_rho(spec, eta)
     n_values = [int(n) for n in np.atleast_1d(n_values)]
-    seeds = list(seeds)
     stats = np.empty((len(seeds), len(n_values)))
     for j, n in enumerate(n_values):
         norm = g_tilde_inverse(spec, eta, rho / n)
@@ -257,6 +263,7 @@ def check_microbox(spec: PotentialSpec, psi, eps: float, eta: float,
     at or above 1 makes the sought windows too rare for the macrobox scale,
     and eta below the budget breaks the normalizer ordering.
     """
+    seeds = _nonempty_seeds(seeds)
     budget = legendre_L(psi, canonical_A(spec), spec.gamma)
     if not budget < 1.0:
         raise ValueError(f"profile budget L(psi) = {budget:.6g} must be < 1")
@@ -265,7 +272,6 @@ def check_microbox(spec: PotentialSpec, psi, eps: float, eta: float,
             f"eta must be in (L(psi), 1) = ({budget:.6g}, 1), got {eta}")
     params = ScaleParams.from_spec(spec)
     rho = estimate_rho(spec, eta)
-    seeds = list(seeds)
     freqs = []
     for t in t_values:
         b = b_scale(spec, params, t)

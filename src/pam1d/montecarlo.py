@@ -173,12 +173,33 @@ def fk_estimate(field: Field, kappa: float, t: float, n_samples: int,
                     exit_fraction=exited / n_samples)
 
 
+def _crossing(field: Field, y: int
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """xi, r_x = (-xi(x) v 1)^{-1} and the crossing budgets from 0 to y.
+
+    The crossed sites are 0..y-1 for y > 0 and 0, -1, ..., y+1 for y < 0, in
+    crossing order (none for y = 0); budget[k] is sum r_x over the first k,
+    so budget[-1] is the budget to y.  np.cumsum adds outward one site at a
+    time, so a prefix has the same bits however far the array reaches.
+    """
+    if y == 0:
+        xi = r = np.zeros(0)
+    else:
+        lo, hi, order = (0, y - 1, 1) if y > 0 else (y + 1, 0, -1)
+        xi = field.xi(lo, hi)[::order]
+        with np.errstate(under="ignore"):
+            r = np.exp(-field.log_neg_or1(lo, hi)[::order])   # r_x <= 1
+    budget = np.zeros(r.size + 1)
+    np.cumsum(r, out=budget[1:])
+    return xi, r, budget
+
+
 def screening_lower_bound(field: Field, kappa: float, t: float, y: int,
                           R: int) -> float:
     """Log of an explicit lower bound for u(t, 0) via the travel strategy.
 
     The walk crosses from 0 to the centre y of the window y + [-R, R],
-    spending r_x = (-xi(x) v 1)^{-1} at each site x strictly between 0 and y
+    spending r_x = (-xi(x) v 1)^{-1} at each site from 0 up to y, y excluded
     (probability of moving on within time r_x is at least
     (1 - e^{-2 kappa r_x})/2, and the potential costs at most e^{xi(x) r_x});
     it then stays inside the window for the remaining time, bounded below by
@@ -188,42 +209,29 @@ def screening_lower_bound(field: Field, kappa: float, t: float, y: int,
     After arriving (in total time at most sum r_x), the walk waits at the
     window centre until the split time s, paying the penalty (xi(y) - 2 kappa)
     per unit of waiting time, and then stays in the window over [s, t].  The
-    split is fixed at s = min(sum r_x, t/2), which is sum r_x whenever the
-    strategy is feasible; raises ValueError when the crossing budget sum r_x
-    exceeds t/2 (strategy infeasible).
+    split s is the crossing budget sum r_x itself; a budget above t/2 makes
+    the strategy infeasible and raises ValueError.
     """
     if kappa <= 0:
         raise ValueError(f"kappa must be > 0, got {kappa}")
     if t <= 0:
         raise ValueError(f"t must be > 0, got {t}")
-    if y == 0:
-        budget = 0.0
-        log_travel = 0.0
-    else:
-        # the walk must reach the window centre itself (the kernel bound
-        # below is taken at the centre), so every site from 0 up to y is
-        # crossed and paid for
-        if y > 0:
-            lo_x, hi_x = 0, y - 1
-        else:
-            lo_x, hi_x = y + 1, 0
-        wp = field.log_neg_or1(lo_x, hi_x)       # log(-xi v 1) per crossed site
-        with np.errstate(under="ignore"):
-            r = np.exp(-wp)                       # r_x = (-xi v 1)^{-1} <= 1
-        budget = float(r.sum())
-        # per-site: log[ (1 - e^{-2 kappa r}) / 2 ] + xi * r; the potential
-        # cost xi * r is exactly -1 wherever -xi >= 1 and xi otherwise
-        # r underflows to 0 on astronomically deep sites; the factor is then
-        # -inf, correctly marking the crossing as impossible
-        with np.errstate(divide="ignore"):
-            jump = np.log(-np.expm1(-2.0 * kappa * r)) - math.log(2.0)
-        pot = np.maximum(field.xi(lo_x, hi_x), -1.0)
-        log_travel = float(jump.sum() + pot.sum())
-    if budget > t / 2.0:
+    # the walk must reach the window centre itself (the kernel bound below
+    # is taken at the centre), so every site from 0 up to y is crossed and
+    # paid for
+    xi, r, budget = _crossing(field, y)
+    s = float(budget[-1])
+    if s > t / 2.0:
         raise ValueError(
-            f"crossing budget sum r_x = {budget:.6g} exceeds half the time "
+            f"crossing budget sum r_x = {s:.6g} exceeds half the time "
             f"t/2 = {t / 2.0:.6g}; strategy infeasible")
-    s = budget  # the split time min(sum r_x, t/2)
+    # per-site: log[ (1 - e^{-2 kappa r}) / 2 ] + xi * r; the potential
+    # cost xi * r is exactly -1 wherever -xi >= 1 and xi otherwise
+    # r underflows to 0 on astronomically deep sites; the factor is then
+    # -inf, correctly marking the crossing as impossible
+    with np.errstate(divide="ignore"):
+        jump = np.log(-np.expm1(-2.0 * kappa * r)) - math.log(2.0)
+    log_travel = float(jump.sum() + np.maximum(xi, -1.0).sum())
     # waiting penalty at the centre until time s, with the exact potential
     xi_c = field.xi(y, y).item()
     log_wait = (xi_c - 2.0 * kappa) * s
@@ -239,9 +247,9 @@ def best_screening_bound(field: Field, kappa: float, t: float, search: int,
     """Best screening bound over candidate window centres; (log bound, y*).
 
     Scans candidate centres y of both signs with |y| <= search on a stride of
-    R (every site when R <= 1), skipping centres whose crossing is infeasible
-    within the split time; raises ValueError when an argument is out of
-    range or when no candidate is feasible.
+    R (every site when R <= 1), skipping the centres whose crossing budget
+    exceeds t/2; raises ValueError when an argument is out of range or when
+    no candidate is feasible.
     """
     if kappa <= 0:
         raise ValueError(f"kappa must be > 0, got {kappa}")
@@ -257,26 +265,15 @@ def best_screening_bound(field: Field, kappa: float, t: float, search: int,
     centres = centres[(centres - R >= field.lo) & (centres + R <= field.hi)]
     if centres.size == 0:
         raise ValueError("field too small for the window radius")
-    # crossing budget sum r_x of every centre, from prefix sums of r that
-    # run outward from 0: y > 0 crosses 0..y-1 and y < 0 crosses y+1..0
-    lo_x = min(int(centres[0]) + 1, 0)
-    with np.errstate(under="ignore"):
-        r = np.exp(-field.log_neg_or1(lo_x, max(int(centres[-1]) - 1, 0)))
-    right = np.concatenate([[0.0], np.cumsum(r[-lo_x:])])
-    left = np.concatenate([[0.0], np.cumsum(r[-lo_x::-1])])
+    # the budget of every centre, read off one outward pass per side
+    right = _crossing(field, max(int(centres[-1]), 0))[2]
+    left = _crossing(field, min(int(centres[0]), 0))[2]
     budget = np.where(centres > 0, right[np.maximum(centres, 0)],
                       left[np.maximum(-centres, 0)])
-    # over n crossed sites these sums and screening_lower_bound's own differ
-    # by a relative n eps at most, so for n below 1e6 the slack lets through
-    # every centre that it accepts
-    feasible = centres[budget <= t / 2.0 * (1.0 + 1e-9)]
     best = -math.inf
     best_y = None
-    for y in feasible:
-        try:
-            val = screening_lower_bound(field, kappa, t, int(y), R)
-        except ValueError:   # infeasible within the slack
-            continue
+    for y in centres[budget <= t / 2.0]:
+        val = screening_lower_bound(field, kappa, t, int(y), R)
         if val > best:
             best, best_y = val, int(y)
     if best_y is None:

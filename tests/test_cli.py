@@ -73,7 +73,11 @@ class TestExitCodes:
         ("solve", "--t", "5", "--rtol", "-1"),
         ("rate", "--rtol", "0"),
         ("rate", "--seeds", "0"),
-    ], ids=["r-cap-below-start", "negative-rtol", "zero-rtol", "no-seeds"])
+        ("verify-lln", "--seeds", "0"),
+        ("verify-last", "--seeds", "0"),
+        ("verify-microbox", "--seeds", "0", "--R", "0.5"),
+    ], ids=["r-cap-below-start", "negative-rtol", "zero-rtol", "no-seeds",
+            "lln-no-seeds", "last-no-seeds", "microbox-no-seeds"])
     def test_bad_solver_settings(self, capsys, spec_file, argv):
         # rejected before any solve: a cap below the first box radius, a
         # tolerance that can never be met, no seeds
@@ -110,6 +114,18 @@ class TestExitCodes:
                            "--seeds", "5", "--deterministic")
         assert code == 3
         assert "1e300" in err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("solve", "--spec", "x.json", "--t", "5", "--format", "csv"),
+         "--format csv"),
+        (("chi", "--gamma", "0.5", "--A", "1", "--spec", "x.json"),
+         "--spec x.json"),
+    ], ids=["solve-format", "chi-spec"])
+    def test_flag_the_command_does_not_read(self, capsys, argv, flag):
+        # JSON-only commands take no --format, chi and legendre no --spec
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert f"unrecognized arguments: {flag}" in err
 
     def test_success(self, capsys, spec_file):
         code, _, _ = run(capsys, "h", "--spec", spec_file,

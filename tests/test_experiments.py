@@ -159,6 +159,10 @@ class TestLln:
         with pytest.raises(ValueError, match="finite log-moment"):
             check_lln(bounded_spec, 1.0, [100], range(3))
 
+    def test_no_seeds_rejected(self, atom_spec):
+        with pytest.raises(ValueError, match="seeds must not be empty"):
+            check_lln(atom_spec, 1.0, [100], range(0))
+
 
 class TestLast:
     def test_statistic_below_threshold(self):
@@ -177,6 +181,10 @@ class TestLast:
     def test_bounded_rejected(self, bounded_spec):
         with pytest.raises(ValueError, match="finite log-moment"):
             check_last(bounded_spec, 0.5, [100], range(3))
+
+    def test_no_seeds_rejected(self, atom_spec):
+        with pytest.raises(ValueError, match="seeds must not be empty"):
+            check_last(atom_spec, 0.5, [100], range(0))
 
     def test_rho_finite_loglog(self):
         # about 0.14 % of theta = 1 log-log sites have log W beyond the
@@ -223,3 +231,9 @@ class TestMicrobox:
         psi = ShapeFunction(R=0.5, values=np.full(21, -0.05))
         with pytest.raises(ValueError, match="eta"):
             check_microbox(micro_spec, psi, 0.05, 0.05, [1e4], range(2))
+
+    def test_no_seeds_rejected(self, micro_spec):
+        # rejected before anything is sampled; the frequency would be 0 / 0
+        psi = ShapeFunction(R=0.5, values=np.full(21, -0.05))
+        with pytest.raises(ValueError, match="seeds must not be empty"):
+            check_microbox(micro_spec, psi, 0.05, 0.95, [1e4], range(0))

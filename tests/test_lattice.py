@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -18,6 +19,16 @@ def _dense_matrix(field, z, R, kappa):
     m = np.diag(hamiltonian(field, z, R, kappa).diag)
     m += np.diag(np.full(n - 1, kappa), 1) + np.diag(np.full(n - 1, kappa), -1)
     return m
+
+
+@functools.lru_cache(maxsize=None)
+def _half_time_expm(gamma, zeta, seed, R):
+    """40-digit exp(M/2), M the clamped matrix of a walled box [-R, R]."""
+    import mpmath
+    fld = sample_field(make_spec(gamma, zeta, atom_p=0.625), -R, R, seed)
+    with mpmath.workdps(40):
+        m = mpmath.matrix((0.5 * _dense_matrix(fld, 0, R, 1.0)).tolist())
+        return mpmath.expm(m)
 
 
 def _random_light_field(rng, lo, hi, depth=5.0):
@@ -428,7 +439,8 @@ class TestExactOracle:
 class TestWalledBoxes:
     """Point values next to and behind clamped walls against exact expm.
 
-    The reference is a 40-digit ``mpmath.expm`` of the same clamped matrix.
+    The reference is a 40-digit ``mpmath.expm`` of the same clamped matrix
+    at t = 1/2, raised to the power 2t.
     Each box has a clamped wall at its second-last site, so one mode sits
     on the last site alone and its twist row is n - 1.  With that row
     barred from the twist search, log u was off by 4.3e-3 to 16.9 nats,
@@ -444,8 +456,11 @@ class TestWalledBoxes:
         fld = sample_field(make_spec(gamma, zeta, atom_p=0.625), -R, R, seed)
         assert hamiltonian(fld, 0, R, 1.0).clamped.any()
         with mpmath.workdps(40):
-            m = mpmath.matrix((t * _dense_matrix(fld, 0, R, 1.0)).tolist())
-            u = (mpmath.expm(m) * mpmath.matrix([1] * (2 * R + 1)))[x + R]
+            # exp(tM) = exp(M/2)^(2t), and the entries of exp(M/2) are
+            # non-negative, so the power cancels nothing
+            assert 2 * t == int(2 * t)
+            e = _half_time_expm(gamma, zeta, seed, R) ** int(2 * t)
+            u = (e * mpmath.matrix([1] * (2 * R + 1)))[x + R]
             exact = float(mpmath.log(u))
         sol = solve_point_log(fld, 0, R, 1.0, t, x)
         assert sol.sign_ok

@@ -396,18 +396,42 @@ class TestBestScreeningBound:
             assert best_screening_bound(fld, 1.0, t, search, R) == (best, best_y)
         assert skipped > 1000
 
+    def test_search_never_calls_an_infeasible_centre(self, monkeypatch):
+        # the search filters on the budget screening_lower_bound checks, to
+        # the bit, so none of its calls raises; same fields as above
+        inner = montecarlo.screening_lower_bound
+        calls, raised = [], []
+
+        def checked(*args):
+            calls.append(args[2:4])
+            try:
+                return inner(*args)
+            except ValueError:
+                raised.append(args[2:4])
+                raise
+
+        monkeypatch.setattr(montecarlo, "screening_lower_bound", checked)
+        for i in range(300):
+            fld = sample_field(make_spec(0.5 if i % 2 else 0.0, 1.0),
+                               -30, 30, 4000 + i)
+            best_screening_bound(fld, 1.0, float(1 + i % 9), 24, i % 4)
+        assert len(calls) > 1000
+        assert raised == []
+
     def test_budget_of_exactly_half_t_is_evaluated(self):
-        # xi = -10 (r_x = 0.1) everywhere but at y = 30; crossing to y costs
-        # t/2 exactly as screening_lower_bound sums it, and the prefix sum
-        # rounds above that.  With R = 0 and kappa = 20, sitting at y after
-        # the crossing beats staying at 0
+        # xi = -10 (r_x = 0.1) everywhere but at y = 30; t/2 is the crossing
+        # budget to y as the code forms it, summed outward from 0 one site
+        # at a time.  With R = 0 and kappa = 20, sitting at y after the
+        # crossing beats staying at 0
         k, kappa = 30, 20.0
         x = np.arange(-40, 41)
         fld = Field(lo=-40, hi=40, heavy=np.zeros(x.size, bool),
                     values=np.where(x == k, 0.0, -10.0))
-        r = np.exp(-fld.log_neg_or1(0, k - 1))
-        t = 2.0 * float(r.sum())
-        assert np.cumsum(r)[-1] > t / 2
+        t = 2.0 * float(np.cumsum(np.exp(-fld.log_neg_or1(0, k - 1)))[-1])
         lb, y_star = best_screening_bound(fld, kappa, t, 35, 0)
         assert y_star == k
         assert lb == screening_lower_bound(fld, kappa, t, k, 0)
+        # an ulp less and y is skipped, not tried: a pairwise sum of the
+        # same r_x rounds below the running one and would let it through
+        t = 2.0 * np.nextafter(t / 2.0, 0.0)
+        assert best_screening_bound(fld, kappa, t, 35, 0)[1] != k
