@@ -351,7 +351,8 @@ def _add_common(p: argparse.ArgumentParser, table: bool,
                    help="suppress the timestamp header line")
 
 
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The top-level parser, and the subcommand parsers by name."""
     parser = _Parser(prog="pam1d", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
@@ -467,13 +468,17 @@ def _build_parser() -> _Parser:
     p.add_argument("--seeds", type=int, default=20)
     p.set_defaults(func=_cmd_verify_microbox)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if extra:
+            # reported with the usage line of the command that was given
+            commands[args.command].error(
+                f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

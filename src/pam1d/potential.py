@@ -27,6 +27,9 @@ import numpy as np
 # scipy.optimize, scipy.integrate and scipy.special are imported inside the
 # functions that call them: loading them adds about 0.25 s and 20 MB to
 # ``import pam1d``, and only the cumulant and scale-inversion paths need them.
+# G of an exp-Pareto or bounded tail at gamma = 0 is in closed form and needs
+# scipy.special only; quadrature (scipy.integrate, whose import also loads
+# scipy.optimize) serves H, the log-log and Frechet deficits and log_moment.
 
 __all__ = [
     "LowerTailSpec",
@@ -483,9 +486,12 @@ def cumulant_H(spec: PotentialSpec, ell: float) -> float:
 def _heavy_g_deficit(spec: PotentialSpec, ell: float) -> float:
     """E[1 - e^{-W/ell}] over the heavy branch.
 
-    Integrated in v = log W coordinates, where the exp-Pareto density is
-    exponential and the log-log density a pure power, so the slowly decaying
-    tails pose no trouble for adaptive quadrature.
+    Closed forms for the bounded and exp-Pareto laws.  For exp-Pareto,
+    integrating by parts gives 1 - e^{-x} + ell^{-zeta} Gamma(1 - zeta, x)
+    with x = 1/ell, a sum of two positive terms; Gamma(0, x) is E1(x).  The
+    log-log law is integrated in v = log W coordinates, where its density is
+    a pure power, so the slowly decaying tail poses no trouble for adaptive
+    quadrature.
     """
     lt = spec.lower
     if lt.variant == "bounded":
@@ -494,20 +500,22 @@ def _heavy_g_deficit(spec: PotentialSpec, ell: float) -> float:
         # closed form for uniform W on [0, wmax]
         return 1.0 + ell * math.expm1(-lt.wmax / ell) / lt.wmax
     if lt.variant == "pareto":
-        z = lt.zeta
-        v_lo = 0.0
-        dens = lambda v: z * math.exp(-z * v)
-    else:
-        th = lt.theta
-        c = th * math.log(lt.x0) ** th
-        v_lo = math.log(lt.x0)
-        dens = lambda v: c * v ** (-1.0 - th)
+        from scipy.special import exp1, gamma, gammaincc
 
+        z, x = lt.zeta, 1.0 / ell
+        # gammaincc(0, x) * gamma(0) is 0 * inf, so zeta = 1 takes E1
+        upper = exp1(x) if z == 1.0 else gammaincc(1.0 - z, x) * gamma(1.0 - z)
+        # upper is 0 long before ell^-zeta overflows, as it does for ell < 6e-309
+        return -math.expm1(-x) + (float(upper) * ell ** -z if upper else 0.0)
+    th = lt.theta
+    c = th * math.log(lt.x0) ** th
+    v_lo = math.log(lt.x0)
     log_ell = math.log(ell)
 
     def f(v):
-        # W/ell = e^(v - log ell), capped where 1 - e^{-W/ell} is already 1
-        return -math.expm1(-math.exp(min(v - log_ell, 700.0))) * dens(v)
+        # W/ell = e^(v - log ell), capped where 1 - e^{-W/ell} is already 1;
+        # the log-log density of v is c v^(-1-theta)
+        return -math.expm1(-math.exp(min(v - log_ell, 700.0))) * (c * v ** (-1.0 - th))
 
     split = max(math.log(max(ell, 1.0)) + 1.0, v_lo + 1.0)
     return _quad(f, v_lo, split) + _quad(f, split, math.inf)

@@ -86,14 +86,16 @@ class TestExitCodes:
         assert "pam1d: error:" in err
 
     @pytest.mark.parametrize("argv, flag", [
-        (("solve", "--t", "nan"), "--t"),
-        (("lbound", "--t", "nan", "--radius", "2"), "--t"),
+        (("solve", "--spec", "x.json", "--t", "nan"), "--t"),
+        (("lbound", "--spec", "x.json", "--t", "nan", "--radius", "2"),
+         "--t"),
         (("chi", "--gamma", "0.5", "--A", "1", "--kappa", "nan"), "--kappa"),
-        (("eigen", "--kappa", "nan"), "--kappa"),
+        (("eigen", "--spec", "x.json", "--kappa", "nan"), "--kappa"),
     ], ids=["solve-t", "lbound-t", "chi-kappa", "eigen-kappa"])
-    def test_non_finite_number_rejected_at_parsing(self, capsys, spec_file,
-                                                   argv, flag):
-        code, _, err = run(capsys, *argv, "--spec", spec_file)
+    def test_non_finite_number_rejected_at_parsing(self, capsys, argv, flag):
+        # --spec only where the command takes it; parsing stops at the
+        # number, before the spec file is opened
+        code, _, err = run(capsys, *argv)
         assert code == 2
         assert f"argument {flag}: expected a finite number, got 'nan'" in err
 
@@ -122,10 +124,12 @@ class TestExitCodes:
          "--spec x.json"),
     ], ids=["solve-format", "chi-spec"])
     def test_flag_the_command_does_not_read(self, capsys, argv, flag):
-        # JSON-only commands take no --format, chi and legendre no --spec
+        # JSON-only commands take no --format, chi and legendre no --spec;
+        # the command's own parser reports it, with the command's usage
         code, _, err = run(capsys, *argv)
         assert code == 2
-        assert f"unrecognized arguments: {flag}" in err
+        assert err.startswith(f"usage: pam1d {argv[0]} ")
+        assert f"pam1d {argv[0]}: error: unrecognized arguments: {flag}" in err
 
     def test_success(self, capsys, spec_file):
         code, _, _ = run(capsys, "h", "--spec", spec_file,
@@ -345,3 +349,25 @@ class TestStartup:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == []
+
+    def test_rate_leaves_out_optimize_integrate(self, tmp_path):
+        # on a gamma = 0 exp-Pareto spec (the README's) G is in closed
+        # form, so b_t takes no quadrature and no root search
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"gamma": 0.0, "upper": {"atom_p": 0.625}, '
+                        '"mix_q": 0.2, "lower": {"pareto_zeta": 1.0}}')
+        code = ("import sys; from pam1d.cli import main; "
+                f"code = main(['rate', '--spec', {str(spec)!r}, "
+                "'--seeds', '2', '--deterministic', "
+                f"'--out', {str(tmp_path / 'rate.csv')!r}]); "
+                "print(code, *sorted(m for m in ('scipy.optimize', "
+                "'scipy.integrate') if m in sys.modules))")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0"]
+        assert len((tmp_path / "rate.csv").read_text().splitlines()) == 11

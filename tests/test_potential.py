@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pam1d.potential import (Field, LowerTailSpec, PotentialSpec, W_CAP,
-                             _LOG_POW_MAX, _expm1mx,
+                             _LOG_POW_MAX, _expm1mx, _heavy_g_deficit,
                              _log_frechet_laplace, _log_heavy_laplace, _quad,
                              canonical_A, cumulant_G, cumulant_H, g_tilde,
                              g_tilde_inverse, log_moment, sample_field,
@@ -265,7 +265,8 @@ class TestCumulants:
         # heavy one is int_1^inf (1 - e^{-w/ell}) w^{-2} dw
         # = 1 - e^{-1/ell} + E1(1/ell) / ell, here in 30 digits
         mpmath = pytest.importorskip("mpmath")
-        for ell in (1e-2, 1.0, 1e3, 1e100, 1e300):
+        # at ell = 1e-320, ell^-1 overflows a double but E1(1/ell) is 0
+        for ell in (1e-320, 1e-2, 1.0, 1e3, 1e100, 1e300):
             with mpmath.workdps(30):
                 x = 1 / mpmath.mpf(ell)
                 deficit = -mpmath.expm1(-x) + x * mpmath.e1(x)
@@ -273,6 +274,35 @@ class TestCumulants:
             # abs=0: G(1e300) ~ 1e-298 sits far below approx's default abs
             assert cumulant_G(atom_spec, ell) == pytest.approx(
                 float(exact), rel=1e-12, abs=0.0)
+        # zeta < 1: by parts, int_1^inf (1 - e^{-w/ell}) zeta w^{-zeta-1} dw
+        # = 1 - e^{-1/ell} + ell^-zeta Gamma(1 - zeta, 1/ell)
+        for zeta in (0.5, 0.25):
+            spec = make_spec(0.0, zeta)
+            for ell in (1e-2, 1.0, 1e3, 1e100, 1e300):
+                with mpmath.workdps(30):
+                    x = 1 / mpmath.mpf(ell)
+                    deficit = -mpmath.expm1(-x) + x ** zeta * mpmath.gammainc(
+                        1 - mpmath.mpf(zeta), x)
+                    exact = -mpmath.log1p(-0.2 * deficit)
+                assert cumulant_G(spec, ell) == pytest.approx(
+                    float(exact), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("zeta", [1.0, 0.5, 0.25])
+    def test_g_pareto_closed_form_against_quadrature(self, zeta):
+        # the exp-Pareto deficit against the v = log W quadrature it
+        # replaced: density zeta e^{-zeta v} on [0, inf), W/ell = e^{v - log ell}
+        spec = make_spec(0.0, zeta)
+        for ell in np.geomspace(1e-2, 1e12, 15):
+            log_ell = math.log(ell)
+
+            def f(v):
+                return (-math.expm1(-math.exp(min(v - log_ell, 700.0)))
+                        * zeta * math.exp(-zeta * v))
+
+            split = max(log_ell, 0.0) + 1.0
+            quad = _quad(f, 0.0, split) + _quad(f, split, math.inf)
+            assert _heavy_g_deficit(spec, float(ell)) == pytest.approx(
+                quad, rel=1e-12, abs=0.0)
 
     def test_g_saturated_deficit_raises(self):
         # mix_q = 1, exp-Pareto(zeta = 1): 1 - <(-xi v 1)^(-1/ell)> is
