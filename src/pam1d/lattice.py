@@ -127,9 +127,13 @@ def _shoot_log_multi(diag: np.ndarray, kappa: float, lams: np.ndarray,
     # the ratio r[i] = v[i+1] / v[i] obeys r[0] = c[0], r[i] = c[i] - 1/r[i-1];
     # a zero v[i+1] gives r[i] = +-0, then r[i+1] = -+inf and r[i+2] = c[i+2]
     rows = list(r)
+    # one buffer for 1/r[i-1], and out given by position: on rows of a few
+    # columns the per-row temporary and the keyword parsing cost more than
+    # the arithmetic
+    inv = np.empty(len(lams))
     with np.errstate(divide="ignore"):
         for prev, row in zip(rows, rows[1:]):
-            row -= 1.0 / prev
+            np.subtract(row, np.reciprocal(prev, inv), row)
         flips = np.logical_xor.accumulate(np.signbit(r), axis=0)
         np.log(np.abs(r, out=r), out=r)
     # that pair of log-ratios becomes _LOG_TINY and -_LOG_TINY: v[i+1] reads

@@ -540,9 +540,13 @@ def cumulant_G(spec: PotentialSpec, ell: float) -> float:
     if ell <= 0:
         raise ValueError(f"ell must be > 0, got {ell}")
     j = spec.mix_q * _heavy_g_deficit(spec, ell) + (1.0 - spec.mix_q) * _light_g_deficit(spec, ell)
+    # 1 - j is a cancellation: an error e of j (roundoff for the closed-form
+    # deficits, up to _QUAD_RTOL where one is a quadrature) is a relative
+    # error e / (1 - j) of 1 - j, so below _QUAD_RTOL G would rest on rounding
     if 1.0 - j < _QUAD_RTOL:
-        raise ArithmeticError(f"G({ell:g}): 1 - <(-xi v 1)^(-1/ell)> is below "
-                              f"the quadrature tolerance {_QUAD_RTOL:g}")
+        raise ArithmeticError(f"G({ell:g}): 1 - <(-xi v 1)^(-1/ell)> = {1.0 - j:.3g} "
+                              f"is below {_QUAD_RTOL:g}, where the rounding of "
+                              f"the deficit dominates it")
     return -math.log1p(-j)
 
 

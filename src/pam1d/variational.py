@@ -20,7 +20,9 @@ gamma = 0 the optimum is explicit -- psi -> 0- on an interval of length 1/A
 -- giving chi = kappa pi^2 A^2.  For gamma in (0, 1) the optimum is explicit
 as well (``_chi_closed``, ``_optimal_psi``); ``chi_tilde`` starts a damped
 KKT fixed-point iteration on the discretized profile from it and from a
-profile that does not use it, and reports the discrete optimum.
+profile that does not use it, and reports the discrete optimum.  The
+iteration carries log|psi|, so each step is a weighted sum of logarithms;
+the box radius doubles from 1 until a box does not improve on the best.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ __all__ = [
 # Depth cap of the KKT profiles: a node at the cap is a wall for the
 # eigenvalue, and still charges the budget pref * h * _DEPTH_CAP^(-p).
 _DEPTH_CAP = 1e12
+_LOG_DEPTH_CAP = math.log(_DEPTH_CAP)
 
 
 @dataclass(frozen=True)
@@ -214,35 +217,44 @@ def _warm_principal(psi_vals: np.ndarray, h: float, kappa: float,
     off = kappa / h ** 2
     diag = psi_vals - 2.0 * off
     neg_off = np.full(len(diag) - 1, -off)
-    # sums by np.sum, not by a BLAS dot, which OpenBLAS spreads over threads
-    # above 10^4 entries: with one of two cores busy, dots made a chi_tilde
-    # run take 2.7-12 s instead of 0.3 s
+    # sums by np.add.reduce, not by a BLAS dot, which OpenBLAS spreads over
+    # threads above 10^4 entries: with one of two cores busy, dots made a
+    # chi_tilde run take 2.7-12 s instead of 0.3 s
+    total = np.add.reduce
     x = np.abs(g0)
-    x = x / math.sqrt(np.sum(x * x))
+    # work buffers: H x, a scratch vector, the n + 1 Dirichlet differences
+    # of x and the shifted diagonal that dpttrf factors in place
+    hx, tmp, shifted = np.empty_like(x), np.empty_like(x), np.empty_like(x)
+    dx = np.empty(len(x) + 1)
+    x /= math.sqrt(total(np.multiply(x, x, out=tmp)))
     for _ in range(_WARM_STEPS):
-        hx = diag * x
-        hx[:-1] += off * x[1:]
-        hx[1:] += off * x[:-1]
+        np.multiply(diag, x, out=hx)
+        hx[:-1] += np.multiply(off, x[1:], out=tmp[:-1])
+        hx[1:] += np.multiply(off, x[:-1], out=tmp[1:])
         # x'Hx as sum(psi x^2) - off * sum of squared Dirichlet differences:
         # both terms are <= 0, whereas the terms of x @ hx are of size 2 off
         # and cancel down to rho
-        dx = np.diff(x, prepend=0.0, append=0.0)
-        rho = float(np.sum(psi_vals * x * x)) - off * float(np.sum(dx * dx))
+        dx[0], dx[-1] = x[0], -x[-1]
+        np.subtract(x[1:], x[:-1], out=dx[1:-1])
+        np.multiply(psi_vals, x, out=tmp)
+        rho = (float(total(np.multiply(tmp, x, out=tmp)))
+               - off * float(total(np.multiply(dx, dx, out=dx))))
         if not math.isfinite(rho):
             break
-        r = hx - rho * x
-        res = math.sqrt(np.sum(r * r))
+        np.subtract(hx, np.multiply(rho, x, out=tmp), out=tmp)
+        res = math.sqrt(total(np.multiply(tmp, tmp, out=tmp)))
         if res <= _WARM_RTOL * (1.0 + abs(rho)):
             return rho, x / math.sqrt(h)
         margin = max(res, _WARM_MARGIN * (1.0 + abs(rho)))
         while True:
-            d, e, info = dpttrf(rho + margin - diag, neg_off)
+            np.subtract(rho + margin, diag, out=shifted)
+            d, e, info = dpttrf(shifted, neg_off, overwrite_d=1)
             if info == 0:
                 break
             margin *= 4.0
         for _ in range(_WARM_SOLVES):
-            x = dpttrs(d, e, x)[0]
-            x = x / math.sqrt(np.sum(x * x))
+            x = dpttrs(d, e, x, overwrite_b=1)[0]
+            x /= math.sqrt(total(np.multiply(x, x, out=tmp)))
     raise ArithmeticError(
         f"inverse iteration for the principal pair missed residual "
         f"{_WARM_RTOL:g} (1 + |lambda|) after {_WARM_STEPS} shifts")
@@ -314,6 +326,9 @@ def _optimize_profile(cfg: VariationalConfig, R: float, u0: np.ndarray,
     ground state through u_i proportional to (g_i^2)^{-(1-gamma)/ ... }; the
     exponent 1/(p+1) with p = gamma/(1-gamma) follows from matching
     gradients, and each iterate is rescaled onto the budget surface.  The
+    state is log u: a step mixes it with -log(g^2)/(p+1), the rescaling adds
+    log(L)/p and the depth cap is a minimum with log(_DEPTH_CAP), so u is
+    exponentiated once per iteration and no node takes a power.  The
     first pair is bisected and every later one is found by inverse iteration
     warm-started from the previous ground state.  The returned lambda is
     that pair's Rayleigh quotient on the returned profile, whose error is
@@ -327,20 +342,23 @@ def _optimize_profile(cfg: VariationalConfig, R: float, u0: np.ndarray,
     n = len(u0)
     h = 2.0 * R / (n + 1)
 
-    def rescale(u):
+    def rescale(log_u):
         # L(s u) = s^{-p} L(u); put the budget exactly at 1
-        L = pref * h * float(np.sum(u ** (-p)))
-        return u * L ** (1.0 / p)
+        L = pref * h * float(np.add.reduce(np.exp(-p * log_u)))
+        return log_u + math.log(L) / p
 
-    u = rescale(np.maximum(u0, 1e-12))
+    log_u = rescale(np.log(np.maximum(u0, 1e-12)))
+    u = np.exp(log_u)
     theta = 0.5
     lam, g = _fd_principal(-u, h, kappa)
     lam_prev, it = -math.inf, 1
     while (it < cfg.max_iter
            and not abs(lam - lam_prev) < cfg.tol * (1.0 + abs(lam))):
-        prop = (g * g + 1e-300) ** (-1.0 / (p + 1.0))
-        u_new = rescale(np.exp((1 - theta) * np.log(u) + theta * np.log(prop)))
-        u = rescale(np.minimum(u_new, _DEPTH_CAP))
+        # geometric mix of u and the proposal (g^2)^{-1/(p+1)}, in log space
+        log_new = rescale((1.0 - theta) * log_u
+                          - theta / (p + 1.0) * np.log(g * g + 1e-300))
+        log_u = rescale(np.minimum(log_new, _LOG_DEPTH_CAP))
+        u = np.exp(log_u)
         lam_prev = lam
         lam, g = _warm_principal(-u, h, kappa, g)
         it += 1
@@ -355,10 +373,16 @@ def chi_tilde(cfg: VariationalConfig, r_max: float = 256.0) -> ChiResult:
     interval, kappa pi^2 A^2, read from ``_chi_closed`` with no eigen solve.
 
     gamma > 0: damped KKT iteration at each R from two starting profiles,
-    doubling R from 1 until enlarging the box stops improving the eigenvalue.
-    The warm start is the closed-form optimum ``_optimal_psi`` on the grid;
-    the cold start 1 + 10 (x/R)^2 keeps a route at every R that does not
-    use the formula.  The returned chi is -lambda of the discrete profile.
+    doubling R from 1 and stopping at the first R whose better run does not
+    beat the best eigenvalue so far by tol (1 + |lambda|), or past r_max.
+    In the continuum the optimum over [-R, R] does not decrease in R and is
+    flat once the box holds the well, and every R starts one run at the
+    closed-form well, so a box that does not improve ends the search: a
+    larger one adds nothing but, past n = 20000 nodes, the artefacts of a
+    coarser grid.  The warm start is the closed-form optimum
+    ``_optimal_psi`` on the grid; the cold start 1 + 10 (x/R)^2 keeps a route
+    at every R that does not use the formula.  The returned chi is -lambda
+    of the discrete profile.
     """
     if cfg.gamma == 0.0:
         L = 1.0 / cfg.A
@@ -368,7 +392,6 @@ def chi_tilde(cfg: VariationalConfig, r_max: float = 256.0) -> ChiResult:
 
     best = (-math.inf, None, None, 0)
     R = 1.0
-    stale = 0
     while R <= r_max:
         # keep the grid spacing fixed as R grows, else coarser boxes fake
         # eigenvalue improvements
@@ -382,13 +405,9 @@ def chi_tilde(cfg: VariationalConfig, r_max: float = 256.0) -> ChiResult:
             if lam > lam_R:
                 lam_R = lam
                 cand = (lam, R, u, its)
-        if lam_R > best[0] + cfg.tol * (1.0 + abs(lam_R)):
-            best = cand
-            stale = 0
-        else:
-            stale += 1
-            if stale >= 2:
-                break
+        if not lam_R > best[0] + cfg.tol * (1.0 + abs(lam_R)):
+            break
+        best = cand
         R *= 2.0
     lam, R_best, u, its = best
     psi = ShapeFunction(R=R_best, values=-u)

@@ -295,7 +295,7 @@ class TestTables:
         assert len(obj["l"]) == 3
 
     def test_g_saturated_deficit_exits_3(self, capsys, tmp_path):
-        # with no light branch G(1e-3) is beyond the quadrature's resolution
+        # with no light branch G(1e-3) is beyond the resolution of doubles
         path = tmp_path / "spec.json"
         path.write_text(ATOM_SPEC.replace('"mix_q":0.2', '"mix_q":1.0'))
         code, _, err = run(capsys, "g", "--spec", str(path),

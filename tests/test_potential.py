@@ -306,8 +306,8 @@ class TestCumulants:
 
     def test_g_saturated_deficit_raises(self):
         # mix_q = 1, exp-Pareto(zeta = 1): 1 - <(-xi v 1)^(-1/ell)> is
-        # e^-x - x E1(x) with x = 1/ell, about e^-36 at ell = 0.03, which the
-        # quadrature of the deficit cannot resolve; ell = 0.05 still can
+        # e^-x - x E1(x) with x = 1/ell, about e^-36 at ell = 0.03, which
+        # 1 - deficit cannot resolve in doubles; at ell = 0.05 it still can
         mpmath = pytest.importorskip("mpmath")
         spec = PotentialSpec(gamma=0.0, mix_q=1.0,
                              lower=LowerTailSpec.pareto(1.0))

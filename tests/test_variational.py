@@ -163,6 +163,15 @@ class TestPrincipalPair:
         with pytest.raises(ArithmeticError, match="inverse iteration"):
             _warm_principal(psi, 2.0 / (n + 1), 1.0, start)
 
+    def test_warm_leaves_its_inputs_alone(self):
+        # the iterate is solved in place, in a copy of |g0|
+        n = 51
+        psi = -np.linspace(1.0, 3.0, n)
+        g0 = np.ones(n)
+        _warm_principal(psi, 2.0 / (n + 1), 1.0, g0)
+        assert np.array_equal(g0, np.ones(n))
+        assert np.array_equal(psi, -np.linspace(1.0, 3.0, n))
+
 
 class TestClosedForm:
     def test_gamma_half_value(self):
@@ -241,6 +250,46 @@ class TestChiTilde:
         # 8 iterations from the closed-form start, over 200 from the cold one
         cfg = VariationalConfig(A=math.log(2.0), gamma=0.25)
         assert chi_tilde(cfg).iterations <= 30
+
+    def test_radius_search_stops_at_first_stale_radius(self):
+        # A = 2, gamma = 3/4: R = 8 holds the well, and R = 16 does not
+        # improve on it.  Radii past 20000 / n_grid = 24.97 run on a coarser
+        # grid, which fakes improvements out to R = 256 and leaves chi
+        # 6.9e-6 off; at R = 8 it is 6.5e-8 off.  The closed form here is
+        # [A^{1/(1-g)} B(p + 1/2, 1/2) sqrt(kappa)]^{2(1-g)/(1+g)}, p = g/(1-g)
+        from scipy.special import betaln
+        a, g = 2.0, 0.75
+        p = g / (1.0 - g)
+        exact = math.exp(2.0 * (1.0 - g) / (1.0 + g)
+                         * (math.log(a) / (1.0 - g) + betaln(p + 0.5, 0.5)))
+        res = chi_tilde(VariationalConfig(A=a, gamma=g))
+        assert res.R <= 16.0
+        assert res.chi == pytest.approx(exact, rel=5e-7)
+
+    def test_radius_search_runs_two_starts_per_radius(self, monkeypatch):
+        # A = ln 2, gamma = 1/2: R = 4 is the best box, and R = 8, the first
+        # that does not improve on it, ends the search
+        radii = []
+        optimize = variational._optimize_profile
+
+        def record(cfg, R, u0):
+            radii.append(R)
+            return optimize(cfg, R, u0)
+
+        monkeypatch.setattr(variational, "_optimize_profile", record)
+        res = chi_tilde(VariationalConfig(A=math.log(2.0), gamma=0.5))
+        assert radii == [1.0, 1.0, 2.0, 2.0, 4.0, 4.0, 8.0, 8.0]
+        assert res.R == 4.0
+
+    @pytest.mark.parametrize("gamma, chi, iterations", [
+        (0.1, 2.7546837383941067, 15), (0.25, 1.4646636306576657, 8),
+        (0.5, 0.8289222626428266, 2)])
+    def test_chi_scan_answers_frozen(self, gamma, chi, iterations):
+        # the benchmark's chi_scan configurations (A = ln 2, kappa = 1): chi
+        # to roundoff, and the best run's iteration count exactly
+        res = chi_tilde(VariationalConfig(A=math.log(2.0), gamma=gamma))
+        assert res.chi == pytest.approx(chi, rel=1e-13, abs=0.0)
+        assert res.iterations == iterations
 
     def test_monotone_in_gamma(self):
         chis = []
