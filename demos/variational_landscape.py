@@ -31,6 +31,8 @@ def sketch(psi, width=51):
         return "flat (depth -> 0 limit)"
     d = np.log10(np.abs(v) + 1e-12)
     d = (d - d.min()) / max(d.max() - d.min(), 1e-12)
+    # rounded, so that mirror nodes a roundoff apart get the same glyph
+    d = np.round(d, 9)
     levels = " .:-=+*#%@"
     idx = np.clip((d * (len(levels) - 1)).astype(int), 0, len(levels) - 1)
     return "".join(levels[i] for i in idx)

@@ -16,6 +16,7 @@ order); a leading timestamp line is emitted unless --deterministic is set.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import io
 import json
@@ -128,8 +129,9 @@ def _rows_to_json(header: list[str], rows) -> dict:
     cols = list(zip(*rows)) if rows else [[] for _ in header]
     out = {}
     for name, col in zip(header, cols):
-        out[name] = [v if isinstance(v, (bool, str)) else
-                     (int(v) if isinstance(v, (int, np.integer)) else float(v))
+        out[name] = [v if isinstance(v, str) else
+                     bool(v) if isinstance(v, (bool, np.bool_)) else
+                     int(v) if isinstance(v, (int, np.integer)) else float(v)
                      for v in col]
     return out
 
@@ -265,12 +267,8 @@ def _cmd_rate(args) -> None:
         spec=spec, kappa=args.kappa, seeds=tuple(range(args.seeds)),
         rtol=args.rtol)
     curve = experiments.rate_curve(cfg, _parse_grid(args.t_grid))
-    rows = [(curve.t[i], int(curve.seed[i]), int(curve.R_used[i]),
-             curve.log_u[i], curve.b_t[i], curve.alpha_bt_sq[i],
-             curve.rho[i], bool(curve.converged[i]))
-            for i in range(len(curve.t))]
-    _emit_table(args, ["t", "seed", "R_used", "log_u", "b_t", "alpha_bt_sq",
-                       "rho", "converged"], rows)
+    header = [f.name for f in dataclasses.fields(curve)]
+    _emit_table(args, header, list(zip(*(getattr(curve, h) for h in header))))
 
 
 def _cmd_verify_h(args) -> None:

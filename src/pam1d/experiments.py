@@ -110,14 +110,11 @@ def rate_curve(cfg: ExperimentConfig, t_values: np.ndarray,
                                         kappa=cfg.kappa, r_cap=r_cap,
                                         boxes=boxes)
                          for t in t_values])
+    # each row lists the RateCurve fields in their declared order
     rows = [(t, seed, r.R, r.log_u, b, a2, a2 / t * r.log_u, r.converged)
             for t, (b, a2), at_t in zip(t_values, scale, zip(*per_seed))
             for seed, r in zip(cfg.seeds, at_t)]
-    cols = list(zip(*rows))
-    return RateCurve(t=np.array(cols[0]), seed=np.array(cols[1]),
-                     R_used=np.array(cols[2]), log_u=np.array(cols[3]),
-                     b_t=np.array(cols[4]), alpha_bt_sq=np.array(cols[5]),
-                     rho=np.array(cols[6]), converged=np.array(cols[7], bool))
+    return RateCurve(*map(np.array, zip(*rows)))
 
 
 def check_assumption_H(spec: PotentialSpec, t_values, y_grid=None) -> dict:

@@ -173,25 +173,33 @@ def fk_estimate(field: Field, kappa: float, t: float, n_samples: int,
                     exit_fraction=exited / n_samples)
 
 
-def _crossing(field: Field, y: int
-              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """xi, r_x = (-xi(x) v 1)^{-1} and the crossing budgets from 0 to y.
+def _crossing(field: Field, kappa: float, y: int
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Crossing budgets and travel log-costs from 0 to y, as prefix sums.
 
     The crossed sites are 0..y-1 for y > 0 and 0, -1, ..., y+1 for y < 0, in
-    crossing order (none for y = 0); budget[k] is sum r_x over the first k,
-    so budget[-1] is the budget to y.  np.cumsum adds outward one site at a
-    time, so a prefix has the same bits however far the array reaches.
+    crossing order (none for y = 0).  Site x is held for time
+    r_x = (-xi(x) v 1)^{-1} <= 1 and costs log[(1 - e^{-2 kappa r_x}) / 2]
+    (moving on within r_x) plus xi(x) r_x = max(xi(x), -1) (the potential).
+    budget[k] and travel[k] sum r_x and that cost over the first k sites, so
+    entry -1 covers the crossing to y.  Each is one np.cumsum outward from 0,
+    so a prefix has the same bits however far the array reaches.  r_x
+    underflows to 0 on astronomically deep sites; the cost is then -inf,
+    correctly marking the crossing as impossible.
     """
     if y == 0:
-        xi = r = np.zeros(0)
+        xi = w = np.zeros(0)
     else:
         lo, hi, order = (0, y - 1, 1) if y > 0 else (y + 1, 0, -1)
         xi = field.xi(lo, hi)[::order]
-        with np.errstate(under="ignore"):
-            r = np.exp(-field.log_neg_or1(lo, hi)[::order])   # r_x <= 1
-    budget = np.zeros(r.size + 1)
-    np.cumsum(r, out=budget[1:])
-    return xi, r, budget
+        w = field.log_neg_or1(lo, hi)[::order]
+    with np.errstate(under="ignore", divide="ignore"):
+        r = np.exp(-w)
+        cost = np.log(-np.expm1(-2.0 * kappa * r)) - math.log(2.0)
+    cost += np.maximum(xi, -1.0)
+    budget = np.cumsum(np.concatenate(([0.0], r)))
+    travel = np.cumsum(np.concatenate(([0.0], cost)))
+    return budget, travel
 
 
 def screening_lower_bound(field: Field, kappa: float, t: float, y: int,
@@ -219,19 +227,12 @@ def screening_lower_bound(field: Field, kappa: float, t: float, y: int,
     # the walk must reach the window centre itself (the kernel bound below
     # is taken at the centre), so every site from 0 up to y is crossed and
     # paid for
-    xi, r, budget = _crossing(field, y)
+    budget, travel = _crossing(field, kappa, y)
     s = float(budget[-1])
     if s > t / 2.0:
         raise ValueError(
             f"crossing budget sum r_x = {s:.6g} exceeds half the time "
             f"t/2 = {t / 2.0:.6g}; strategy infeasible")
-    # per-site: log[ (1 - e^{-2 kappa r}) / 2 ] + xi * r; the potential
-    # cost xi * r is exactly -1 wherever -xi >= 1 and xi otherwise
-    # r underflows to 0 on astronomically deep sites; the factor is then
-    # -inf, correctly marking the crossing as impossible
-    with np.errstate(divide="ignore"):
-        jump = np.log(-np.expm1(-2.0 * kappa * r)) - math.log(2.0)
-    log_travel = float(jump.sum() + np.maximum(xi, -1.0).sum())
     # waiting penalty at the centre until time s, with the exact potential
     xi_c = field.xi(y, y).item()
     log_wait = (xi_c - 2.0 * kappa) * s
@@ -239,7 +240,7 @@ def screening_lower_bound(field: Field, kappa: float, t: float, y: int,
     pe = principal_eigpair(op)
     # entry R is the window centre; in log space, so no floor lifts the bound
     log_window = 2.0 * pe.log_eigvec[R] + (t - s) * pe.principal
-    return float(log_travel + log_wait + log_window)
+    return float(travel[-1] + log_wait + log_window)
 
 
 def best_screening_bound(field: Field, kappa: float, t: float, search: int,
@@ -266,8 +267,8 @@ def best_screening_bound(field: Field, kappa: float, t: float, search: int,
     if centres.size == 0:
         raise ValueError("field too small for the window radius")
     # the budget of every centre, read off one outward pass per side
-    right = _crossing(field, max(int(centres[-1]), 0))[2]
-    left = _crossing(field, min(int(centres[0]), 0))[2]
+    right = _crossing(field, kappa, max(int(centres[-1]), 0))[0]
+    left = _crossing(field, kappa, min(int(centres[0]), 0))[0]
     budget = np.where(centres > 0, right[np.maximum(centres, 0)],
                       left[np.maximum(-centres, 0)])
     best = -math.inf

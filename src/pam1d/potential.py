@@ -66,6 +66,14 @@ _LOG_POW_MAX = 709.78  # just below log of the largest double
 # Specs
 
 
+def _check_finite(spec, names) -> None:
+    """Raise ValueError naming the first parameter that is NaN or +-inf."""
+    for name in names:
+        value = getattr(spec, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class LowerTailSpec:
     """Law of W = log(-xi) on the heavy branch.
@@ -85,6 +93,7 @@ class LowerTailSpec:
     wmax: float = 0.0
 
     def __post_init__(self):
+        _check_finite(self, ("zeta", "theta", "x0", "wmax"))
         if self.variant == "pareto":
             if not 0.0 < self.zeta <= 1.0:
                 raise ValueError(f"pareto zeta must be in (0,1], got {self.zeta}")
@@ -173,6 +182,7 @@ class PotentialSpec:
     frechet_d: float = 0.0
 
     def __post_init__(self):
+        _check_finite(self, ("gamma", "mix_q", "atom_p", "frechet_d"))
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError(f"gamma must be in [0,1), got {self.gamma}")
         if not 0.0 < self.mix_q <= 1.0:
@@ -222,8 +232,30 @@ def spec_to_json(spec: PotentialSpec) -> str:
     )
 
 
+def _json_number(obj: dict, key: str) -> float:
+    """obj[key] as a float; anything but a JSON number raises ValueError."""
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"spec field {key!r} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"spec field {key!r} must be finite") from None
+
+
+def _json_object(obj: dict, key: str) -> dict:
+    value = obj[key]
+    if not isinstance(value, dict):
+        raise ValueError(f"spec field {key!r} must be an object, got {value!r}")
+    return value
+
+
 def spec_from_json(text: str) -> PotentialSpec:
-    """Parse the JSON spec object; unknown fields are rejected."""
+    """Parse the JSON spec object; unknown fields are rejected.
+
+    ``upper`` and ``lower`` must be objects and every parameter a finite
+    number; anything else raises ValueError naming the field.
+    """
     obj = json.loads(text)
     if not isinstance(obj, dict):
         raise ValueError("spec JSON must be an object")
@@ -233,26 +265,27 @@ def spec_from_json(text: str) -> PotentialSpec:
     for key in ("gamma", "upper", "mix_q", "lower"):
         if key not in obj:
             raise ValueError(f"spec JSON missing field {key!r}")
-    upper = obj["upper"]
+    upper = _json_object(obj, "upper")
     atom_p, frechet_d = 0.0, 0.0
     if set(upper) == {"atom_p"}:
-        atom_p = float(upper["atom_p"])
+        atom_p = _json_number(upper, "atom_p")
     elif set(upper) == {"frechet_d"}:
-        frechet_d = float(upper["frechet_d"])
+        frechet_d = _json_number(upper, "frechet_d")
     else:
         raise ValueError(f"upper must be {{'atom_p'}} or {{'frechet_d'}}, got {sorted(upper)}")
-    lower = obj["lower"]
+    lower = _json_object(obj, "lower")
     if set(lower) == {"pareto_zeta"}:
-        lt = LowerTailSpec.pareto(float(lower["pareto_zeta"]))
+        lt = LowerTailSpec.pareto(_json_number(lower, "pareto_zeta"))
     elif set(lower) <= {"loglog_theta", "loglog_x0"} and "loglog_theta" in lower:
-        lt = LowerTailSpec.loglog(float(lower["loglog_theta"]), float(lower.get("loglog_x0", math.e)))
+        x0 = _json_number(lower, "loglog_x0") if "loglog_x0" in lower else math.e
+        lt = LowerTailSpec.loglog(_json_number(lower, "loglog_theta"), x0)
     elif set(lower) == {"bounded_wmax"}:
-        lt = LowerTailSpec.bounded(float(lower["bounded_wmax"]))
+        lt = LowerTailSpec.bounded(_json_number(lower, "bounded_wmax"))
     else:
         raise ValueError(f"unrecognized lower-tail fields {sorted(lower)}")
     return PotentialSpec(
-        gamma=float(obj["gamma"]), mix_q=float(obj["mix_q"]), lower=lt,
-        atom_p=atom_p, frechet_d=frechet_d,
+        gamma=_json_number(obj, "gamma"), mix_q=_json_number(obj, "mix_q"),
+        lower=lt, atom_p=atom_p, frechet_d=frechet_d,
     )
 
 

@@ -48,3 +48,33 @@ def constant_field(lo: int, hi: int, value: float):
     n = hi - lo + 1
     return Field(lo=lo, hi=hi, heavy=np.zeros(n, bool),
                  values=np.full(n, float(value)))
+
+
+def _spec_text(gamma="0.0", upper='{"atom_p":0.5}', mix_q="0.2",
+               lower='{"pareto_zeta":1.0}') -> str:
+    return (f'{{"gamma":{gamma},"upper":{upper},"mix_q":{mix_q},'
+            f'"lower":{lower}}}')
+
+
+# Spec JSON that must be rejected with a ValueError naming the field: a
+# parameter that is not a number, and one that is NaN or +-inf.
+BAD_SPEC_JSON = {
+    "upper-number": (_spec_text(upper="5"), "upper"),
+    "upper-array": (_spec_text(upper='["atom_p"]'), "upper"),
+    "lower-string": (_spec_text(lower='"pareto_zeta"'), "lower"),
+    "gamma-null": (_spec_text(gamma="null"), "gamma"),
+    "gamma-bool": (_spec_text(gamma="false"), "gamma"),
+    "mix_q-string": (_spec_text(mix_q='"0.2"'), "mix_q"),
+    "gamma-huge-int": (_spec_text(gamma="1" + "0" * 400), "gamma"),
+    "zeta-array": (_spec_text(lower='{"pareto_zeta":[1]}'), "pareto_zeta"),
+    "wmax-object": (_spec_text(lower='{"bounded_wmax":{}}'), "bounded_wmax"),
+    "frechet_d-nan": (_spec_text(gamma="0.5", upper='{"frechet_d":NaN}'),
+                      "frechet_d"),
+    "frechet_d-inf": (_spec_text(gamma="0.5", upper='{"frechet_d":Infinity}'),
+                      "frechet_d"),
+    "atom_p-nan": (_spec_text(upper='{"atom_p":NaN}', mix_q="1.0"), "atom_p"),
+    "wmax-inf": (_spec_text(lower='{"bounded_wmax":Infinity}'), "wmax"),
+    "theta-nan": (_spec_text(lower='{"loglog_theta":NaN}'), "theta"),
+    "x0-inf": (_spec_text(lower='{"loglog_theta":1.0,"loglog_x0":Infinity}'),
+               "x0"),
+}

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -9,10 +10,13 @@ import numpy as np
 import pytest
 
 from pam1d.cli import main
-from pam1d.experiments import ExperimentConfig, rate_curve, t_grid
+from pam1d.experiments import (ExperimentConfig, RateCurve, rate_curve,
+                               t_grid)
 from pam1d.lattice import hamiltonian, principal_eigpair
 from pam1d.montecarlo import fk_estimate, jump_budget
 from pam1d.potential import sample_field, spec_from_json
+
+from conftest import BAD_SPEC_JSON
 
 
 ATOM_SPEC = ('{"gamma":0.0,"upper":{"atom_p":0.5},"mix_q":0.2,'
@@ -49,6 +53,20 @@ class TestExitCodes:
         p.write_text('{"gamma": 0.0}')
         code, _, err = run(capsys, "solve", "--spec", str(p), "--t", "5")
         assert code == 2
+
+    @pytest.mark.parametrize("text", [text for text, _ in BAD_SPEC_JSON.values()],
+                             ids=BAD_SPEC_JSON.keys())
+    @pytest.mark.parametrize("command", ["g", "field"])
+    def test_malformed_spec_value(self, capsys, tmp_path, command, text):
+        # a parameter that is not a finite number is a configuration error,
+        # not a traceback, a numerical failure or a table of NaN
+        p = tmp_path / "bad.json"
+        p.write_text(text)
+        code, out, err = run(capsys, command, "--spec", str(p),
+                             "--deterministic")
+        assert code == 2
+        assert "bad spec JSON" in err
+        assert out == ""
 
     def test_bad_grid(self, capsys, spec_file):
         code, _, err = run(capsys, "scales", "--spec", spec_file,
@@ -172,19 +190,39 @@ class TestSolve:
 
 
 class TestRateAndEigen:
+    RATE_ARGS = ("--seeds", "2", "--t-grid", "1e2:1e3:geometric:2",
+                 "--deterministic")
+
+    def _curve(self):
+        return rate_curve(ExperimentConfig(spec=spec_from_json(ATOM_SPEC),
+                                           seeds=(0, 1)), np.array([1e2, 1e3]))
+
     def test_rate_rows_match_rate_curve(self, capsys, spec_file):
-        code, out, _ = run(capsys, "rate", "--spec", spec_file, "--seeds", "2",
-                           "--t-grid", "1e2:1e3:geometric:2", "--deterministic")
+        code, out, _ = run(capsys, "rate", "--spec", spec_file, *self.RATE_ARGS)
         assert code == 0
         lines = out.strip().splitlines()
         assert lines[0].strip() == ("t,seed,R_used,log_u,b_t,alpha_bt_sq,rho,"
                                     "converged")
-        rows = [line.strip().split(",") for line in lines[1:]]
-        curve = rate_curve(ExperimentConfig(spec=spec_from_json(ATOM_SPEC),
-                                            seeds=(0, 1)), np.array([1e2, 1e3]))
-        assert len(rows) == len(curve.t) == 4
-        assert [int(row[1]) for row in rows] == curve.seed.tolist()
-        assert [float(row[3]) for row in rows] == curve.log_u.tolist()
+        header = [f.name for f in dataclasses.fields(RateCurve)]
+        assert lines[0].split(",") == header
+        curve = self._curve()
+        assert len(lines) - 1 == len(curve.t) == 4
+        # every CSV cell is a JSON literal: a number, true or false
+        rows = [[json.loads(v) for v in line.split(",")] for line in lines[1:]]
+        assert rows == [list(row) for row in
+                        zip(*(getattr(curve, h).tolist() for h in header))]
+
+    def test_rate_json_columns_match_rate_curve(self, capsys, spec_file):
+        code, out, _ = run(capsys, "rate", "--spec", spec_file, *self.RATE_ARGS,
+                           "--format", "json")
+        assert code == 0
+        obj = json.loads(out)
+        curve = self._curve()
+        assert list(obj) == [f.name for f in dataclasses.fields(RateCurve)]
+        assert obj == {h: getattr(curve, h).tolist() for h in obj}
+        assert obj["converged"] and all(type(v) is bool
+                                        for v in obj["converged"])
+        assert all(type(v) is int for v in obj["seed"] + obj["R_used"])
 
     def test_eigen_schema(self, capsys, spec_file):
         code, out, _ = run(capsys, "eigen", "--spec", spec_file, "--seed", "1",

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ import pytest
 from pam1d import montecarlo
 from pam1d.lattice import (hamiltonian, principal_eigpair, solve_box,
                            solve_point_log)
-from pam1d.montecarlo import (_BATCH, _log_weights, _occupation_batch,
-                              best_screening_bound, fk_estimate, jump_budget,
+from pam1d.montecarlo import (_BATCH, _crossing, _log_weights,
+                              _occupation_batch, best_screening_bound, fk_estimate, jump_budget,
                               screening_lower_bound)
 from pam1d.potential import Field, sample_field
 
@@ -435,3 +436,45 @@ class TestBestScreeningBound:
         # same r_x rounds below the running one and would let it through
         t = 2.0 * np.nextafter(t / 2.0, 0.0)
         assert best_screening_bound(fld, kappa, t, 35, 0)[1] != k
+
+
+class TestCrossing:
+    def test_search_prefixes_equal_the_per_centre_sums(self):
+        # the one pass per side that the search makes holds, at entry |y|,
+        # the bits that screening_lower_bound reads for centre y
+        for i in range(60):
+            fld = sample_field(make_spec(0.5 if i % 2 else 0.0, 1.0),
+                               -30, 30, 4000 + i)
+            kappa = (0.5, 1.0, 3.0)[i % 3]
+            sides = _crossing(fld, kappa, 24), _crossing(fld, kappa, -24)
+            for y in range(-24, 25):
+                side = sides[y < 0]
+                for whole, prefix in zip(_crossing(fld, kappa, y), side):
+                    assert whole.size == abs(y) + 1
+                    assert np.array_equal(whole, prefix[:abs(y) + 1])
+
+    def test_sums_in_crossing_order(self):
+        fld = sample_field(make_spec(0.0, 1.0), -10, 10, 3)
+        budget, travel = _crossing(fld, 2.0, -4)
+        r = np.exp(-fld.log_neg_or1(-3, 0)[::-1])
+        cost = (np.log(-np.expm1(-4.0 * r)) - math.log(2.0)
+                + np.maximum(fld.xi(-3, 0)[::-1], -1.0))
+        assert budget.tolist() == [0.0, *np.cumsum(r)]
+        assert travel.tolist() == [0.0, *np.cumsum(cost)]
+        assert [a.tolist() for a in _crossing(fld, 2.0, 0)] == [[0.0], [0.0]]
+
+    def test_underflowing_site_makes_the_crossing_impossible(self):
+        # W = 800 at x = 2: r_2 = e^-800 underflows to 0, so no walk moves on
+        # within it; every centre beyond is -inf, with no NaN and no warning
+        x = np.arange(-20, 21)
+        fld = Field(lo=-20, hi=20, heavy=x == 2,
+                    values=np.where(x == 2, 800.0, 0.0))
+        t, R = 30.0, 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for y in range(3, 16):
+                assert screening_lower_bound(fld, 1.0, t, y, R) == -math.inf
+            lb, y_star = best_screening_bound(fld, 1.0, t, 15, R)
+        assert math.isfinite(lb)
+        assert y_star <= 0
+        assert lb == screening_lower_bound(fld, 1.0, t, y_star, R)

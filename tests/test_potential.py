@@ -13,7 +13,7 @@ from pam1d.potential import (Field, LowerTailSpec, PotentialSpec, W_CAP,
                              spec_from_json, spec_to_json)
 from pam1d.scales import invert_G
 
-from conftest import make_spec
+from conftest import BAD_SPEC_JSON, make_spec
 
 
 class TestSpecs:
@@ -45,6 +45,28 @@ class TestSpecs:
             PotentialSpec(gamma=1.0, mix_q=0.5, lower=LowerTailSpec.pareto(1.0))
         with pytest.raises(ValueError):
             PotentialSpec(gamma=0.0, mix_q=0.0, lower=LowerTailSpec.pareto(1.0))
+
+    @pytest.mark.parametrize("text, name", BAD_SPEC_JSON.values(),
+                             ids=BAD_SPEC_JSON.keys())
+    def test_bad_json_value_rejected_by_name(self, text, name):
+        with pytest.raises(ValueError, match=name):
+            spec_from_json(text)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["zeta", "theta", "x0", "wmax"])
+    def test_non_finite_lower_tail_parameter(self, name, value):
+        for variant in ("pareto", "loglog", "bounded"):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                LowerTailSpec(variant, **{name: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["gamma", "mix_q", "atom_p", "frechet_d"])
+    def test_non_finite_potential_parameter(self, name, value):
+        for gamma, mix_q in ((0.0, 1.0), (0.0, 0.2), (0.5, 0.2)):
+            kwargs = dict(gamma=gamma, mix_q=mix_q, atom_p=0.5, frechet_d=1.0)
+            kwargs[name] = value
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                PotentialSpec(lower=LowerTailSpec.pareto(1.0), **kwargs)
 
     def test_nu_values(self):
         assert make_spec(0.0, 1.0).nu == pytest.approx(1.0 / 3.0)
