@@ -18,18 +18,25 @@ from pam1d import VariationalConfig, chi_tilde, legendre_L
 from pam1d.variational import _chi_closed
 
 
+# Shown log10-depth ceiling: deeper nodes are all drawn as wall.
+WALL_LOG10 = 12.0
+
+
 def sketch(psi, width=51):
     """A one-line ASCII log-depth profile of the optimizer.
 
     The optimizer pairs a shallow central well with essentially infinite
     walls at the box edge (deep values are nearly free under the budget), so
-    depth is shown on a log scale to keep the well visible.
+    depth is shown on a log scale to keep the well visible.  The walls
+    deepen until the ground state underflows (3e24 at gamma = 0.8, 7e226 at
+    gamma = 0.2), so the shown log-depth stops at WALL_LOG10: a wall reads
+    '@' and the well keeps its glyphs.
     """
     x = np.linspace(-psi.R, psi.R, width)
     v = psi(x)
     if v.min() == 0.0:
         return "flat (depth -> 0 limit)"
-    d = np.log10(np.abs(v) + 1e-12)
+    d = np.minimum(np.log10(np.abs(v) + 1e-12), WALL_LOG10)
     d = (d - d.min()) / max(d.max() - d.min(), 1e-12)
     # rounded, so that mirror nodes a roundoff apart get the same glyph
     d = np.round(d, 9)

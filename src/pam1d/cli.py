@@ -45,6 +45,8 @@ class ConfigError(ValueError):
 
 
 def _fmt(x) -> str:
+    if x is None:
+        return ""
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
@@ -129,7 +131,7 @@ def _rows_to_json(header: list[str], rows) -> dict:
     cols = list(zip(*rows)) if rows else [[] for _ in header]
     out = {}
     for name, col in zip(header, cols):
-        out[name] = [v if isinstance(v, str) else
+        out[name] = [v if v is None or isinstance(v, str) else
                      bool(v) if isinstance(v, (bool, np.bool_)) else
                      int(v) if isinstance(v, (int, np.integer)) else float(v)
                      for v in col]
@@ -168,15 +170,17 @@ def _cmd_scales(args) -> None:
     params = ScaleParams.from_spec(spec)
     grid = _parse_grid(args.t_grid)
     rows = []
-    gamma_running = -math.inf
+    # gamma_t needs G~, which a lower tail with finite log-moments lacks
+    gamma_t = -math.inf if spec.lower.has_infinite_log_moment() else None
     for t in grid:
         t = float(t)
         g = cumulant_G(spec, t)
         b = b_scale(spec, params, t)
-        gamma_running = max(gamma_running,
-                            gamma_box(spec, params, args.eta, args.rho, t))
+        if gamma_t is not None:
+            gamma_t = max(gamma_t,
+                          gamma_box(spec, params, args.eta, args.rho, t))
         rows.append((t, g, alpha(params, b) ** 2, b, b_star(params, t),
-                     r_box(spec, t), gamma_running))
+                     r_box(spec, t), gamma_t))
     _emit_table(args, ["t", "G", "alpha_bt_sq", "b_t", "b_star", "r_t",
                        "gamma_t"], rows)
 

@@ -23,6 +23,7 @@ KKT fixed-point iteration on the discretized profile from it and from a
 profile that does not use it, and reports the discrete optimum.  The
 iteration carries log|psi|, so each step is a weighted sum of logarithms;
 the box radius doubles from 1 until a box does not improve on the best.
+No cap bounds the depth of a profile, nor the n_grid R nodes of its grid.
 """
 
 from __future__ import annotations
@@ -49,11 +50,6 @@ __all__ = [
     "chi_tilde",
     "ChiResult",
 ]
-
-# Depth cap of the KKT profiles: a node at the cap is a wall for the
-# eigenvalue, and still charges the budget pref * h * _DEPTH_CAP^(-p).
-_DEPTH_CAP = 1e12
-_LOG_DEPTH_CAP = math.log(_DEPTH_CAP)
 
 
 @dataclass(frozen=True)
@@ -175,8 +171,8 @@ def _fd_principal(psi_vals: np.ndarray, h: float, kappa: float
 
     Bisection runs to tolerance 2 * tiny, so the error of lam is set by the
     grid's coupling kappa/h^2 and not by the depth of psi; the default,
-    norm-wise stop errs by up to eps times the largest |psi|, 2.2e-4 at the
-    1e12 cap of ``_optimize_profile``.
+    norm-wise stop errs by up to eps times the largest |psi|, which at the
+    walls of ``_optimize_profile`` (up to about 1e270) dwarfs lambda itself.
     """
     n = len(psi_vals)
     diag = psi_vals - 2.0 * kappa / h ** 2
@@ -299,14 +295,13 @@ def _optimal_psi(A: float, gamma: float, kappa: float, x) -> np.ndarray:
 
     omega = (1 - gamma) sqrt(chi / kappa), and the principal eigenvalue of
     kappa d^2/dx^2 + psi* is -chi.  The well has half-width pi/(2 omega);
-    depths are capped at ``_DEPTH_CAP``, which they reach just inside its
-    edge and keep beyond it.
+    beyond it the cosine is held at cos(pi/2), 6.1e-17 in doubles, so the
+    depth there is a finite gamma chi * 2.7e32.
     """
     chi = _chi_closed(A, gamma, kappa)
     omega = (1.0 - gamma) * math.sqrt(chi / kappa)
-    # cos(pi/2) is 6e-17 in doubles, so the quotient stays finite and caps
     c = np.cos(np.minimum(np.abs(omega * np.asarray(x, float)), 0.5 * math.pi))
-    return -np.minimum(gamma * chi / (c * c), _DEPTH_CAP)
+    return -gamma * chi / (c * c)
 
 
 @dataclass(frozen=True)
@@ -326,9 +321,10 @@ def _optimize_profile(cfg: VariationalConfig, R: float, u0: np.ndarray,
     ground state through u_i proportional to (g_i^2)^{-(1-gamma)/ ... }; the
     exponent 1/(p+1) with p = gamma/(1-gamma) follows from matching
     gradients, and each iterate is rescaled onto the budget surface.  The
-    state is log u: a step mixes it with -log(g^2)/(p+1), the rescaling adds
-    log(L)/p and the depth cap is a minimum with log(_DEPTH_CAP), so u is
-    exponentiated once per iteration and no node takes a power.  The
+    state is log u: a step mixes it with -log(g^2)/(p+1) and the rescaling
+    adds log(L)/p, so u is exponentiated once per iteration and no node
+    takes a power.  Where g underflows, the floor of log(g^2 + 1e-300) puts
+    walls near e^{690.8/(p+1)}; each charges about pref h 1e-300^gamma.  The
     first pair is bisected and every later one is found by inverse iteration
     warm-started from the previous ground state.  The returned lambda is
     that pair's Rayleigh quotient on the returned profile, whose error is
@@ -347,7 +343,7 @@ def _optimize_profile(cfg: VariationalConfig, R: float, u0: np.ndarray,
         L = pref * h * float(np.add.reduce(np.exp(-p * log_u)))
         return log_u + math.log(L) / p
 
-    log_u = rescale(np.log(np.maximum(u0, 1e-12)))
+    log_u = rescale(np.log(u0))
     u = np.exp(log_u)
     theta = 0.5
     lam, g = _fd_principal(-u, h, kappa)
@@ -355,9 +351,8 @@ def _optimize_profile(cfg: VariationalConfig, R: float, u0: np.ndarray,
     while (it < cfg.max_iter
            and not abs(lam - lam_prev) < cfg.tol * (1.0 + abs(lam))):
         # geometric mix of u and the proposal (g^2)^{-1/(p+1)}, in log space
-        log_new = rescale((1.0 - theta) * log_u
-                          - theta / (p + 1.0) * np.log(g * g + 1e-300))
-        log_u = rescale(np.minimum(log_new, _LOG_DEPTH_CAP))
+        log_u = rescale((1.0 - theta) * log_u
+                        - theta / (p + 1.0) * np.log(g * g + 1e-300))
         u = np.exp(log_u)
         lam_prev = lam
         lam, g = _warm_principal(-u, h, kappa, g)
@@ -378,11 +373,10 @@ def chi_tilde(cfg: VariationalConfig, r_max: float = 256.0) -> ChiResult:
     In the continuum the optimum over [-R, R] does not decrease in R and is
     flat once the box holds the well, and every R starts one run at the
     closed-form well, so a box that does not improve ends the search: a
-    larger one adds nothing but, past n = 20000 nodes, the artefacts of a
-    coarser grid.  The warm start is the closed-form optimum
-    ``_optimal_psi`` on the grid; the cold start 1 + 10 (x/R)^2 keeps a route
-    at every R that does not use the formula.  The returned chi is -lambda
-    of the discrete profile.
+    larger one, on the same spacing, adds nothing.  The warm start is the
+    closed-form optimum ``_optimal_psi`` on the grid; the cold start
+    1 + 10 (x/R)^2 keeps a route at every R that does not use the formula.
+    The returned chi is -lambda of the discrete profile.
     """
     if cfg.gamma == 0.0:
         L = 1.0 / cfg.A
@@ -395,7 +389,7 @@ def chi_tilde(cfg: VariationalConfig, r_max: float = 256.0) -> ChiResult:
     while R <= r_max:
         # keep the grid spacing fixed as R grows, else coarser boxes fake
         # eigenvalue improvements
-        n = min(int(cfg.n_grid * R), 20000)
+        n = int(cfg.n_grid * R)
         x = -R + 2.0 * R / (n + 1) * np.arange(1, n + 1)
         starts = [-_optimal_psi(cfg.A, cfg.gamma, cfg.kappa, x),
                   1.0 + (x / R) ** 2 * 10.0]

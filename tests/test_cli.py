@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -14,7 +16,7 @@ from pam1d.experiments import (ExperimentConfig, RateCurve, rate_curve,
                                t_grid)
 from pam1d.lattice import hamiltonian, principal_eigpair
 from pam1d.montecarlo import fk_estimate, jump_budget
-from pam1d.potential import sample_field, spec_from_json
+from pam1d.potential import cumulant_G, sample_field, spec_from_json
 
 from conftest import BAD_SPEC_JSON
 
@@ -23,6 +25,8 @@ ATOM_SPEC = ('{"gamma":0.0,"upper":{"atom_p":0.5},"mix_q":0.2,'
              '"lower":{"pareto_zeta":1.0}}')
 LOGLOG_SPEC = ('{"gamma":0.0,"upper":{"atom_p":0.5},"mix_q":0.2,'
                '"lower":{"loglog_theta":1.0}}')
+BOUNDED_SPEC = ('{"gamma":0.0,"upper":{"atom_p":0.625},"mix_q":0.2,'
+                '"lower":{"bounded_wmax":3.0}}')
 
 
 @pytest.fixture
@@ -164,6 +168,26 @@ class TestScales:
         lines = out.strip().splitlines()
         assert lines[0].strip() == "t,G,alpha_bt_sq,b_t,b_star,r_t,gamma_t"
         assert len(lines) == 9
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_bounded_tail_leaves_gamma_t_empty(self, capsys, tmp_path, fmt):
+        # G, b_t, b*_t and r_t are defined on a bounded lower tail; only
+        # gamma_t needs G~, which a tail with finite log-moments lacks
+        p = tmp_path / "bounded.json"
+        p.write_text(BOUNDED_SPEC)
+        code, out, err = run(capsys, "scales", "--spec", str(p),
+                             "--t-grid", "1e3:1e6:geometric:3",
+                             "--format", fmt, "--deterministic")
+        assert code == 0, err
+        if fmt == "json":
+            cols = json.loads(out)
+            assert cols["gamma_t"] == [None] * 3
+        else:
+            rows = list(csv.DictReader(io.StringIO(out)))
+            cols = {k: [float(r[k]) for r in rows] for k in ("t", "G")}
+            assert [r["gamma_t"] for r in rows] == [""] * 3
+        spec = spec_from_json(BOUNDED_SPEC)
+        assert cols["G"] == [cumulant_G(spec, t) for t in cols["t"]]
 
     def test_timestamp_header_suppression(self, capsys, spec_file):
         _, with_ts, _ = run(capsys, "scales", "--spec", spec_file,

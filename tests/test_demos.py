@@ -28,10 +28,13 @@ def test_demo_runs(demo):
 
 def test_variational_profiles_are_symmetric():
     # each optimizer is symmetric about the box centre, so each sketch is a
-    # palindrome: mirror nodes a roundoff apart get the same glyph
+    # palindrome: mirror nodes a roundoff apart get the same glyph.  The
+    # walls, up to 7e226 deep, must not flatten the well: every sketch
+    # shows the box ends, the well and the walls as at least 3 glyphs
     proc = _run_demo("variational_landscape.py")
     assert proc.returncode == 0, proc.stderr
     sketches = [line.split("|")[1] for line in proc.stdout.splitlines()
                 if line.count("|") == 2]
     assert len(sketches) == 4
     assert all(s == s[::-1] for s in sketches), sketches
+    assert all(len(set(s)) >= 3 for s in sketches), sketches

@@ -111,8 +111,8 @@ class TestEigContinuum:
 
 class TestPrincipalPair:
     def test_capped_profile_against_mpmath(self):
-        # entries at the 1e12 cap of the KKT iteration: a norm-wise bisection
-        # stop (eps times the norm) puts lambda 4.4e-6 relative off here
+        # walls 1e12 deep among moderate entries: a norm-wise bisection stop
+        # (eps times the norm) puts lambda 4.4e-6 relative off here
         mpmath = pytest.importorskip("mpmath")
         R, n = 1.0, 41
         x = -R + 2.0 * R / (n + 1) * np.arange(1, n + 1)
@@ -132,9 +132,10 @@ class TestPrincipalPair:
         assert lam == pytest.approx(exact, rel=1e-12)
 
     def test_warm_matches_bisection_on_kkt_iterates(self, monkeypatch):
-        # every warm solve of a full chi_tilde run, profiles at the 1e12 cap
-        # included; the coarse grid keeps the bisection's own error, which
-        # scales with kappa/h^2, far below the tolerance
+        # every warm solve of a full chi_tilde run, profiles with walls far
+        # past 1e12 included (they settle where the ground state underflows,
+        # 9e90 deep here); the coarse grid keeps the bisection's own error,
+        # which scales with kappa/h^2, far below the tolerance
         calls = []
 
         def record(psi_vals, h, kappa, g0):
@@ -253,9 +254,9 @@ class TestChiTilde:
 
     def test_radius_search_stops_at_first_stale_radius(self):
         # A = 2, gamma = 3/4: R = 8 holds the well, and R = 16 does not
-        # improve on it.  Radii past 20000 / n_grid = 24.97 run on a coarser
-        # grid, which fakes improvements out to R = 256 and leaves chi
-        # 6.9e-6 off; at R = 8 it is 6.5e-8 off.  The closed form here is
+        # improve on it.  Every box keeps the spacing of n_grid nodes per
+        # unit radius, so a larger one has nothing to gain; at R = 8 chi is
+        # 6.5e-8 off.  The closed form here is
         # [A^{1/(1-g)} B(p + 1/2, 1/2) sqrt(kappa)]^{2(1-g)/(1+g)}, p = g/(1-g)
         from scipy.special import betaln
         a, g = 2.0, 0.75
@@ -282,7 +283,7 @@ class TestChiTilde:
         assert res.R == 4.0
 
     @pytest.mark.parametrize("gamma, chi, iterations", [
-        (0.1, 2.7546837383941067, 15), (0.25, 1.4646636306576657, 8),
+        (0.1, 2.672247260337549, 18), (0.25, 1.4646361550926112, 10),
         (0.5, 0.8289222626428266, 2)])
     def test_chi_scan_answers_frozen(self, gamma, chi, iterations):
         # the benchmark's chi_scan configurations (A = ln 2, kappa = 1): chi
@@ -290,6 +291,20 @@ class TestChiTilde:
         res = chi_tilde(VariationalConfig(A=math.log(2.0), gamma=gamma))
         assert res.chi == pytest.approx(chi, rel=1e-13, abs=0.0)
         assert res.iterations == iterations
+
+    def test_gamma_tenth_near_closed_form(self):
+        # the walls charge the budget about pref h 1e-300^gamma per node, so
+        # even at gamma = 0.1 the well keeps its budget: 4.7e-4 off the
+        # closed form
+        a = math.log(2.0)
+        res = chi_tilde(VariationalConfig(A=a, gamma=0.1))
+        assert res.chi == pytest.approx(_chi_closed(a, 0.1, 1.0), rel=1e-3)
+
+    def test_grid_spacing_fixed_at_every_radius(self):
+        # A = 0.5, gamma = 0.9: the search ends at R = 32, on n_grid R nodes
+        res = chi_tilde(VariationalConfig(A=0.5, gamma=0.9, n_grid=801))
+        assert res.R == 32.0
+        assert len(res.psi.values) == 801 * 32
 
     def test_monotone_in_gamma(self):
         chis = []
