@@ -27,8 +27,8 @@ def main():
     fld = sample_field(spec, -30, 30, seed=0)
     xi = fld.xi(-30, 30)
     print("A window of the field (heavy sites decoded as -e^W):")
-    print("  ", np.array2string(xi[25:36], precision=2, suppress_small=True))
-    print("  heavy sites in [-30, 30]:", int(fld.heavy.sum()), "\n")
+    print("  ", np.array2string(xi[25:36], precision=2, suppress_small=True),
+          end="\n\n")
 
     params = ScaleParams.from_spec(spec)
     print("Scales (nu = %.4f, beta = %.4f):" % (params.nu, params.beta))

@@ -18,13 +18,10 @@ from pam1d import Field, best_screening_bound, screening_lower_bound, \
 
 
 def planted_field(lo=-80, hi=80, window=range(47, 54)):
-    n = hi - lo + 1
-    heavy = np.ones(n, bool)
-    vals = np.ones(n)                     # walls: W = 1, i.e. xi = -e
+    log_neg_xi = np.ones(hi - lo + 1)     # walls: log(-xi) = 1, i.e. xi = -e
     for x in (0, *window):
-        heavy[x - lo] = False
-        vals[x - lo] = 0.0                # free origin and a clean window
-    return Field(lo=lo, hi=hi, heavy=heavy, values=vals)
+        log_neg_xi[x - lo] = -np.inf      # free origin and a clean window
+    return Field(lo=lo, hi=hi, log_neg_xi=log_neg_xi)
 
 
 def main():

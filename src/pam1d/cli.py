@@ -152,10 +152,9 @@ def _emit_table(args, header: list[str], rows) -> None:
 def _cmd_field(args) -> None:
     spec = _load_spec(args)
     fld = sample_field(spec, args.lo, args.hi, args.seed)
-    rows = []
-    for i, x in enumerate(range(fld.lo, fld.hi + 1)):
-        rows.append((x, bool(fld.heavy[i]), fld.values[i]))
-    _emit_table(args, ["x", "heavy", "value"], rows)
+    lo, hi = fld.lo, fld.hi
+    rows = zip(range(lo, hi + 1), fld.xi(lo, hi), fld.log_neg_or1(lo, hi))
+    _emit_table(args, ["x", "xi", "log_neg_or1"], list(rows))
 
 
 def _cmd_cumulant(args) -> None:

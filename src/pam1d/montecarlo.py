@@ -188,15 +188,15 @@ def _crossing(field: Field, kappa: float, y: int
     correctly marking the crossing as impossible.
     """
     if y == 0:
-        xi = w = np.zeros(0)
+        log_neg_xi = np.zeros(0)
     else:
         lo, hi, order = (0, y - 1, 1) if y > 0 else (y + 1, 0, -1)
-        xi = field.xi(lo, hi)[::order]
-        w = field.log_neg_or1(lo, hi)[::order]
+        log_neg_xi = field.slice(lo, hi)[::order]
     with np.errstate(under="ignore", divide="ignore"):
-        r = np.exp(-w)
+        r = np.exp(-np.maximum(log_neg_xi, 0.0))
         cost = np.log(-np.expm1(-2.0 * kappa * r)) - math.log(2.0)
-    cost += np.maximum(xi, -1.0)
+    # xi r_x = max(xi, -1) = -e^min(log(-xi), 0)
+    cost -= np.exp(np.minimum(log_neg_xi, 0.0))
     budget = np.cumsum(np.concatenate(([0.0], r)))
     travel = np.cumsum(np.concatenate(([0.0], cost)))
     return budget, travel

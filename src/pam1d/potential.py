@@ -11,9 +11,9 @@ mixture:
     a heavy-tailed law (exp-Pareto, log-log density, or bounded control case),
     which controls the lower tail at -infinity.
 
-Heavy values overflow binary floating point (``W`` can exceed 10^6), so fields
-keep the dual representation: light sites store the value itself, heavy sites
-store ``W = log(-xi)``.
+Heavy values overflow binary floating point (``W`` can exceed 10^6), so a
+field stores log(-xi) at every site (``-inf`` where xi = 0, ``W`` on heavy
+sites); only ``sample_field`` knows the two branches.
 """
 
 from __future__ import annotations
@@ -48,10 +48,10 @@ __all__ = [
     "spec_to_json",
 ]
 
-# Largest W decoded to xi = -e^W; heavier sites decode to -e^W_CAP, which
+# Largest log(-xi) decoded exactly; deeper sites decode to -e^W_CAP, which
 # stays in double range and already kills anything it multiplies.  W itself
-# must stay finite too, or means over sites (estimate_rho) turn to NaN: log-log
-# sampling caps log W at _LOG_POW_MAX (0.14 % of heavy sites at theta = 1).
+# must stay finite too, or means over sites (estimate_rho) turn to NaN, so
+# sampling caps it at e^_LOG_POW_MAX (log-log draws; exp-Pareto, zeta < 0.053).
 W_CAP = 700.0
 # Log-log regularization exponent theta' of the minorant G~_eta.
 THETA_PRIME = 0.5
@@ -126,15 +126,14 @@ class LowerTailSpec:
 
     def sample_w(self, u: np.ndarray) -> np.ndarray:
         """Inverse-CDF map from uniforms in (0,1) to W values."""
-        if self.variant == "pareto":
-            return u ** (-1.0 / self.zeta)
-        if self.variant == "loglog":
-            # F(x) = 1 - (log x0 / log x)^theta on [x0, inf); the exponent
-            # is capped so that W stays finite (see W_CAP)
-            with np.errstate(over="ignore"):
-                log_w = math.log(self.x0) * (1.0 - u) ** (-1.0 / self.theta)
-            return np.exp(np.minimum(log_w, _LOG_POW_MAX))
-        return self.wmax * u
+        if self.variant == "bounded":
+            return self.wmax * u
+        with np.errstate(over="ignore"):
+            if self.variant == "pareto":  # u >= 2^-54: inf for zeta < 54/1024
+                w = u ** (-1.0 / self.zeta)
+            else:  # F(x) = 1 - (log x0 / log x)^theta on [x0, inf)
+                w = np.exp(math.log(self.x0) * (1.0 - u) ** (-1.0 / self.theta))
+        return np.minimum(w, math.exp(_LOG_POW_MAX))  # finite, see W_CAP
 
     def log_density_w(self, w: np.ndarray) -> np.ndarray:
         """log of the density of W (bounded variant with wmax=0 is an atom)."""
@@ -206,12 +205,12 @@ class PotentialSpec:
         return (1.0 - self.gamma) / (3.0 - self.gamma)
 
     def sample_light(self, u: np.ndarray) -> np.ndarray:
-        """Light-branch values xi from uniforms in (0,1)."""
+        """Light-branch log-depths log(-xi) from uniforms in (0,1)."""
         if self.gamma == 0.0:
-            return np.where(u < self.atom_p, 0.0, -1.0)
-        # inverse Frechet CDF
+            return np.where(u < self.atom_p, -np.inf, 0.0)
+        # inverse Frechet CDF in log V, finite where V overflows (small gamma)
         a, d = self.frechet_a, self.frechet_d
-        return -((d / (-np.log(u))) ** (1.0 / a))
+        return (math.log(d) - np.log(-np.log(u))) / a
 
 
 def spec_to_json(spec: PotentialSpec) -> str:
@@ -297,14 +296,13 @@ def spec_from_json(text: str) -> PotentialSpec:
 class Field:
     """One realization of the potential on the integer interval [lo, hi].
 
-    ``heavy[i]`` marks sites storing W = log(-xi); light sites store xi
-    itself (a finite non-positive double).
+    ``log_neg_xi[i]`` is log(-xi) at site lo + i: -inf where xi = 0, and W on
+    heavy sites, whose -xi = e^W may exceed the double range.
     """
 
     lo: int
     hi: int
-    heavy: np.ndarray
-    values: np.ndarray
+    log_neg_xi: np.ndarray
 
     def __len__(self) -> int:
         return self.hi - self.lo + 1
@@ -314,20 +312,16 @@ class Field:
             raise IndexError(f"site {x} outside field interval [{self.lo}, {self.hi}]")
         return x - self.lo
 
-    def slice(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        i, j = self.index(lo), self.index(hi)
-        return self.heavy[i : j + 1], self.values[i : j + 1]
+    def slice(self, lo: int, hi: int) -> np.ndarray:
+        return self.log_neg_xi[self.index(lo) : self.index(hi) + 1]
 
     def xi(self, lo: int, hi: int) -> np.ndarray:
-        """xi values on [lo, hi]: exact, with heavy sites capped at -e^W_CAP."""
-        heavy, vals = self.slice(lo, hi)
-        return np.where(heavy, -np.exp(np.minimum(vals, W_CAP)), vals)
+        """xi = 0.0 - e^L on [lo, hi] (+0.0, not -0.0), capped at -e^W_CAP."""
+        return 0.0 - np.exp(np.minimum(self.slice(lo, hi), W_CAP))
 
     def log_neg_or1(self, lo: int, hi: int) -> np.ndarray:
-        """W' = log(-xi v 1), exact in the dual representation."""
-        heavy, vals = self.slice(lo, hi)
-        light = np.log(np.maximum(-vals, 1.0))
-        return np.where(heavy, vals, light)
+        """W' = log(-xi v 1), exact however deep the site."""
+        return np.maximum(self.slice(lo, hi), 0.0)
 
 
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -365,11 +359,11 @@ def sample_field(spec: PotentialSpec, lo: int, hi: int, seed: int) -> Field:
     u_branch = site_uniforms(seed, sites, 0)
     u_value = site_uniforms(seed, sites, 1)
     heavy = u_branch < spec.mix_q
-    values = np.empty(len(sites), dtype=float)
-    values[heavy] = spec.lower.sample_w(u_value[heavy])
+    log_neg_xi = np.empty(len(sites), dtype=float)
+    log_neg_xi[heavy] = spec.lower.sample_w(u_value[heavy])
     if not heavy.all():
-        values[~heavy] = spec.sample_light(u_value[~heavy])
-    return Field(lo=lo, hi=hi, heavy=heavy, values=values)
+        log_neg_xi[~heavy] = spec.sample_light(u_value[~heavy])
+    return Field(lo=lo, hi=hi, log_neg_xi=log_neg_xi)
 
 
 # ---------------------------------------------------------------------------
@@ -642,7 +636,11 @@ def g_tilde_inverse(spec: PotentialSpec, eta: float, y: float) -> float:
         raise ValueError(f"y must be > 0, got {y}")
     lt = spec.lower
     if lt.variant == "pareto":
-        return y ** (-1.0 / (eta * lt.zeta))
+        try:
+            return y ** (-1.0 / (eta * lt.zeta))
+        except OverflowError:
+            raise ArithmeticError(
+                f"G~^-1({y}) needs ell > 1e300, beyond the double range") from None
     return _invert_scale(lambda l: g_tilde(spec, eta, l), "G~", y)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pam1d.potential import LowerTailSpec, PotentialSpec
+from pam1d.potential import Field, LowerTailSpec, PotentialSpec
 
 
 @pytest.fixture
@@ -35,19 +35,21 @@ def make_spec(gamma: float, zeta: float, mix_q: float = 0.2,
                          frechet_d=frechet_d)
 
 
-def zero_field(lo: int, hi: int):
+def xi_field(lo: int, xi) -> Field:
+    """A Field on [lo, lo + len(xi) - 1] with the given values xi <= 0."""
+    with np.errstate(divide="ignore"):
+        log_neg_xi = np.log(-np.asarray(xi, dtype=float))
+    return Field(lo=lo, hi=lo + len(log_neg_xi) - 1, log_neg_xi=log_neg_xi)
+
+
+def zero_field(lo: int, hi: int) -> Field:
     """A Field with xi identically 0 on [lo, hi]."""
-    from pam1d.potential import Field
-    n = hi - lo + 1
-    return Field(lo=lo, hi=hi, heavy=np.zeros(n, bool), values=np.zeros(n))
+    return Field(lo=lo, hi=hi, log_neg_xi=np.full(hi - lo + 1, -np.inf))
 
 
-def constant_field(lo: int, hi: int, value: float):
-    """A Field with constant light value (value <= 0) on [lo, hi]."""
-    from pam1d.potential import Field
-    n = hi - lo + 1
-    return Field(lo=lo, hi=hi, heavy=np.zeros(n, bool),
-                 values=np.full(n, float(value)))
+def constant_field(lo: int, hi: int, value: float) -> Field:
+    """A Field with constant value xi = value <= 0 on [lo, hi]."""
+    return xi_field(lo, np.full(hi - lo + 1, float(value)))
 
 
 def _spec_text(gamma="0.0", upper='{"atom_p":0.5}', mix_q="0.2",

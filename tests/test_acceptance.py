@@ -182,13 +182,10 @@ def test_criterion_8_screening_lower_bound():
     assert violations == 0
     # planted clean window at +50 inside absorbing walls
     lo, hi = -80, 80
-    n = hi - lo + 1
-    heavy = np.ones(n, bool)
-    vals = np.ones(n)                    # W = 1 -> xi = -e
+    log_neg_xi = np.ones(hi - lo + 1)    # log(-xi) = 1 -> xi = -e
     for x in (0, *range(47, 54)):
-        heavy[x - lo] = False
-        vals[x - lo] = 0.0
-    planted = Field(lo=lo, hi=hi, heavy=heavy, values=vals)
+        log_neg_xi[x - lo] = -np.inf     # xi = 0
+    planted = Field(lo=lo, hi=hi, log_neg_xi=log_neg_xi)
     _, y_star = best_screening_bound(planted, 1.0, 200.0, 70, 1)
     assert 47 <= y_star <= 53
 

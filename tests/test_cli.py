@@ -139,6 +139,18 @@ class TestExitCodes:
         assert code == 3
         assert "1e300" in err
 
+    def test_small_zeta_normalizer_beyond_double_range(self, capsys, tmp_path):
+        # at zeta = 0.01 every sampled W is finite, so rho is; the closed form
+        # G~^{-1}(rho/n) = (rho/n)^(-1/(eta zeta)) then overflows, and the
+        # failure names the limit as the search-based inverse does
+        path = tmp_path / "spec.json"
+        path.write_text(ATOM_SPEC.replace('"pareto_zeta":1.0',
+                                          '"pareto_zeta":0.01'))
+        code, _, err = run(capsys, "verify-last", "--spec", str(path),
+                           "--seeds", "1", "--deterministic")
+        assert code == 3
+        assert "G~^-1" in err and "1e300" in err
+
     @pytest.mark.parametrize("argv, flag", [
         (("solve", "--spec", "x.json", "--t", "5", "--format", "csv"),
          "--format csv"),
@@ -370,7 +382,7 @@ class TestTables:
                            "--lo", "-2", "--hi", "2", "--deterministic")
         assert code == 0
         lines = out.strip().splitlines()
-        assert lines[0].strip() == "x,heavy,value"
+        assert lines[0].strip() == "x,xi,log_neg_or1"
         assert len(lines) == 6
 
     def test_verify_lln_csv(self, capsys, spec_file):

@@ -10,7 +10,7 @@ from pam1d.lattice import (_shoot_log_multi, hamiltonian, principal_eigpair,
                            solve_adaptive, solve_box, solve_point_log)
 from pam1d.potential import Field, sample_field
 
-from conftest import constant_field, make_spec, zero_field
+from conftest import constant_field, make_spec, xi_field, zero_field
 
 
 def _dense_matrix(field, z, R, kappa):
@@ -33,8 +33,7 @@ def _half_time_expm(gamma, zeta, seed, R):
 
 def _random_light_field(rng, lo, hi, depth=5.0):
     """Field of light sites with values uniform in [-depth, 0]."""
-    vals = -depth * rng.random(hi - lo + 1)
-    return Field(lo=lo, hi=hi, heavy=np.zeros(hi - lo + 1, bool), values=vals)
+    return xi_field(lo, -depth * rng.random(hi - lo + 1))
 
 
 class TestHamiltonian:
@@ -66,9 +65,8 @@ class TestHamiltonian:
         # at all but 1e12; the clamp is read when the operator is built
         monkeypatch.setattr(lattice, "XI_CLAMP", clamp)
         kappa = 1.5
-        fld = Field(lo=-2, hi=2,
-                    heavy=np.array([False, True, False, True, False]),
-                    values=np.array([0.0, 1000.0, 0.0, 20.0, 0.0]))
+        fld = Field(lo=-2, hi=2, log_neg_xi=np.array(
+            [-np.inf, 1000.0, -np.inf, 20.0, -np.inf]))
         op = hamiltonian(fld, 0, 2, kappa)
         w20_clamped = clamp < math.exp(20.0)
         assert op.clamped.tolist() == [False, True, False, w20_clamped, False]

@@ -12,7 +12,7 @@ from pam1d.montecarlo import (_BATCH, _crossing, _log_weights,
                               screening_lower_bound)
 from pam1d.potential import Field, sample_field
 
-from conftest import constant_field, make_spec, zero_field
+from conftest import constant_field, make_spec, xi_field, zero_field
 
 
 def _walks(kappa, t, seed, n):
@@ -219,7 +219,7 @@ class TestFkEstimate:
         fld = sample_field(make_spec(0.5, 1.0), -10, 10, 2000)
         res = fk_estimate(fld, 1.0, 3.0, 100_000, 2000, box=10)
         assert (res.estimate, res.stderr, res.exit_fraction) == (
-            0.03834313899593823, 0.0001770837587785362, 6e-05)
+            0.038343138995938233, 0.00017708375877853618, 6e-05)
         exact = solve_box(fld, 0, 10, 1.0, 3.0)[10]
         assert exact == pytest.approx(0.0384166576, rel=1e-9)
         assert abs(res.estimate - exact) < 4 * res.stderr
@@ -235,8 +235,7 @@ class TestFkEstimate:
         # not reset at its own start would leave 0 and be killed
         kappa, t, xi0 = 0.5, 1.0, -0.5
         x = np.arange(-3, 4)
-        fld = Field(lo=-3, hi=3, heavy=np.zeros(7, bool),
-                    values=np.where(x == 0, xi0, -0.1 * np.abs(x)))
+        fld = xi_field(-3, np.where(x == 0, xi0, -0.1 * np.abs(x)))
         n = 3 * _BATCH + 17
         res = fk_estimate(fld, kappa, t, n, 11, box=0)
         p = math.exp(-2 * kappa * t)
@@ -328,9 +327,9 @@ class TestScreeningLowerBound:
         # e^-3688, lies far below the double range, and a floor put there
         # in its place lifts the bound above the exact log u
         x = np.arange(-220, 221)
-        heavy = (np.abs(x) >= 1) & (np.abs(x) <= 200)
-        fld = Field(lo=-220, hi=220, heavy=heavy,
-                    values=np.where(heavy, 50.0, 0.0))
+        wall = (np.abs(x) >= 1) & (np.abs(x) <= 200)
+        fld = Field(lo=-220, hi=220,
+                    log_neg_xi=np.where(wall, 50.0, -np.inf))
         pe = principal_eigpair(hamiltonian(fld, 0, 220, 1.0))
         assert math.isfinite(pe.log_eigvec[220]) and pe.log_eigvec[220] < -745.0
         assert pe.eigvec[220] == 0.0
@@ -348,15 +347,11 @@ class TestBestScreeningBound:
 
     def test_planted_window_found(self):
         # walls at xi = -e everywhere except a clean window around +50
-        n = 161
-        heavy = np.ones(n, bool)
-        vals = np.ones(n)                  # W = 1 -> xi = -e
         lo = -80
-        heavy[0 - lo] = False; vals[0 - lo] = 0.0
-        for x in range(47, 54):
-            heavy[x - lo] = False
-            vals[x - lo] = 0.0
-        fld = Field(lo=lo, hi=80, heavy=heavy, values=vals)
+        log_neg_xi = np.ones(161)          # log(-xi) = 1 -> xi = -e
+        for x in (0, *range(47, 54)):
+            log_neg_xi[x - lo] = -np.inf   # xi = 0
+        fld = Field(lo=lo, hi=80, log_neg_xi=log_neg_xi)
         lb, y_star = best_screening_bound(fld, 1.0, 200.0, 70, 1)
         assert 47 <= y_star <= 53
 
@@ -426,8 +421,7 @@ class TestBestScreeningBound:
         # crossing beats staying at 0
         k, kappa = 30, 20.0
         x = np.arange(-40, 41)
-        fld = Field(lo=-40, hi=40, heavy=np.zeros(x.size, bool),
-                    values=np.where(x == k, 0.0, -10.0))
+        fld = xi_field(-40, np.where(x == k, 0.0, -10.0))
         t = 2.0 * float(np.cumsum(np.exp(-fld.log_neg_or1(0, k - 1)))[-1])
         lb, y_star = best_screening_bound(fld, kappa, t, 35, 0)
         assert y_star == k
@@ -467,8 +461,8 @@ class TestCrossing:
         # W = 800 at x = 2: r_2 = e^-800 underflows to 0, so no walk moves on
         # within it; every centre beyond is -inf, with no NaN and no warning
         x = np.arange(-20, 21)
-        fld = Field(lo=-20, hi=20, heavy=x == 2,
-                    values=np.where(x == 2, 800.0, 0.0))
+        fld = Field(lo=-20, hi=20,
+                    log_neg_xi=np.where(x == 2, 800.0, -np.inf))
         t, R = 30.0, 3
         with warnings.catch_warnings():
             warnings.simplefilter("error")

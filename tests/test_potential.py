@@ -77,17 +77,19 @@ class TestFieldSampling:
     def test_values_non_positive(self, atom_spec, frechet_spec):
         for spec in (atom_spec, frechet_spec):
             fld = sample_field(spec, -500, 500, 0)
-            assert np.all(fld.xi(-500, 500) <= 0.0)
-            # heavy sites store W = log(-xi) >= 0
-            assert np.all(fld.values[fld.heavy] >= 0.0)
+            xi = fld.xi(-500, 500)
+            assert np.all(xi <= 0.0)
+            # xi = 0 decodes to +0.0, never -0.0
+            assert not np.signbit(xi[xi == 0.0]).any()
+            # log(-xi) is -inf (xi = 0) or finite, never NaN or +inf
+            assert np.all(fld.log_neg_xi < np.inf)
 
     def test_deterministic_given_seed(self, atom_spec):
         a = sample_field(atom_spec, -100, 100, 7)
         b = sample_field(atom_spec, -100, 100, 7)
-        assert np.array_equal(a.values, b.values)
-        assert np.array_equal(a.heavy, b.heavy)
+        assert np.array_equal(a.log_neg_xi, b.log_neg_xi)
         c = sample_field(atom_spec, -100, 100, 8)
-        assert not np.array_equal(a.values, c.values)
+        assert not np.array_equal(a.log_neg_xi, c.log_neg_xi)
 
     def test_extension_consistency(self, atom_spec, frechet_spec):
         # growing the sampled window must not change already-seen sites
@@ -95,31 +97,58 @@ class TestFieldSampling:
             small = sample_field(spec, -10, 10, 3)
             large = sample_field(spec, -1000, 1000, 3)
             lo = -10 - large.lo
-            assert np.array_equal(small.values, large.values[lo:lo + 21])
-            assert np.array_equal(small.heavy, large.heavy[lo:lo + 21])
+            assert np.array_equal(small.log_neg_xi,
+                                  large.log_neg_xi[lo:lo + 21])
 
     def test_branch_frequencies(self, atom_spec):
+        # L = log(-xi) is -inf w.p. (1-q)p, 0 w.p. (1-q)(1-p), and W >= 1
+        # (the heavy branch) w.p. q
         n = 200_000
         fld = sample_field(atom_spec, 1, n, 11)
-        q_hat = fld.heavy.mean()
+        heavy = fld.log_neg_xi > 0.0
+        q_hat = heavy.mean()
         sigma = math.sqrt(0.2 * 0.8 / n)
         assert abs(q_hat - 0.2) < 4 * sigma
-        light = fld.values[~fld.heavy]
-        p_hat = (light == 0.0).mean()
+        light = fld.log_neg_xi[~heavy]
+        p_hat = (light == -np.inf).mean()
         sigma_p = math.sqrt(0.5 * 0.5 / len(light))
         assert abs(p_hat - 0.5) < 4 * sigma_p
         # light complement is the atom at -1
-        assert set(np.unique(light)) <= {0.0, -1.0}
+        assert set(np.unique(light)) <= {-np.inf, 0.0}
 
     def test_pareto_heavy_tail(self, atom_spec):
         # P(W > x) = x^{-1} for the zeta = 1 exp-Pareto branch
         fld = sample_field(atom_spec, 1, 500_000, 5)
-        w = fld.values[fld.heavy]
+        w = fld.log_neg_xi[fld.log_neg_xi > 0.0]
         assert np.all(w >= 1.0)
         for x in (2.0, 10.0):
             frac = (w > x).mean()
             sigma = math.sqrt((1 / x) * (1 - 1 / x) / len(w))
             assert abs(frac - 1.0 / x) < 4 * sigma
+
+    def test_small_zeta_pareto_stays_finite(self):
+        # u^(-1/zeta) with u >= 2^-54 overflows for zeta < 54/1024; such
+        # draws are capped at W = e^_LOG_POW_MAX, as log-log ones are
+        spec = PotentialSpec(gamma=0.0, mix_q=0.2,
+                             lower=LowerTailSpec.pareto(0.01), atom_p=0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fld = sample_field(spec, 1, 200_000, 0)
+        w = fld.log_neg_xi[fld.log_neg_xi > 0.0]
+        assert np.all(np.isfinite(w)) and np.all(w >= 1.0)
+        assert (w == math.exp(_LOG_POW_MAX)).sum() > 0
+
+    def test_small_gamma_frechet_stays_finite(self):
+        # V = (D / -log u)^(1/a) overflows at a = 1/99; its log does not
+        spec = PotentialSpec(gamma=0.01, mix_q=0.2,
+                             lower=LowerTailSpec.pareto(1.0), frechet_d=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fld = sample_field(spec, -100_000, 100_000, 0)
+            xi = fld.xi(-100_000, 100_000)
+        assert np.all(np.isfinite(fld.log_neg_xi))
+        assert np.all(xi >= -np.exp(W_CAP))
+        assert (xi == -np.exp(W_CAP)).any()
 
     def test_loglog_heavy_tail(self):
         # F(x) = 1 - (log x0 / log x)^theta on [x0, inf); draws with log W
@@ -129,7 +158,7 @@ class TestFieldSampling:
                                  lower=LowerTailSpec.loglog(theta, x0))
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                w = sample_field(spec, 1, 200_000, 4).values
+                w = sample_field(spec, 1, 200_000, 4).log_neg_xi
             assert np.all(np.isfinite(w)) and np.all(w >= x0)
             for log_x in (2.5, 10.0, 100.0, 700.0, _LOG_POW_MAX):
                 p = (math.log(x0) / log_x) ** theta
@@ -141,22 +170,25 @@ class TestFieldSampling:
         assert w[1] == math.exp(_LOG_POW_MAX) and math.isfinite(w[0])
 
     def test_xi_decoder(self):
-        # light sites keep their value; heavy sites decode to -e^W exactly
-        # up to W_CAP, and to -e^W_CAP beyond it
-        fld = Field(lo=3, hi=5, heavy=np.array([False, True, True]),
-                    values=np.array([-0.25, 20.0, 1000.0]))
-        xi = fld.xi(3, 5)
-        assert xi[0] == -0.25
-        assert xi[1] == -np.exp(20.0)
-        assert xi[2] == -np.exp(W_CAP) and W_CAP == 700.0
-        assert np.array_equal(fld.xi(4, 4), xi[1:2])
+        # xi = -e^L exactly up to W_CAP, and -e^W_CAP beyond it; the
+        # gamma = 0 light values L = -inf and 0 decode to +0.0 and -1
+        fld = Field(lo=3, hi=7, log_neg_xi=np.array(
+            [-np.inf, 0.0, math.log(0.25), 20.0, 1000.0]))
+        xi = fld.xi(3, 7)
+        assert xi[0] == 0.0 and not np.signbit(xi[0])
+        assert xi[1] == -1.0
+        assert xi[2] == pytest.approx(-0.25, rel=1e-15)
+        assert xi[3] == -np.exp(20.0)
+        assert xi[4] == -np.exp(W_CAP) and W_CAP == 700.0
+        assert np.array_equal(fld.xi(6, 6), xi[3:4])
 
     def test_log_neg_or1(self, atom_spec):
         fld = sample_field(atom_spec, -50, 50, 2)
         wp = fld.log_neg_or1(-50, 50)
         # log(-xi v 1): zero on light sites (|xi| <= 1), W on heavy sites
-        assert np.all(wp[~fld.heavy] == 0.0)
-        assert np.array_equal(wp[fld.heavy], fld.values[fld.heavy])
+        heavy = fld.log_neg_xi > 0.0
+        assert np.all(wp[~heavy] == 0.0)
+        assert np.array_equal(wp[heavy], fld.log_neg_xi[heavy])
 
 
 class TestCumulants:
@@ -404,6 +436,9 @@ class TestGTilde:
         # G~^{-1}(1e-3) is about e^700 here, beyond the double range
         with pytest.raises(ArithmeticError, match="1e300"):
             g_tilde_inverse(loglog, 0.5, 1e-3)
+        # and so is the exp-Pareto closed form y^(-1/(eta zeta)) = 10^338
+        with pytest.raises(ArithmeticError, match="1e300"):
+            g_tilde_inverse(make_spec(0.0, 0.02), 0.5, 4.2e-4)
 
     def test_bounded_rejected(self, bounded_spec):
         with pytest.raises(ValueError):
