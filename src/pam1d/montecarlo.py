@@ -19,6 +19,7 @@ pathwise lower bound for u(t, 0).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +35,8 @@ __all__ = [
     "best_screening_bound",
 ]
 
-_BATCH = 4096  # paths per vectorized batch; it fixes the order of RNG draws
+_CHUNK = 1 << 16  # holding variates per block of walks with one jump count
+_LOOP_MAX = 128    # up to this many jumps a row loop beats np.cumsum
 
 
 @dataclass(frozen=True)
@@ -48,11 +50,11 @@ class FkResult:
 def jump_budget(kappa: float, t: float) -> int:
     """Largest jump count a walk may make: a Poisson(2 kappa t) tail bound.
 
-    Each walk draws its own Poisson(2 kappa t) jump count; a count above this
-    budget raises ArithmeticError.  The budget is also the walk's reach: an
-    unboxed walk stays within [-budget, budget], which the field must cover.
-    A kappa that is not > 0 or a t that is not >= 0, NaN and inf included,
-    raises ValueError.
+    Jump counts are Poisson(2 kappa t) quantiles; one above this budget
+    raises ArithmeticError.  The budget is also the walk's reach: an unboxed
+    walk stays within [-budget, budget], which the field must cover.  A kappa
+    that is not > 0 or a t that is not >= 0, NaN and inf included, raises
+    ValueError.
     """
     if not 0 < kappa < math.inf:
         raise ValueError(f"kappa must be > 0 and finite, got {kappa}")
@@ -62,66 +64,89 @@ def jump_budget(kappa: float, t: float) -> int:
     return int(rate * t + 12.0 * math.sqrt(rate * t + 1.0) + 30)
 
 
-def _occupation_batch(kappa: float, t: float, max_jumps: int,
-                      rng: np.random.Generator, batch: int
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Ragged batch of walks: jump counts, holding variates and steps.
+def _jump_strata(mean: float, max_jumps: int, n: int, u: float) -> np.ndarray:
+    """Walks per jump count k = 0..max_jumps under systematic sampling.
 
-    Returns (counts, e, steps), flat over the batch.  Walk w makes
-    N_w = counts[w] jumps and visits N_w + 1 sites.  With
-    S_w = sum_{v<w} (N_v + 1), its Exp(1) variates are e[S_w:S_w + N_w + 1],
-    never empty, and its steps in {-1, +1} are steps[S_w - w:S_w - w + N_w].
-    So e has sum (N_w + 1) entries and steps sum N_w.  A count above
-    max_jumps raises ArithmeticError.
-
-    Given N jumps on [0, t], the holding times are t times a flat Dirichlet
-    vector: t E_i / sum_{j<=N} E_j with E_i ~ Exp(1), i = 0..N; the caller
-    normalises.  Draw order within a batch: the ``batch`` Poisson(2 kappa t)
-    jump counts, then the sum (N_w + 1) Exp(1) variates walk by walk, then
-    ceil(sum N_w / 8) random bytes, whose bits in ``np.unpackbits`` order
-    are the steps walk by walk (1 is +1, 0 is -1).
+    Walk i = 0..n-1 makes F^{-1}((i + u) / n) jumps, with F the
+    Poisson(mean) CDF and u in [0, 1), so n_k = ceil(n F(k) - u) -
+    ceil(n F(k - 1) - u) walks make k jumps and |n_k - n P(N = k)| < 1.
+    For u uniform, the quantile of a walk picked uniformly at random is
+    uniform, so its count is Poisson(mean), and E n_k = n P(N = k) exactly.
+    A quantile above F(max_jumps) raises ArithmeticError.
     """
-    counts = rng.poisson(2.0 * kappa * t, size=batch)
-    if int(counts.max()) > max_jumps:
+    k = np.arange(max_jumps + 1)
+    if mean > 0.0:
+        log_fact = np.array([math.lgamma(j + 1.0) for j in k.tolist()])
+        pmf = np.exp(k * math.log(mean) - mean - log_fact)
+    else:
+        pmf = (k == 0).astype(float)
+    below = np.minimum(np.ceil(n * np.cumsum(pmf) - u), n).astype(np.int64)
+    if below[-1] < n:
         raise ArithmeticError("max_jumps exceeded; raise the jump budget")
-    n_jumps = int(counts.sum())
-    e = rng.standard_exponential(size=n_jumps + batch)
-    packed = rng.integers(0, 256, size=(n_jumps + 7) // 8, dtype=np.uint8)
-    steps = np.unpackbits(packed, count=n_jumps).view(np.int8)
-    steps *= 2
-    steps -= 1
-    return counts, e, steps
+    return np.diff(below, prepend=0)
 
 
-def _log_weights(counts: np.ndarray, e: np.ndarray, steps: np.ndarray,
-                 t_xi: np.ndarray, box: int | None
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Log-weights of one batch of walks, and which walks leave the box.
+def _blocks(mean: float, max_jumps: int, n: int, rng: np.random.Generator
+            ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """n walks with Poisson(mean) jump counts, as blocks (e, steps).
 
-    ``counts``, ``e`` and ``steps`` are a batch from ``_occupation_batch``;
-    ``t_xi[x + m]`` is t xi(x) for every site |x| <= m = (t_xi.size - 1) / 2
-    that a walk can reach.  Returns (log_w, killed): log_w[w] is the
-    integral of xi along walk w over [0, t], and -inf where killed[w], that
-    is, where the walk leaves [-box, box] (never when box is None).
+    Draw order: one uniform u, which fixes the counts (``_jump_strata``);
+    then, for each count k in increasing order, blocks of ``rows`` walks,
+    with rows * (k + 1) about 2^16.  A block draws its (k + 1, rows) Exp(1)
+    variates e, then ceil(k rows / 8) random bytes, whose bits in
+    ``np.unpackbits`` order fill the (k, rows) int8 steps row by row (1 is
+    +1, 0 is -1).  Column c is one walk: given k jumps on [0, t], its
+    holding times are t times a flat Dirichlet vector, t e[i, c] / sum_j
+    e[j, c] for its k + 1 sites; the caller normalises.
     """
-    b = counts.size
+    strata = _jump_strata(mean, max_jumps, n, rng.random())
+    for k in np.flatnonzero(strata).tolist():
+        walks = int(strata[k])
+        per_block = max(_CHUNK // (k + 1), 1)
+        for start in range(0, walks, per_block):
+            rows = min(per_block, walks - start)
+            e = rng.standard_exponential((k + 1, rows))
+            packed = rng.integers(0, 256, size=(k * rows + 7) // 8,
+                                  dtype=np.uint8)
+            steps = np.unpackbits(packed, count=k * rows).view(np.int8)
+            steps *= 2
+            steps -= 1
+            yield e, steps.reshape(k, rows)
+
+
+def _log_weights(e: np.ndarray, steps: np.ndarray, t_xi: np.ndarray,
+                 box: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """Log-weights of a block from ``_blocks``, and which walks leave the box.
+
+    ``t_xi[x + m]`` is t xi(x) for every site |x| <= m = (t_xi.size - 1) / 2
+    that a walk can reach.  Returns (log_w, killed): log_w[c] is the integral
+    of xi along walk c over [0, t], and -inf where killed[c], that is, where
+    the walk leaves [-box, box] (never when box is None).
+    """
+    k, rows = steps.shape
     m = t_xi.size // 2
-    walk = np.repeat(np.arange(b), counts + 1)
-    # site i of walk w has made the jumps steps[first[w]:i - w] since its
-    # start at 0, so its position is a difference of one cumsum
-    cs = np.zeros(steps.size + 1, dtype=np.int64)
-    np.cumsum(steps, out=cs[1:])
-    first = np.cumsum(counts) - counts
-    idx = cs[np.arange(e.size) - walk]
-    idx -= (cs[first] - m)[walk]                  # position + m
+    # idx = position + m, from 0 to 2m; int16 indexes t_xi fastest
+    wide = 2 * m > np.iinfo(np.int16).max
+    idx = np.empty((k + 1, rows), dtype=np.int32 if wide else np.int16)
+    idx[0] = m
+    idx[1:] = steps
+    if k <= _LOOP_MAX:
+        # numpy's accumulate does not vectorise; a row loop does
+        for j in range(1, k + 1):
+            idx[j] += idx[j - 1]
+    else:
+        np.cumsum(idx, axis=0, out=idx)
     # a site holds t e / (sum of its walk's e): one division per walk, and
     # a walk without jumps gets t xi(0) to within an ulp
-    log_w = np.bincount(walk, t_xi[idx] * e, b) / np.bincount(walk, e, b)
-    killed = np.zeros(b, dtype=bool)
-    if box is not None and int(counts.max()) > box:
-        # only a walk with more than box jumps can leave the box
-        killed[walk[np.abs(idx - m) > box]] = True
-        log_w[killed] = -np.inf
+    terms = t_xi[idx]
+    terms *= e
+    log_w = terms.sum(axis=0)
+    log_w /= e.sum(axis=0)
+    if box is None or k <= box:
+        # a walk with at most box jumps cannot leave the box
+        return log_w, np.zeros(rows, dtype=bool)
+    killed = (idx.max(axis=0) > m + box) | (idx.min(axis=0) < m - box)
+    log_w[killed] = -np.inf
     return log_w, killed
 
 
@@ -135,10 +160,16 @@ def fk_estimate(field: Field, kappa: float, t: float, n_samples: int,
     smaller; a field not covering [-r, r] raises ValueError before any draw,
     and so do a negative box and the kappa or t that ``jump_budget`` rejects.
 
-    Walks are drawn in batches of 4096 (``_occupation_batch``).  Draw order
-    per batch: the Poisson(2 kappa t) jump counts N, then sum (N + 1) Exp(1)
-    variates for the holding times, then ceil(sum N / 8) random bytes whose
-    bits are the steps.  The estimate for a seed is fixed by that order.
+    Jump counts are sampled systematically (``_blocks``): one uniform u,
+    then walk i makes the Poisson(2 kappa t) quantile at (i + u) / n jumps,
+    and the walks of each count are simulated as dense blocks.  The average
+    over walks of a function of the count has its Poisson expectation, so
+    the estimate is unbiased for every n >= 1.  The estimate for a seed is
+    fixed by the draw order of ``_blocks``.  With h(k) the mean weight of a
+    walk with k jumps, iid counts add Var h(N) / n to the variance, and
+    systematic ones at most (sum_k |h(k + 1) - h(k)|)^2 / n^2, since no n_k
+    is off by a whole walk.  The stderr is the iid formula, so it overstates
+    the error: it is conservative.
     """
     if n_samples <= 0:
         raise ValueError(f"n_samples must be > 0, got {n_samples}")
@@ -156,13 +187,12 @@ def fk_estimate(field: Field, kappa: float, t: float, n_samples: int,
     total = 0.0
     total_sq = 0.0
     exited = 0
-    for start in range(0, n_samples, _BATCH):
-        batch = _occupation_batch(kappa, t, max_jumps, rng,
-                                  min(_BATCH, n_samples - start))
-        log_w, killed = _log_weights(*batch, t_xi, box)
-        exited += int(np.count_nonzero(killed))
-        with np.errstate(under="ignore"):
+    for block in _blocks(2.0 * kappa * t, max_jumps, n_samples, rng):
+        # a path integral below the double range is -inf: weight 0
+        with np.errstate(over="ignore", under="ignore"):
+            log_w, killed = _log_weights(*block, t_xi, box)
             w = np.exp(log_w)
+        exited += int(np.count_nonzero(killed))
         total += float(w.sum())
         total_sq += float((w * w).sum())
     mean = total / n_samples

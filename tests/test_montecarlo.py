@@ -7,9 +7,9 @@ import pytest
 from pam1d import montecarlo
 from pam1d.lattice import (hamiltonian, principal_eigpair, solve_box,
                            solve_point_log)
-from pam1d.montecarlo import (_BATCH, _crossing, _log_weights,
-                              _occupation_batch, best_screening_bound, fk_estimate, jump_budget,
-                              screening_lower_bound)
+from pam1d.montecarlo import (_CHUNK, _LOOP_MAX, _blocks, _crossing,
+                              _jump_strata, _log_weights, best_screening_bound,
+                              fk_estimate, jump_budget, screening_lower_bound)
 from pam1d.potential import Field, sample_field
 
 from conftest import constant_field, make_spec, xi_field, zero_field
@@ -17,36 +17,94 @@ from conftest import constant_field, make_spec, xi_field, zero_field
 
 def _walks(kappa, t, seed, n):
     """n walks from the sampler fk_estimate uses, with its jump budget:
-    (steps, holds, starts, counts), with walk b's holding times
-    holds[starts[b]:starts[b] + counts[b] + 1] = t e / (sum of its e)."""
-    counts, e, steps = _occupation_batch(kappa, t, jump_budget(kappa, t),
-                                         np.random.default_rng(seed), n)
-    starts = np.concatenate([[0], np.cumsum(counts + 1)[:-1]])
-    holds = t * (e / np.repeat(np.add.reduceat(e, starts), counts + 1))
-    return steps, holds, starts, counts
+    (steps, holds, counts), one list entry per block, walk c of a block in
+    column c; holds[i, c] = t e[i, c] / (sum of column c of e)."""
+    steps, holds, counts = [], [], []
+    for e, st in _blocks(2 * kappa * t, jump_budget(kappa, t), n,
+                         np.random.default_rng(seed)):
+        steps.append(st)
+        holds.append(t * (e / e.sum(axis=0)))
+        counts.append(st.shape[0])
+    return steps, holds, counts
+
+
+def _pmf(mean, size):
+    return np.array([math.exp(k * math.log(mean) - mean - math.lgamma(k + 1))
+                     for k in range(size)])
+
+
+class TestJumpStrata:
+    @pytest.mark.parametrize("mean, n", [(6.0, 100_000), (0.3, 7), (40.0, 1),
+                                         (160.0, 12_345)])
+    def test_allocation(self, mean, n):
+        # sum n_k = n, and each n_k is n P(N = k) rounded up or down
+        budget = int(mean + 12 * math.sqrt(mean + 1) + 30)
+        for u in (0.5, 0.25, 0.999):
+            n_k = _jump_strata(mean, budget, n, u)
+            assert n_k.shape == (budget + 1,) and np.all(n_k >= 0)
+            assert n_k.sum() == n
+            assert np.all(np.abs(n_k - n * _pmf(mean, budget + 1)) < 1)
+
+    def test_mean_over_u_is_n_pmf(self):
+        # E_u ceil(x - u) = x for x >= 0, so E n_k = n P(N = k): the
+        # systematic counts are unbiased.  Midpoints of 4000 u-cells carry
+        # an error of at most 1 / 4000 per k
+        mean, n, cells = 6.0, 37, 4000
+        budget = jump_budget(1.0, 3.0)
+        avg = np.mean([_jump_strata(mean, budget, n, (j + 0.5) / cells)
+                       for j in range(cells)], axis=0)
+        assert np.all(np.abs(avg - n * _pmf(mean, budget + 1)) <= 1 / cells)
+
+    def test_zero_time_and_one_walk(self):
+        assert _jump_strata(0.0, jump_budget(1.0, 0.0), 5, 0.7).tolist() == (
+            [5] + [0] * jump_budget(1.0, 0.0))
+        # one walk: its count is the quantile at u itself
+        for u in (0.0, 0.3, 0.9):
+            n_k = _jump_strata(6.0, 60, 1, u)
+            assert n_k.sum() == 1
+            k = int(np.flatnonzero(n_k)[0])
+            cdf = np.cumsum(_pmf(6.0, 61))
+            assert (cdf[k - 1] if k else 0.0) <= u < cdf[k]
+        m = jump_budget(1.0, 2.0)
+        fld = constant_field(-m, m, -0.5)
+        res = fk_estimate(fld, 1.0, 2.0, 1, 3)
+        assert res.n_samples == 1 and res.stderr == 0.0
+        assert res.estimate == pytest.approx(math.exp(-1.0), rel=1e-14)
+        res = fk_estimate(fld, 1.0, 0.0, 4, 3)
+        assert (res.estimate, res.stderr, res.exit_fraction) == (1.0, 0.0, 0.0)
+
+    def test_budget_too_small_raises(self):
+        with pytest.raises(ArithmeticError, match="max_jumps exceeded"):
+            _jump_strata(6.0, 2, 1000, 0.5)
+        with pytest.raises(ArithmeticError, match="max_jumps exceeded"):
+            next(_blocks(6.0, 2, 1000, np.random.default_rng(0)))
 
 
 class TestSimulateWalk:
     def test_zero_time_no_jumps(self):
-        steps, holds, starts, counts = _walks(1.0, 0.0, 0, 5)
-        assert counts.tolist() == [0] * 5
-        assert starts.tolist() == [0, 1, 2, 3, 4]
-        assert steps.size == 0
-        assert np.all(holds == 0.0)
+        steps, holds, counts = _walks(1.0, 0.0, 0, 5)
+        assert counts == [0]
+        assert steps[0].shape == (0, 5)
+        assert holds[0].shape == (1, 5) and np.all(holds[0] == 0.0)
 
     def test_deterministic_given_seed(self):
-        a = _walks(1.0, 5.0, 42, 50)
-        b = _walks(1.0, 5.0, 42, 50)
-        for x, y in zip(a, b):
-            assert np.array_equal(x, y)
+        for a, b in zip(_walks(1.0, 5.0, 42, 50), _walks(1.0, 5.0, 42, 50)):
+            assert len(a) == len(b)
+            for x, y in zip(a, b):
+                assert np.array_equal(x, y)
 
     def test_path_structure(self):
         t = 10.0
-        steps, holds, starts, counts = _walks(0.7, t, 3, 200)
-        assert steps.dtype == np.int8 and np.all(np.abs(steps) == 1)
-        assert np.all(holds >= 0.0)
-        # each walk's holding times fill [0, t]
-        assert np.allclose(np.add.reduceat(holds, starts), t, rtol=1e-12)
+        steps, holds, counts = _walks(0.7, t, 3, 200)
+        # one block per count, in increasing order
+        assert counts == sorted(set(counts))
+        for st, h, k in zip(steps, holds, counts):
+            assert st.dtype == np.int8 and np.all(np.abs(st) == 1)
+            assert st.shape[0] == k and h.shape == (k + 1, st.shape[1])
+            assert np.all(h >= 0.0)
+            # each walk's holding times fill [0, t]
+            assert np.allclose(h.sum(axis=0), t, rtol=1e-12)
+        assert sum(st.shape[1] for st in steps) == 200
 
     def test_walk_without_jumps_holds_exactly_t(self):
         # P(N = 0) = e^{-2 kappa t}: hundreds of such walks per field; each
@@ -59,31 +117,28 @@ class TestSimulateWalk:
             m = jump_budget(kappa, t)
             fld = sample_field(make_spec(0.5, 1.0), -m, m, seed)
             xi0 = fld.xi(0, 0).item()
-            counts, e, steps = _occupation_batch(
-                kappa, t, m, np.random.default_rng(seed), n)
-            log_w, _ = _log_weights(counts, e, steps, t * fld.xi(-m, m), None)
-            alone = log_w[counts == 0]
-            assert alone.size > 100
-            assert np.all(np.abs(alone - xi0 * t)
+            e, steps = next(_blocks(2 * kappa * t, m, n,
+                                    np.random.default_rng(seed)))
+            assert steps.shape[0] == 0
+            log_w, killed = _log_weights(e, steps, t * fld.xi(-m, m), 0)
+            assert log_w.size > 100 and not killed.any()
+            assert np.all(np.abs(log_w - xi0 * t)
                           <= np.spacing(abs(xi0 * t)))
 
     def test_mean_jump_count(self):
-        # number of jumps by time t is Poisson(2 kappa t)
+        # the counts are Poisson(2 kappa t) quantiles: their mean is the
+        # Poisson mean to within the rounding of each n_k to a whole walk
         kappa, t, n = 1.0, 3.0, 3000
-        *_, counts = _walks(kappa, t, 0, n)
-        mean = 2 * kappa * t
-        sigma = math.sqrt(mean / n)
-        assert abs(counts.mean() - mean) < 4 * sigma
+        steps, _, counts = _walks(kappa, t, 0, n)
+        mean = np.average(counts, weights=[st.shape[1] for st in steps])
+        assert abs(mean - 2 * kappa * t) < 30 / n
 
     def test_variance_of_position(self):
         # Var X(t) = 2 kappa t for the rate-2kappa walk with +-1 steps
         kappa, t, n = 0.5, 4.0, 3000
-        steps, _, starts, counts = _walks(kappa, t, 0, n)
-        # walk b's steps start at starts[b] - b: one site more than steps
-        # per walk before it
-        first = starts - np.arange(n)
-        c = np.concatenate([[0], np.cumsum(steps, dtype=np.int64)])
-        finals = c[first + counts] - c[first]
+        steps, _, _ = _walks(kappa, t, 0, n)
+        finals = np.concatenate([st.sum(axis=0, dtype=np.int64)
+                                 for st in steps])
         var = 2 * kappa * t
         # fourth-moment bound for the stderr of a variance estimate
         sigma = math.sqrt((3 * var ** 2 + var) / n)
@@ -93,53 +148,59 @@ class TestSimulateWalk:
         # the first jump comes at rate 2 kappa: P(h_0 > s) = e^{-2 kappa s}
         # for s < t; uniform draws normalised to sum to t fail this
         kappa, t, n = 1.0, 3.0, 20_000
-        _, holds, starts, _ = _walks(kappa, t, 1, n)
+        _, holds, _ = _walks(kappa, t, 1, n)
+        first = np.concatenate([h[0] for h in holds])
         for s in (0.1, 0.5, 1.5):
             p = math.exp(-2 * kappa * s)
             sigma = math.sqrt(p * (1 - p) / n)
-            assert abs((holds[starts] > s).mean() - p) < 4 * sigma
+            assert abs((first > s).mean() - p) < 4 * sigma
 
     def test_holding_times_given_count(self):
         # given N = n jumps, each of the n + 1 holding times has mean
         # t / (n + 1) and variance t^2 n / ((n + 1)^2 (n + 2)) (flat
         # Dirichlet); spacings spread over more sites than N + 1 fail this
         kappa, t, n = 1.0, 3.0, 20_000
-        _, holds, starts, counts = _walks(kappa, t, 2, n)
+        _, holds, counts = _walks(kappa, t, 2, n)
         for jumps in (2, 6, 10):
-            rows = holds[starts[counts == jumps, None] + np.arange(jumps + 1)]
+            h = holds[counts.index(jumps)]
             mean = t / (jumps + 1)
             sigma = math.sqrt(t * t * jumps / ((jumps + 1) ** 2 * (jumps + 2))
-                              / len(rows))
-            assert np.all(np.abs(rows.mean(axis=0) - mean) < 4 * sigma)
+                              / h.shape[1])
+            assert np.all(np.abs(h.mean(axis=1) - mean) < 4 * sigma)
 
     def test_draws_exactly_the_jumps_made(self):
-        # sum (N + 1) exponentials and ceil(sum N / 8) bytes of steps, in
-        # that order after the counts; the budget caps N
-        kappa, t, n = 1.0, 3.0, 20_000
-        counts, e, steps = _occupation_batch(kappa, t, jump_budget(kappa, t),
-                                             np.random.default_rng(3), n)
-        assert counts.shape == (n,) and np.all(counts >= 0)
-        assert e.size == int((counts + 1).sum())
-        assert steps.size == int(counts.sum())
+        # one uniform, then per block (k + 1) rows Exp(1) variates and
+        # ceil(k rows / 8) bytes of steps, counts in increasing order; a
+        # count with more than 2^16 variates takes several blocks
+        kappa, t, n = 1.0, 3.0, 60_000
+        m = jump_budget(kappa, t)
         rng = np.random.default_rng(3)
-        assert np.array_equal(rng.poisson(2 * kappa * t, size=n), counts)
-        assert np.array_equal(rng.standard_exponential(e.size), e)
-        bits = np.unpackbits(rng.integers(0, 256, size=(steps.size + 7) // 8,
-                                          dtype=np.uint8))
-        assert np.array_equal(2 * bits[:steps.size].astype(int) - 1, steps)
-        with pytest.raises(ArithmeticError, match="max_jumps exceeded"):
-            _occupation_batch(kappa, t, 2, np.random.default_rng(3), n)
+        n_k = _jump_strata(2 * kappa * t, m, n, rng.random())
+        shapes = []
+        for e, steps in _blocks(2 * kappa * t, m, n, np.random.default_rng(3)):
+            k, rows = steps.shape
+            shapes.append((k, rows))
+            assert np.array_equal(rng.standard_exponential((k + 1, rows)), e)
+            bits = np.unpackbits(rng.integers(0, 256, size=(k * rows + 7) // 8,
+                                              dtype=np.uint8))
+            assert np.array_equal(2 * bits[:k * rows].astype(int) - 1,
+                                  steps.ravel())
+        per_count = {}
+        for k, rows in shapes:
+            assert rows * (k + 1) <= _CHUNK
+            per_count[k] = per_count.get(k, 0) + rows
+        assert per_count == {k: int(c) for k, c in enumerate(n_k) if c}
+        assert len(shapes) > len(per_count)
 
 
-def _reference_log_weights(counts, e, steps, xi, t, box):
+def _reference_log_weights(e, steps, xi, t, box):
     """Walk-by-walk loop: positions from the steps, holds t e / sum e, the
     log-weight sum xi(x) * hold, and -inf for a walk that leaves the box."""
     m = (xi.size - 1) // 2
-    out, site = [], 0
-    for b, n in enumerate(counts):
-        pos = np.concatenate([[0], np.cumsum(steps[site - b:site - b + n])])
-        ee = e[site:site + n + 1]
-        site += n + 1
+    out = []
+    for c in range(steps.shape[1]):
+        pos = np.concatenate([[0], np.cumsum(steps[:, c])])
+        ee = e[:, c]
         if box is not None and np.abs(pos).max() > box:
             out.append(-math.inf)
         else:
@@ -150,17 +211,37 @@ def _reference_log_weights(counts, e, steps, xi, t, box):
 class TestLogWeights:
     @pytest.mark.parametrize("box", [None, 4, 0])
     def test_against_walk_by_walk_loop(self, box):
-        kappa, t, n = 1.0, 3.0, 500
-        m = jump_budget(kappa, t)
-        fld = sample_field(make_spec(0.5, 1.0), -m, m, 21)
-        xi = fld.xi(-m, m)
-        batch = _occupation_batch(kappa, t, m, np.random.default_rng(5), n)
-        log_w, killed = _log_weights(*batch, t * xi, box)
-        ref = _reference_log_weights(*batch, xi, t, box)
-        assert np.array_equal(killed, ref == -math.inf)
-        assert (box is None) == (not killed.any())
-        assert np.array_equal(log_w[killed], ref[killed])
-        assert np.allclose(log_w[~killed], ref[~killed], rtol=1e-13, atol=0)
+        # t = 80 puts counts on both sides of _LOOP_MAX: the row loop and
+        # np.cumsum both form the positions
+        kappa, n, seen = 1.0, 300, set()
+        for t in (3.0, 80.0):
+            m = jump_budget(kappa, t)
+            fld = sample_field(make_spec(0.5, 1.0), -m, m, 21)
+            xi = fld.xi(-m, m)
+            for e, steps in _blocks(2 * kappa * t, m, n,
+                                    np.random.default_rng(5)):
+                seen.add(steps.shape[0] > _LOOP_MAX)
+                log_w, killed = _log_weights(e, steps, t * xi, box)
+                ref = _reference_log_weights(e, steps, xi, t, box)
+                assert np.array_equal(killed, ref == -math.inf)
+                assert np.array_equal(log_w[killed], ref[killed])
+                assert np.allclose(log_w[~killed], ref[~killed],
+                                   rtol=1e-13, atol=0)
+                if box is None or steps.shape[0] <= box:
+                    assert not killed.any()
+        assert seen == {False, True}
+
+    def test_wide_table_positions(self):
+        # past 2m = 32767 the positions are int32; the same walks read the
+        # same sites of a wider table
+        e, steps = next(_blocks(40.0, 400, 1000, np.random.default_rng(8)))
+        small = np.linspace(-3.0, -1.0, 2 * 400 + 1)
+        wide = np.zeros(2 * 20_000 + 1)
+        wide[20_000 - 400:20_000 + 401] = small
+        for box in (None, 3):
+            a = _log_weights(e, steps, small, box)
+            b = _log_weights(e, steps, wide, box)
+            assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 class TestFkEstimate:
@@ -219,29 +300,44 @@ class TestFkEstimate:
         fld = sample_field(make_spec(0.5, 1.0), -10, 10, 2000)
         res = fk_estimate(fld, 1.0, 3.0, 100_000, 2000, box=10)
         assert (res.estimate, res.stderr, res.exit_fraction) == (
-            0.038343138995938233, 0.00017708375877853618, 6e-05)
+            0.03830344858772356, 0.00017712232960761504, 5e-05)
         exact = solve_box(fld, 0, 10, 1.0, 3.0)[10]
         assert exact == pytest.approx(0.0384166576, rel=1e-9)
         assert abs(res.estimate - exact) < 4 * res.stderr
         fld = sample_field(make_spec(0.5, 1.0), -200, 200, 40)
         res = fk_estimate(fld, 1.0, 1.0, 20_000, 7)
         assert (res.estimate, res.stderr, res.exit_fraction) == (
-            0.41908790852398525, 0.0013067376632426534, 0.0)
+            0.4201952959528573, 0.001303862955688829, 0.0)
+
+    @pytest.mark.parametrize("gamma, field_seed", [(0.0, 2003), (0.5, 2000)])
+    def test_stderr_is_honest(self, gamma, field_seed):
+        # the reported stderr is the iid formula; under systematic counts
+        # the spread of the estimates over seeds is no larger than it, up
+        # to the noise of 200 estimates of a sd (about 5 %)
+        fld = sample_field(make_spec(gamma, 1.0), -10, 10, field_seed)
+        exact = solve_box(fld, 0, 10, 1.0, 3.0)[10]
+        runs = [fk_estimate(fld, 1.0, 3.0, 2000, seed, box=10)
+                for seed in range(200)]
+        est = np.array([r.estimate for r in runs])
+        sd = est.std(ddof=1)
+        assert sd <= 1.15 * np.mean([r.stderr for r in runs])
+        assert abs(est.mean() - exact) < 4 * sd / math.sqrt(200)
 
     def test_box_zero_keeps_only_walks_without_jumps(self):
         # with box = 0 a walk survives only if it never jumps, which it does
         # with probability p = e^{-2 kappa t}, and then holds exactly t at 0.
-        # Several full batches and a partial one: a walk whose position is
-        # not reset at its own start would leave 0 and be killed
-        kappa, t, xi0 = 0.5, 1.0, -0.5
+        # The walks without jumps fill several blocks, the last one partial
+        kappa, t, xi0 = 0.5, 0.1, -0.5
         x = np.arange(-3, 4)
         fld = xi_field(-3, np.where(x == 0, xi0, -0.1 * np.abs(x)))
-        n = 3 * _BATCH + 17
-        res = fk_estimate(fld, kappa, t, n, 11, box=0)
+        n = 3 * _CHUNK + 17
         p = math.exp(-2 * kappa * t)
+        assert 2 * _CHUNK < p * n < 3 * _CHUNK
+        res = fk_estimate(fld, kappa, t, n, 11, box=0)
         w = math.exp(xi0 * t)
-        assert abs(res.estimate - p * w) < 4 * w * math.sqrt(p * (1 - p) / n)
-        assert abs(res.exit_fraction - (1 - p)) < 4 * math.sqrt(p * (1 - p) / n)
+        # the survivors are the n_0 = n p walks without jumps, to one walk
+        assert abs(res.exit_fraction - (1 - p)) < 1 / n
+        assert abs(res.estimate - p * w) < w / n
         # every survivor carries exactly the weight e^{xi(0) t}
         assert res.estimate == pytest.approx((1 - res.exit_fraction) * w,
                                              rel=1e-12)
@@ -258,7 +354,7 @@ class TestFkEstimate:
     def test_bad_kappa_rejected_before_any_draw(self, monkeypatch, kappa):
         def no_draw(*args):
             raise AssertionError("walks drawn")
-        monkeypatch.setattr(montecarlo, "_occupation_batch", no_draw)
+        monkeypatch.setattr(montecarlo, "_blocks", no_draw)
         with pytest.raises(ValueError, match="kappa must be > 0"):
             fk_estimate(zero_field(-5, 5), kappa, 1.0, 10, 0, box=5)
 
