@@ -36,7 +36,6 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 16  # holding variates per block of walks with one jump count
-_LOOP_MAX = 128    # up to this many jumps a row loop beats np.cumsum
 
 
 @dataclass(frozen=True)
@@ -125,17 +124,13 @@ def _log_weights(e: np.ndarray, steps: np.ndarray, t_xi: np.ndarray,
     """
     k, rows = steps.shape
     m = t_xi.size // 2
-    # idx = position + m, from 0 to 2m; int16 indexes t_xi fastest
-    wide = 2 * m > np.iinfo(np.int16).max
-    idx = np.empty((k + 1, rows), dtype=np.int32 if wide else np.int16)
+    # idx = position + m, from 0 to 2m
+    idx = np.empty((k + 1, rows), dtype=np.int32)
     idx[0] = m
     idx[1:] = steps
-    if k <= _LOOP_MAX:
-        # numpy's accumulate does not vectorise; a row loop does
-        for j in range(1, k + 1):
-            idx[j] += idx[j - 1]
-    else:
-        np.cumsum(idx, axis=0, out=idx)
+    # numpy's accumulate along axis 0 does not vectorise; a row loop does
+    for j in range(1, k + 1):
+        idx[j] += idx[j - 1]
     # a site holds t e / (sum of its walk's e): one division per walk, and
     # a walk without jumps gets t xi(0) to within an ulp
     terms = t_xi[idx]

@@ -7,7 +7,7 @@ import pytest
 from pam1d import montecarlo
 from pam1d.lattice import (hamiltonian, principal_eigpair, solve_box,
                            solve_point_log)
-from pam1d.montecarlo import (_CHUNK, _LOOP_MAX, _blocks, _crossing,
+from pam1d.montecarlo import (_CHUNK, _blocks, _crossing,
                               _jump_strata, _log_weights, best_screening_bound,
                               fk_estimate, jump_budget, screening_lower_bound)
 from pam1d.potential import Field, sample_field
@@ -211,37 +211,20 @@ def _reference_log_weights(e, steps, xi, t, box):
 class TestLogWeights:
     @pytest.mark.parametrize("box", [None, 4, 0])
     def test_against_walk_by_walk_loop(self, box):
-        # t = 80 puts counts on both sides of _LOOP_MAX: the row loop and
-        # np.cumsum both form the positions
-        kappa, n, seen = 1.0, 300, set()
-        for t in (3.0, 80.0):
-            m = jump_budget(kappa, t)
-            fld = sample_field(make_spec(0.5, 1.0), -m, m, 21)
-            xi = fld.xi(-m, m)
-            for e, steps in _blocks(2 * kappa * t, m, n,
-                                    np.random.default_rng(5)):
-                seen.add(steps.shape[0] > _LOOP_MAX)
-                log_w, killed = _log_weights(e, steps, t * xi, box)
-                ref = _reference_log_weights(e, steps, xi, t, box)
-                assert np.array_equal(killed, ref == -math.inf)
-                assert np.array_equal(log_w[killed], ref[killed])
-                assert np.allclose(log_w[~killed], ref[~killed],
-                                   rtol=1e-13, atol=0)
-                if box is None or steps.shape[0] <= box:
-                    assert not killed.any()
-        assert seen == {False, True}
-
-    def test_wide_table_positions(self):
-        # past 2m = 32767 the positions are int32; the same walks read the
-        # same sites of a wider table
-        e, steps = next(_blocks(40.0, 400, 1000, np.random.default_rng(8)))
-        small = np.linspace(-3.0, -1.0, 2 * 400 + 1)
-        wide = np.zeros(2 * 20_000 + 1)
-        wide[20_000 - 400:20_000 + 401] = small
-        for box in (None, 3):
-            a = _log_weights(e, steps, small, box)
-            b = _log_weights(e, steps, wide, box)
-            assert all(np.array_equal(x, y) for x, y in zip(a, b))
+        kappa, t, n = 1.0, 3.0, 300
+        m = jump_budget(kappa, t)
+        fld = sample_field(make_spec(0.5, 1.0), -m, m, 21)
+        xi = fld.xi(-m, m)
+        for e, steps in _blocks(2 * kappa * t, m, n,
+                                np.random.default_rng(5)):
+            log_w, killed = _log_weights(e, steps, t * xi, box)
+            ref = _reference_log_weights(e, steps, xi, t, box)
+            assert np.array_equal(killed, ref == -math.inf)
+            assert np.array_equal(log_w[killed], ref[killed])
+            assert np.allclose(log_w[~killed], ref[~killed],
+                               rtol=1e-13, atol=0)
+            if box is None or steps.shape[0] <= box:
+                assert not killed.any()
 
 
 class TestFkEstimate:
