@@ -206,7 +206,10 @@ def _eigvals(op: TridiagonalOperator, first: int, stop: int) -> np.ndarray:
 
     Sturm-sequence bisection on the requested index range, ascending.  The
     bisection tolerance 2 * tiny makes every eigenvalue accurate to relative
-    precision, so every caller sees the same lambda for a box.
+    precision.  The last bits depend on the index range requested, so
+    callers that request different ranges agree to about an ulp, not to the
+    bit; a mode sum's eigenvalues are reproducible because its batches of
+    _BATCH from the top are fixed.
     """
     n = op.n
     w = eigh_tridiagonal(op.diag, op.offdiag(), eigvals_only=True, select="i",

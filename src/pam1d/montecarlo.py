@@ -154,6 +154,8 @@ def fk_estimate(field: Field, kappa: float, t: float, n_samples: int,
     Walks reach at most r = jump_budget(kappa, t) sites, or the box radius if
     smaller; a field not covering [-r, r] raises ValueError before any draw,
     and so do a negative box and the kappa or t that ``jump_budget`` rejects.
+    If every weight is 0 -- every walk left the box, or every path integral
+    is below the double range -- it raises ArithmeticError, not 0 +- 0.
 
     Jump counts are sampled systematically (``_blocks``): one uniform u,
     then walk i makes the Poisson(2 kappa t) quantile at (i + u) / n jumps,
@@ -190,6 +192,12 @@ def fk_estimate(field: Field, kappa: float, t: float, n_samples: int,
         exited += int(np.count_nonzero(killed))
         total += float(w.sum())
         total_sq += float((w * w).sum())
+    if total == 0.0:
+        # u(t, 0) > 0 on every field: 0 +- 0 would claim an exact zero
+        raise ArithmeticError(
+            f"every Feynman-Kac weight is 0: {exited} of {n_samples} walks "
+            f"left the box and the other {n_samples - exited} have weights "
+            "below the double range")
     mean = total / n_samples
     var = max(total_sq / n_samples - mean * mean, 0.0)
     return FkResult(estimate=mean,

@@ -22,7 +22,8 @@ as well (``_chi_closed``, ``_optimal_psi``); ``chi_tilde`` starts a damped
 KKT fixed-point iteration on the discretized profile from it and from a
 profile that does not use it, and reports the discrete optimum.  The
 iteration carries log|psi|, so each step is a weighted sum of logarithms;
-the box radius doubles from 1 until a box does not improve on the best.
+the box radius doubles from 1 until a box does not improve on the best or
+the box holds the closed-form well.
 No cap bounds the depth of a profile, nor the n_grid R nodes of its grid.
 """
 
@@ -368,12 +369,16 @@ def chi_tilde(cfg: VariationalConfig, r_max: float = 256.0) -> ChiResult:
     interval, kappa pi^2 A^2, read from ``_chi_closed`` with no eigen solve.
 
     gamma > 0: damped KKT iteration at each R from two starting profiles,
-    doubling R from 1 and stopping at the first R whose better run does not
-    beat the best eigenvalue so far by tol (1 + |lambda|), or past r_max.
-    In the continuum the optimum over [-R, R] does not decrease in R and is
-    flat once the box holds the well, and every R starts one run at the
-    closed-form well, so a box that does not improve ends the search: a
-    larger one, on the same spacing, adds nothing.  The warm start is the
+    doubling R from 1.  The search ends at the first R whose better run
+    does not beat the best eigenvalue so far by tol (1 + |lambda|), after
+    the first R >= pi / (2 omega), the half-width of the closed-form well
+    (``_optimal_psi``), or past r_max, whichever comes first.  In the
+    continuum the optimum over [-R, R] does not decrease in R and is flat
+    once the box holds the well, and every R starts one run at the
+    closed-form well.  So a box that does not improve ends the search, and
+    so does the first box that holds the well: past it the discrete search
+    gains only through walls that cost almost nothing, and those gains move
+    chi away from the closed form.  The warm start is the
     closed-form optimum ``_optimal_psi`` on the grid; the cold start
     1 + 10 (x/R)^2 keeps a route at every R that does not use the formula.
     The returned chi is -lambda of the discrete profile.
@@ -384,6 +389,9 @@ def chi_tilde(cfg: VariationalConfig, r_max: float = 256.0) -> ChiResult:
         return ChiResult(chi=_chi_closed(cfg.A, 0.0, cfg.kappa), R=L / 2.0,
                          psi=psi, budget=cfg.A * L, iterations=0)
 
+    omega = (1.0 - cfg.gamma) * math.sqrt(
+        _chi_closed(cfg.A, cfg.gamma, cfg.kappa) / cfg.kappa)
+    r_well = 0.5 * math.pi / omega
     best = (-math.inf, None, None, 0)
     R = 1.0
     while R <= r_max:
@@ -402,6 +410,8 @@ def chi_tilde(cfg: VariationalConfig, r_max: float = 256.0) -> ChiResult:
         if not lam_R > best[0] + cfg.tol * (1.0 + abs(lam_R)):
             break
         best = cand
+        if R >= r_well:
+            break
         R *= 2.0
     lam, R_best, u, its = best
     psi = ShapeFunction(R=R_best, values=-u)

@@ -258,6 +258,16 @@ class TestFkEstimate:
         comb = math.hypot(a.stderr, b.stderr)
         assert abs(a.estimate - b.estimate) < 4 * comb
 
+    def test_all_weights_zero_raises(self):
+        # xi = -1000: a path integral of about -1000 underflows exp, and one
+        # walk of 2000 leaves the box; the sum of weights is exactly 0, and
+        # 0 +- 0 would claim u(1, 0) = 0
+        fld = Field(lo=-40, hi=40, log_neg_xi=np.full(81, math.log(1000.0)))
+        with pytest.raises(ArithmeticError,
+                           match="1 of 2000 walks left the box and the other "
+                                 "1999 have weights below the double range"):
+            fk_estimate(fld, 1.0, 1.0, 2000, 0, box=5)
+
     def test_exit_raises_unbounded(self):
         fld = zero_field(-2, 2)
         with pytest.raises(ValueError, match="outside the sampled"):

@@ -267,9 +267,8 @@ class TestChiTilde:
         assert res.R <= 16.0
         assert res.chi == pytest.approx(exact, rel=5e-7)
 
-    def test_radius_search_runs_two_starts_per_radius(self, monkeypatch):
-        # A = ln 2, gamma = 1/2: R = 4 is the best box, and R = 8, the first
-        # that does not improve on it, ends the search
+    @staticmethod
+    def _radii(monkeypatch, cfg):
         radii = []
         optimize = variational._optimize_profile
 
@@ -278,9 +277,32 @@ class TestChiTilde:
             return optimize(cfg, R, u0)
 
         monkeypatch.setattr(variational, "_optimize_profile", record)
-        res = chi_tilde(VariationalConfig(A=math.log(2.0), gamma=0.5))
-        assert radii == [1.0, 1.0, 2.0, 2.0, 4.0, 4.0, 8.0, 8.0]
+        return radii, chi_tilde(cfg)
+
+    def test_radius_search_runs_two_starts_per_radius(self, monkeypatch):
+        # A = ln 2, gamma = 1/2: R = 4 is the best box and the first to hold
+        # the closed-form well, of half-width 3.45, so the search ends there
+        # without running R = 8 only to see it not improve
+        radii, res = self._radii(
+            monkeypatch, VariationalConfig(A=math.log(2.0), gamma=0.5))
+        assert radii == [1.0, 1.0, 2.0, 2.0, 4.0, 4.0]
         assert res.R == 4.0
+
+    @pytest.mark.parametrize("a, gamma, last_R", [
+        (1.0, 0.1, 1.0), (2.0, 0.25, 1.0), (math.log(2.0), 0.25, 2.0),
+        (math.log(2.0), 0.5, 4.0)])
+    def test_radius_search_ends_at_first_box_holding_well(
+            self, monkeypatch, a, gamma, last_R):
+        # the last box visited is the first power of two >= pi / (2 omega);
+        # a larger box gains only through near-free walls, which move chi
+        # away from the closed form (at A = 1, gamma = 0.1, R = 8 is
+        # 7.334e-4 off and R = 1 is 7.293e-4 off)
+        radii, res = self._radii(monkeypatch,
+                                 VariationalConfig(A=a, gamma=gamma))
+        assert radii[-1] == last_R
+        if gamma == 0.1:
+            exact = variational._chi_closed(a, gamma, 1.0)
+            assert abs(res.chi / exact - 1.0) <= 7.3e-4
 
     @pytest.mark.parametrize("gamma, chi, iterations", [
         (0.1, 2.672247260337549, 18), (0.25, 1.4646361550926112, 10),
