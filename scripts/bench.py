@@ -15,11 +15,14 @@ End-to-end CLI rows (``cli``) time a documented command in a fresh
 interpreter, from start-up to exit, 5 times, with ``--deterministic`` so that
 the output is plain JSON: the README's
 ``pam1d fk --spec spec.json --t 3 --samples 100000 --box 10`` on the
-Frechet spec of the CI, and ``pam1d chi --gamma 0.5 --A 0.693147``.  Each row
-keeps the wall times and their median, the peak resident memory that the
-process reports, its JSON output (without the profile of ``chi``), and the
-error against its oracle: for ``fk`` the z-score of the estimate against
-``solve_box``, for ``chi`` the relative error against the closed form.
+Frechet spec of the CI, ``pam1d chi --gamma 0.5 --A 0.693147``, and the
+README's ``pam1d solve --spec spec.json --seed 3 --t 1e4`` on the README's
+spec.  Each row keeps the wall times and their median, the peak resident
+memory that the process reports, its JSON output (without the profile of
+``chi``), and the error against its oracle: for ``fk`` the z-score of the
+estimate against ``solve_box``, for ``chi`` the relative error against the
+closed form, for ``solve`` the gap log_u - log_lb to the certified screening
+bound that ``pam1d lbound --t 1e4 --radius 8 --seed 3`` prints.
 """
 
 from __future__ import annotations
@@ -45,6 +48,12 @@ FK_ARGS = ["fk", "--spec", "spec.json", "--t", "3", "--samples", "100000",
 CHI_GAMMA, CHI_A = 0.5, 0.693147
 CHI_ARGS = ["chi", "--gamma", str(CHI_GAMMA), "--A", str(CHI_A),
             "--deterministic"]
+README_SPEC = {"gamma": 0.0, "upper": {"atom_p": 0.625}, "mix_q": 0.2,
+               "lower": {"pareto_zeta": 1.0}}
+SOLVE_SEED, SOLVE_T = 3, 1e4
+SOLVE_ARGS = ["solve", "--spec", "spec.json", "--seed", str(SOLVE_SEED),
+              "--t", "1e4", "--deterministic"]
+LBOUND_RADIUS = 8  # pam1d lbound searches 20 radii by default
 # the child reports its own peak RSS (ru_maxrss, kB on Linux) on stderr
 _CLI_MAIN = ("import resource, sys; from pam1d.cli import main; "
              "code = main(sys.argv[1:]); "
@@ -118,6 +127,28 @@ def _cli_chi() -> dict:
             "rel_err": abs(row["output"]["chi_tilde"] / exact - 1.0)}
 
 
+def _cli_solve() -> dict:
+    """The README's ``pam1d solve`` command, against its screening bound.
+
+    The bound is ``pam1d lbound --t 1e4 --radius 8 --seed 3`` computed in
+    process: ``best_screening_bound`` on sites +-168, search 160.  It is a
+    certified lower bound of u(t, 0), so a negative gap means the solve
+    stopped below the truth.
+    """
+    row = _time_cli(SOLVE_ARGS, {"spec.json": json.dumps(README_SPEC)})
+    sys.path.insert(0, str(ROOT / "src"))
+    from pam1d.montecarlo import best_screening_bound
+    from pam1d.potential import sample_field, spec_from_json
+    search = 20 * LBOUND_RADIUS
+    half = search + LBOUND_RADIUS
+    fld = sample_field(spec_from_json(json.dumps(README_SPEC)), -half, half,
+                       SOLVE_SEED)
+    log_lb, y_star = best_screening_bound(fld, 1.0, SOLVE_T, search,
+                                          LBOUND_RADIUS)
+    return {**row, "spec": README_SPEC, "log_lb": log_lb, "y_star": y_star,
+            "gap": row["output"]["log_u"] - log_lb}
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--out", required=True, type=Path,
@@ -135,11 +166,13 @@ def main(argv=None) -> int:
                          "lines": [ln for ln in lines if "environment" not in ln]})
             print(f"{workload} --trace {trace}: correct "
                   f"{lines[-1]['correct']}", file=sys.stderr)
-    cli = [_cli_fk(), _cli_chi()]
+    cli = [_cli_fk(), _cli_chi(), _cli_solve()]
     print(f"pam1d fk: median {cli[0]['wall_s_median']:.3f} s, "
           f"z {cli[0]['z']:.2f}", file=sys.stderr)
     print(f"pam1d chi: median {cli[1]['wall_s_median']:.3f} s, "
           f"rel err {cli[1]['rel_err']:.2e}", file=sys.stderr)
+    print(f"pam1d solve: median {cli[2]['wall_s_median']:.3f} s, "
+          f"log_u - log_lb {cli[2]['gap']:.2f}", file=sys.stderr)
     args.out.write_text(json.dumps({"environment": environment, "runs": runs,
                                     "cli": cli}, indent=1) + "\n",
                         encoding="utf-8")

@@ -192,7 +192,7 @@ def _cmd_eigen(args) -> None:
     pe = principal_eigpair(op)
     _emit_json(args, {
         "lambda": float(pe.principal),
-        "e_center": float(pe.eigvec[args.radius]),
+        "log_e_center": float(pe.log_eigvec[args.radius]),
         "residual": float(pe.residual),
         "R": args.radius,
         "z": args.z,
@@ -207,13 +207,11 @@ def _cmd_solve(args) -> None:
         raise ArithmeticError(
             f"adaptive solve failed to converge (R cap reached at R={res.R})")
     _emit_json(args, {
-        "u": float(res.u),
         "log_u": float(res.log_u),
         "R": int(res.R),
         "lambda": float(res.principal),
         "clamped_sites": int(res.clamped_sites),
         "modes_used": int(res.modes_used),
-        "sign_ok": bool(res.sign_ok),
     })
 
 

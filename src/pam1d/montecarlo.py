@@ -114,13 +114,13 @@ def _blocks(mean: float, max_jumps: int, n: int, rng: np.random.Generator
 
 
 def _log_weights(e: np.ndarray, steps: np.ndarray, t_xi: np.ndarray,
-                 box: int | None) -> tuple[np.ndarray, np.ndarray]:
+                 box: int) -> tuple[np.ndarray, np.ndarray]:
     """Log-weights of a block from ``_blocks``, and which walks leave the box.
 
     ``t_xi[x + m]`` is t xi(x) for every site |x| <= m = (t_xi.size - 1) / 2
     that a walk can reach.  Returns (log_w, killed): log_w[c] is the integral
     of xi along walk c over [0, t], and -inf where killed[c], that is, where
-    the walk leaves [-box, box] (never when box is None).
+    the walk leaves [-box, box].
     """
     k, rows = steps.shape
     m = t_xi.size // 2
@@ -137,7 +137,7 @@ def _log_weights(e: np.ndarray, steps: np.ndarray, t_xi: np.ndarray,
     terms *= e
     log_w = terms.sum(axis=0)
     log_w /= e.sum(axis=0)
-    if box is None or k <= box:
+    if k <= box:
         # a walk with at most box jumps cannot leave the box
         return log_w, np.zeros(rows, dtype=bool)
     killed = (idx.max(axis=0) > m + box) | (idx.min(axis=0) < m - box)
@@ -166,14 +166,17 @@ def fk_estimate(field: Field, kappa: float, t: float, n_samples: int,
     walk with k jumps, iid counts add Var h(N) / n to the variance, and
     systematic ones at most (sum_k |h(k + 1) - h(k)|)^2 / n^2, since no n_k
     is off by a whole walk.  The stderr is the iid formula, so it overstates
-    the error: it is conservative.
+    that term; once a few walks carry nearly all the weight, the sample
+    variance it is built on is itself unreliable.
     """
     if n_samples <= 0:
         raise ValueError(f"n_samples must be > 0, got {n_samples}")
     max_jumps = jump_budget(kappa, t)
-    if box is not None and box < 0:
+    if box is None:
+        box = max_jumps  # no walk makes more jumps, so none leaves this box
+    elif box < 0:
         raise ValueError(f"box must be >= 0, got {box}")
-    reach = max_jumps if box is None else min(box, max_jumps)
+    reach = min(box, max_jumps)
     if field.lo > -reach or field.hi < reach:
         raise ValueError(f"walks reach [{-reach}, {reach}], outside the "
                          f"sampled field [{field.lo}, {field.hi}]")

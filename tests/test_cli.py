@@ -27,6 +27,9 @@ LOGLOG_SPEC = ('{"gamma":0.0,"upper":{"atom_p":0.5},"mix_q":0.2,'
                '"lower":{"loglog_theta":1.0}}')
 BOUNDED_SPEC = ('{"gamma":0.0,"upper":{"atom_p":0.625},"mix_q":0.2,'
                 '"lower":{"bounded_wmax":3.0}}')
+# heavy sites at W = 40: walls that screen the centre of a window
+WALLED_SPEC = ('{"gamma":0.0,"upper":{"atom_p":0.625},"mix_q":0.9,'
+               '"lower":{"bounded_wmax":40.0}}')
 
 
 @pytest.fixture
@@ -217,11 +220,9 @@ class TestSolve:
                            "--t", "5", "--deterministic")
         assert code == 0
         obj = json.loads(out)
-        assert list(obj) == ["u", "log_u", "R", "lambda", "clamped_sites",
-                             "modes_used", "sign_ok"]
+        assert list(obj) == ["log_u", "R", "lambda", "clamped_sites",
+                             "modes_used"]
         assert 1 <= obj["modes_used"] <= 2 * obj["R"] + 1
-        assert obj["sign_ok"] is True
-        assert obj["u"] == pytest.approx(math.exp(obj["log_u"]))
         assert obj["log_u"] <= 0.0
 
 
@@ -265,11 +266,26 @@ class TestRateAndEigen:
                            "--radius", "20", "--deterministic")
         assert code == 0
         obj = json.loads(out)
-        assert list(obj) == ["lambda", "e_center", "residual", "R", "z"]
+        assert list(obj) == ["lambda", "log_e_center", "residual", "R", "z"]
         fld = sample_field(spec_from_json(ATOM_SPEC), -20, 20, 1)
         pe = principal_eigpair(hamiltonian(fld, 0, 20, 1.0))
         assert obj["lambda"] == pe.principal
+        assert obj["log_e_center"] == pe.log_eigvec[20]
         assert (obj["R"], obj["z"]) == (20, 0)
+
+    def test_eigen_walled_centre_below_double_range(self, capsys, tmp_path):
+        # a walled window whose centre entry is far below the double range:
+        # e^log_e_center reads 0, the log is exact
+        path = tmp_path / "walled.json"
+        path.write_text(WALLED_SPEC)
+        code, out, _ = run(capsys, "eigen", "--spec", str(path),
+                           "--seed", "5", "--radius", "100", "--deterministic")
+        assert code == 0
+        obj = json.loads(out)
+        fld = sample_field(spec_from_json(WALLED_SPEC), -100, 100, 5)
+        pe = principal_eigpair(hamiltonian(fld, 0, 100, 1.0))
+        assert obj["log_e_center"] == pe.log_eigvec[100]
+        assert obj["log_e_center"] < -745.0
 
 
 class TestFkAndLbound:

@@ -54,7 +54,7 @@ class TestHamiltonian:
         n = 2 * R + 1
         sine = np.sin(math.pi * np.arange(1, n + 1) / (n + 1))
         sine /= np.linalg.norm(sine)
-        assert np.allclose(np.abs(pe.eigvec), sine, atol=1e-10)
+        assert np.allclose(np.exp(pe.log_eigvec), sine, atol=1e-10)
 
     @pytest.mark.parametrize("clamp", [1e6, 1e8, 1e9, 1e12],
                              ids=["1e6", "1e8", "1e9", "1e12"])
@@ -484,7 +484,6 @@ class TestSolveAdaptive:
         res = solve_adaptive(spec, 0, 20.0, 1e-8)
         assert res.converged
         assert res.log_u <= 0.0
-        assert res.u == pytest.approx(math.exp(res.log_u))
         # independent recomputation at the final radius
         fld = sample_field(spec, -res.R, res.R, 0)
         direct = solve_point_log(fld, 0, res.R, 1.0, 20.0)
@@ -498,7 +497,7 @@ class TestSolveAdaptive:
         assert res.modes_used == direct.modes_used
         assert res.clamped_sites == direct.clamped_sites
         assert 1 <= res.modes_used <= 2 * res.R + 1
-        assert res.sign_ok is True and direct.sign_ok is True
+        assert direct.sign_ok is True
 
     def test_cap_reported(self):
         spec = make_spec(0.0, 1.0)
