@@ -15,7 +15,7 @@ End-to-end CLI rows (``cli``) time a documented command in a fresh
 interpreter, from start-up to exit, 5 times, with ``--deterministic`` so that
 the output is plain JSON: the README's
 ``pam1d fk --spec spec.json --t 3 --samples 100000 --box 10`` on the
-Frechet spec of the CI, ``pam1d chi --gamma 0.5 --A 0.693147``, and the
+gamma = 1/2 Frechet spec, ``pam1d chi --gamma 0.5 --A 0.693147``, and the
 README's ``pam1d solve --spec spec.json --seed 3 --t 1e4`` on the README's
 spec.  Each row keeps the wall times and their median, the peak resident
 memory that the process reports, its JSON output (without the profile of
@@ -23,6 +23,11 @@ memory that the process reports, its JSON output (without the profile of
 estimate against ``solve_box``, for ``chi`` the relative error against the
 closed form, for ``solve`` the gap log_u - log_lb to the certified screening
 bound that ``pam1d lbound --t 1e4 --radius 8 --seed 3`` prints.
+
+The tier-1 row (``tier1``) runs the tier-1 suite once in a fresh
+interpreter, as the README's Tests section runs it, with
+``--durations=10``, and keeps its wall time, its exit code, the count of
+each outcome and the 10 slowest test phases.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ import argparse
 import json
 import math
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -54,6 +60,8 @@ SOLVE_SEED, SOLVE_T = 3, 1e4
 SOLVE_ARGS = ["solve", "--spec", "spec.json", "--seed", str(SOLVE_SEED),
               "--t", "1e4", "--deterministic"]
 LBOUND_RADIUS = 8  # pam1d lbound searches 20 radii by default
+TIER1_ARGS = ["-m", "pytest", "-q", "--continue-on-collection-errors",
+              "-p", "no:cacheprovider", "--durations=10"]
 # the child reports its own peak RSS (ru_maxrss, kB on Linux) on stderr
 _CLI_MAIN = ("import resource, sys; from pam1d.cli import main; "
              "code = main(sys.argv[1:]); "
@@ -73,10 +81,14 @@ def _run(workload: str, trace: int) -> list:
     return [json.loads(line) for line in proc.stdout.splitlines()]
 
 
+def _src_env() -> dict:
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+
+
 def _time_cli(args: list, files: dict) -> dict:
     """``pam1d args`` timed in fresh interpreters, in a directory of files."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     walls, rss_kb = [], []
     with tempfile.TemporaryDirectory() as tmp:
         for name, text in files.items():
@@ -84,8 +96,8 @@ def _time_cli(args: list, files: dict) -> dict:
         for _ in range(CLI_REPEATS):
             start = time.perf_counter()
             proc = subprocess.run([sys.executable, "-c", _CLI_MAIN, *args],
-                                  cwd=tmp, env=env, capture_output=True,
-                                  text=True)
+                                  cwd=tmp, env=_src_env(),
+                                  capture_output=True, text=True)
             walls.append(time.perf_counter() - start)
             if proc.returncode != 0:
                 sys.stderr.write(proc.stderr)
@@ -115,7 +127,7 @@ def _cli_chi() -> dict:
     """``pam1d chi`` at gamma = 1/2, against the closed form (kappa = 1).
 
     chi = [A^(1/(1-g)) B(p + 1/2, 1/2)]^(2(1-g)/(1+g)), p = g/(1-g), with B
-    from ``math.lgamma`` as in the CI check.
+    from ``math.lgamma`` as in tier-1.
     """
     row = _time_cli(CHI_ARGS, {})
     row["output"].pop("psi_grid")
@@ -149,6 +161,24 @@ def _cli_solve() -> dict:
             "gap": row["output"]["log_u"] - log_lb}
 
 
+def _tier1() -> dict:
+    """One tier-1 run: wall time, outcome counts, the slowest phases."""
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, *TIER1_ARGS], cwd=ROOT,
+                          env=_src_env(), capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    lines = proc.stdout.splitlines()
+    # the summary, e.g. "387 passed, 1 xfailed in 52.90s", is the last line
+    counts = {name: int(n) for n, name in
+              re.findall(r"(\d+) (\w+)", lines[-1].split(" in ")[0])}
+    slowest = [{"seconds": float(m[1]), "phase": m[2], "test": m[3]}
+               for m in (re.match(r"([\d.]+)s (\w+) +(.+)$", ln)
+                         for ln in lines) if m]
+    return {"command": ["python", *TIER1_ARGS], "wall_s": wall,
+            "returncode": proc.returncode, "counts": counts,
+            "slowest": slowest}
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--out", required=True, type=Path,
@@ -173,9 +203,12 @@ def main(argv=None) -> int:
           f"rel err {cli[1]['rel_err']:.2e}", file=sys.stderr)
     print(f"pam1d solve: median {cli[2]['wall_s_median']:.3f} s, "
           f"log_u - log_lb {cli[2]['gap']:.2f}", file=sys.stderr)
+    tier1 = _tier1()
+    print(f"tier-1: {tier1['wall_s']:.1f} s, {tier1['counts']}",
+          file=sys.stderr)
     args.out.write_text(json.dumps({"environment": environment, "runs": runs,
-                                    "cli": cli}, indent=1) + "\n",
-                        encoding="utf-8")
+                                    "cli": cli, "tier1": tier1}, indent=1)
+                        + "\n", encoding="utf-8")
     return 0
 
 

@@ -8,9 +8,10 @@ variational layer (``legendre``, ``chi``), and the experiment battery
 ``verify-microbox``).
 
 Exit codes: 0 on success, 2 on configuration errors (bad flags, unknown
-subcommand, malformed spec), 3 on numerical failures.  Outputs are CSV
-(RFC 4180, '.'-decimal, 17 significant digits) or JSON (UTF-8, stable key
-order); a leading timestamp line is emitted unless --deterministic is set.
+subcommand, malformed spec, unreadable input or unwritable --out), 3 on
+numerical failures.  Outputs are CSV (RFC 4180, '.'-decimal, 17 significant
+digits) or JSON (UTF-8, stable key order); a leading timestamp line is
+emitted unless --deterministic is set.
 """
 
 from __future__ import annotations
@@ -40,10 +41,6 @@ CONFIG_ERROR = 2
 NUMERICAL_ERROR = 3
 
 
-class ConfigError(ValueError):
-    """A bad argument or input file; exits CONFIG_ERROR like any ValueError."""
-
-
 def _fmt(x) -> str:
     if x is None:
         return ""
@@ -58,20 +55,20 @@ def _parse_grid(text: str) -> np.ndarray:
     """Parse 'lo:hi:geometric:n' (or ':linear:') into a grid of n points."""
     parts = text.split(":")
     if len(parts) != 4:
-        raise ConfigError(
+        raise ValueError(
             f"grid must be lo:hi:{{geometric|linear}}:n, got {text!r}")
     lo, hi = float(parts[0]), float(parts[1])
     kind = parts[2]
     n = int(parts[3])
     if not (math.isfinite(lo) and math.isfinite(hi)) or n < 1 or hi < lo:
-        raise ConfigError(f"bad grid bounds/count in {text!r}")
+        raise ValueError(f"bad grid bounds/count in {text!r}")
     if kind == "geometric":
         if lo <= 0:
-            raise ConfigError("geometric grid needs lo > 0")
+            raise ValueError("geometric grid needs lo > 0")
         return np.geomspace(lo, hi, n)
     if kind == "linear":
         return np.linspace(lo, hi, n)
-    raise ConfigError(f"grid kind must be geometric or linear, got {kind!r}")
+    raise ValueError(f"grid kind must be geometric or linear, got {kind!r}")
 
 
 def _load_spec(args) -> PotentialSpec:
@@ -79,23 +76,25 @@ def _load_spec(args) -> PotentialSpec:
         with open(args.spec, "r", encoding="utf-8") as fh:
             return spec_from_json(fh.read())
     except OSError as exc:
-        raise ConfigError(f"cannot read --spec file: {exc}") from exc
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(f"bad spec JSON: {exc}") from exc
+        raise ValueError(f"cannot read --spec file: {exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"bad spec JSON: {exc}") from exc
 
 
 def _load_psi(args) -> ShapeFunction:
     """Profile from --psi JSON ({"R":..,"values":[..]}) or --R/--depth."""
-    if getattr(args, "psi", None):
+    if args.psi:
         try:
             with open(args.psi, "r", encoding="utf-8") as fh:
-                obj = json.load(fh)
-            return ShapeFunction(R=float(obj["R"]),
-                                 values=np.asarray(obj["values"], float))
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            raise ConfigError(f"bad --psi file: {exc}") from exc
+                match json.load(fh):
+                    case {"R": R, "values": values}:
+                        return ShapeFunction(
+                            R=float(R), values=np.asarray(values, float))
+            raise ValueError("expected an object with R and values")
+        except (OSError, ValueError, TypeError) as exc:
+            raise ValueError(f"bad --psi file: {exc}") from exc
     if args.R is None:
-        raise ConfigError("either --psi or --R (with --depth) is required")
+        raise ValueError("either --psi or --R (with --depth) is required")
     return ShapeFunction(R=float(args.R),
                          values=np.full(args.n_nodes, -abs(args.depth)))
 
@@ -109,8 +108,11 @@ def _emit(args, text: str) -> None:
     if not payload.endswith("\n"):
         payload += "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(payload)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise ValueError(f"cannot write --out file: {exc}") from exc
     else:
         sys.stdout.write(payload)
 
@@ -217,9 +219,11 @@ def _cmd_solve(args) -> None:
 
 def _cmd_fk(args) -> None:
     spec = _load_spec(args)
+    # walks reach neither past the box nor past the jump budget;
     # fk_estimate itself rejects a negative box
-    half = (jump_budget(args.kappa, args.t) if args.box is None
-            else max(args.box, 0))
+    half = jump_budget(args.kappa, args.t)
+    if args.box is not None:
+        half = min(half, max(args.box, 0))
     fld = sample_field(spec, -half, half, args.seed)
     res = fk_estimate(fld, args.kappa, args.t, args.samples, args.seed,
                       box=args.box)
@@ -317,12 +321,6 @@ def _cmd_verify_microbox(args) -> None:
 # argument parsing
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(CONFIG_ERROR, f"{self.prog}: error: {message}\n")
-
-
 def _finite_float(text: str) -> float:
     """argparse type of every float flag: NaN and +-inf exit 2 at parsing."""
     try:
@@ -350,11 +348,11 @@ def _add_common(p: argparse.ArgumentParser, table: bool,
                    help="suppress the timestamp header line")
 
 
-def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     """The top-level parser, and the subcommand parsers by name."""
-    parser = _Parser(prog="pam1d", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=_Parser)
+    parser = argparse.ArgumentParser(prog="pam1d",
+                                     description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("field", help="print one field realization")
     _add_common(p, table=True)
@@ -478,7 +476,7 @@ def main(argv=None) -> int:
             # reported with the usage line of the command that was given
             commands[args.command].error(
                 f"unrecognized arguments: {' '.join(extra)}")
-    except SystemExit as exc:
+    except SystemExit as exc:  # argparse exits 2, CONFIG_ERROR, on bad usage
         return int(exc.code or 0)
     try:
         args.func(args)

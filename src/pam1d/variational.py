@@ -309,7 +309,7 @@ def _optimal_psi(A: float, gamma: float, kappa: float, x) -> np.ndarray:
 class ChiResult:
     chi: float
     R: float
-    psi: ShapeFunction | None
+    psi: ShapeFunction
     budget: float
     iterations: int
 
@@ -319,14 +319,15 @@ def _optimize_profile(cfg: VariationalConfig, R: float, u0: np.ndarray,
     """Damped KKT fixed point for gamma > 0 at fixed R; returns (lam, u, its).
 
     Stationarity of lambda(-u) under the budget ties the profile to the
-    ground state through u_i proportional to (g_i^2)^{-(1-gamma)/ ... }; the
-    exponent 1/(p+1) with p = gamma/(1-gamma) follows from matching
-    gradients, and each iterate is rescaled onto the budget surface.  The
-    state is log u: a step mixes it with -log(g^2)/(p+1) and the rescaling
-    adds log(L)/p, so u is exponentiated once per iteration and no node
-    takes a power.  Where g underflows, the floor of log(g^2 + 1e-300) puts
-    walls near e^{690.8/(p+1)}; each charges about pref h 1e-300^gamma.  The
-    first pair is bisected and every later one is found by inverse iteration
+    ground state through u_i proportional to (g_i^2)^{-1/(p+1)}, with
+    p = gamma/(1-gamma), so 1/(p+1) = 1 - gamma; the exponent follows from
+    matching gradients, and each iterate is rescaled onto the budget
+    surface.  The state is log u: a step takes (1 - theta) log u -
+    theta log(g^2)/(p+1), theta = 1/2, and the rescaling adds log(L)/p, so
+    u is exponentiated once per iteration and no node takes a power.  Where
+    g underflows, the floor of log(g^2 + 1e-300) puts walls near
+    e^{690.8/(p+1)}; each charges about pref h 1e-300^gamma.  The first pair
+    is bisected and every later one is found by inverse iteration
     warm-started from the previous ground state.  The returned lambda is
     that pair's Rayleigh quotient on the returned profile, whose error is
     second order in the residual.  A bisection of the same profile sees its

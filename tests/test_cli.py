@@ -11,10 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import pam1d.cli
 from pam1d.cli import main
 from pam1d.experiments import (ExperimentConfig, RateCurve, rate_curve,
                                t_grid)
-from pam1d.lattice import hamiltonian, principal_eigpair
+from pam1d.lattice import (hamiltonian, principal_eigpair, solve_box,
+                           solve_point_log)
 from pam1d.montecarlo import fk_estimate, jump_budget
 from pam1d.potential import cumulant_G, sample_field, spec_from_json
 
@@ -30,12 +32,22 @@ BOUNDED_SPEC = ('{"gamma":0.0,"upper":{"atom_p":0.625},"mix_q":0.2,'
 # heavy sites at W = 40: walls that screen the centre of a window
 WALLED_SPEC = ('{"gamma":0.0,"upper":{"atom_p":0.625},"mix_q":0.9,'
                '"lower":{"bounded_wmax":40.0}}')
+# gamma = 1/2: a Frechet light branch and exp-Pareto heavy sites
+FRECHET_SPEC = ('{"gamma":0.5,"upper":{"frechet_d":1.0},"mix_q":0.2,'
+                '"lower":{"pareto_zeta":1.0}}')
 
 
 @pytest.fixture
 def spec_file(tmp_path):
     p = tmp_path / "spec.json"
     p.write_text(ATOM_SPEC)
+    return str(p)
+
+
+@pytest.fixture
+def frechet_file(tmp_path):
+    p = tmp_path / "frechet.json"
+    p.write_text(FRECHET_SPEC)
     return str(p)
 
 
@@ -131,6 +143,31 @@ class TestExitCodes:
         assert code == 2
         assert "kappa" in err
 
+    @pytest.mark.parametrize("argv, name", [
+        (("fk", "--t", "3", "--samples", "10", "--box", "5", "--kappa", "-1"),
+         "kappa"),
+        (("verify-lln", "--seeds", "0"), "seeds"),
+        (("verify-last", "--seeds", "0"), "seeds"),
+        (("verify-microbox", "--seeds", "0", "--R", "0.5"), "seeds"),
+    ], ids=["fk-kappa", "lln-no-seeds", "last-no-seeds", "microbox-no-seeds"])
+    def test_config_error_names_its_setting(self, capsys, frechet_file, argv,
+                                            name):
+        code, out, err = run(capsys, *argv, "--spec", frechet_file)
+        assert code == 2
+        assert out == ""
+        assert "pam1d: error:" in err and name in err
+
+    def test_unwritable_out_exits_2(self, capsys, tmp_path):
+        # a write failure is a configuration error that names --out, not a
+        # traceback
+        path = tmp_path / "missing" / "x.json"
+        code, out, err = run(capsys, "chi", "--gamma", "0", "--A", "1",
+                             "--out", str(path))
+        assert code == 2
+        assert out == ""
+        assert "pam1d: error: cannot write --out file" in err
+        assert not path.exists()
+
     @pytest.mark.parametrize("command", ["verify-lln", "verify-last"])
     def test_normalizer_beyond_double_range(self, capsys, tmp_path, command):
         # on the log-log spec the normalizers G^{-1}(1/n) and G~^{-1}(rho/n)
@@ -204,6 +241,15 @@ class TestScales:
         spec = spec_from_json(BOUNDED_SPEC)
         assert cols["G"] == [cumulant_G(spec, t) for t in cols["t"]]
 
+    def test_bounded_tail_default_grid(self, capsys, tmp_path):
+        # the default t grid, 1e3:1e12:geometric:16, exits 0 as well
+        p = tmp_path / "bounded.json"
+        p.write_text(BOUNDED_SPEC)
+        code, out, err = run(capsys, "scales", "--spec", str(p),
+                             "--deterministic")
+        assert code == 0, err
+        assert len(out.strip().splitlines()) == 1 + 16
+
     def test_timestamp_header_suppression(self, capsys, spec_file):
         _, with_ts, _ = run(capsys, "scales", "--spec", spec_file,
                             "--t-grid", "1e3:1e6:geometric:2")
@@ -224,6 +270,22 @@ class TestSolve:
                              "modes_used"]
         assert 1 <= obj["modes_used"] <= 2 * obj["R"] + 1
         assert obj["log_u"] <= 0.0
+
+    def test_above_screening_bound(self, capsys, frechet_file):
+        # the certified screening bound stays below the point solve:
+        # log_lb -7592.75 against log_u -7270.48
+        code, out, _ = run(capsys, "solve", "--spec", frechet_file,
+                           "--seed", "3", "--t", "1e4", "--deterministic")
+        assert code == 0
+        sol = json.loads(out)
+        assert list(sol) == ["log_u", "R", "lambda", "clamped_sites",
+                             "modes_used"]
+        assert math.isfinite(sol["log_u"]) and sol["log_u"] <= 0.0
+        code, out, _ = run(capsys, "lbound", "--spec", frechet_file,
+                           "--t", "1e4", "--radius", "8", "--seed", "3",
+                           "--deterministic")
+        assert code == 0
+        assert json.loads(out)["log_lb"] <= sol["log_u"] + 1e-9
 
 
 class TestRateAndEigen:
@@ -260,6 +322,24 @@ class TestRateAndEigen:
         assert obj["converged"] and all(type(v) is bool
                                         for v in obj["converged"])
         assert all(type(v) is int for v in obj["seed"] + obj["R_used"])
+
+    def test_rate_csv_and_json_columns_on_frechet_spec(self, capsys,
+                                                       frechet_file):
+        code, out, _ = run(capsys, "rate", "--spec", frechet_file,
+                           *self.RATE_ARGS)
+        assert code == 0
+        reader = csv.DictReader(io.StringIO(out))
+        rows = list(reader)
+        assert len(rows) == 4
+        for row in rows:
+            log_u = float(row["log_u"])
+            assert math.isfinite(log_u) and log_u <= 0.0, row
+        code, out, _ = run(capsys, "rate", "--spec", frechet_file,
+                           *self.RATE_ARGS, "--format", "json")
+        assert code == 0
+        obj = json.loads(out)
+        assert list(obj) == reader.fieldnames
+        assert all(type(v) is bool for v in obj["converged"])
 
     def test_eigen_schema(self, capsys, spec_file):
         code, out, _ = run(capsys, "eigen", "--spec", spec_file, "--seed", "1",
@@ -311,6 +391,32 @@ class TestFkAndLbound:
                        "exit_fraction": 0.0}
         assert 0.0 < obj["mean"] <= 1.0
 
+    def test_fk_samples_only_the_reach(self, capsys, spec_file, monkeypatch):
+        # walks reach no farther than jump_budget(1, 3) = 67, so a larger
+        # box samples the same window and prints the same estimate
+        windows = []
+
+        def record(spec, lo, hi, seed):
+            windows.append((lo, hi))
+            return sample_field(spec, lo, hi, seed)
+
+        monkeypatch.setattr(pam1d.cli, "sample_field", record)
+        outs = [run(capsys, "fk", "--spec", spec_file, "--t", "3",
+                    "--samples", "20000", "--box", box, "--deterministic")
+                for box in ("100000", "67")]
+        assert outs[0] == outs[1] and outs[0][0] == 0
+        assert windows == [(-67, 67), (-67, 67)]
+
+    def test_fk_against_box_solution(self, capsys, frechet_file):
+        code, out, _ = run(capsys, "fk", "--spec", frechet_file, "--t", "3",
+                           "--samples", "100000", "--box", "10",
+                           "--seed", "2000", "--deterministic")
+        assert code == 0
+        obj = json.loads(out)
+        fld = sample_field(spec_from_json(FRECHET_SPEC), -10, 10, 2000)
+        exact = solve_box(fld, 0, 10, 1.0, 3.0)[10]
+        assert abs(obj["mean"] - exact) <= 4 * obj["stderr"]
+
     def test_fk_negative_box_exits_2(self, capsys, spec_file):
         code, _, err = run(capsys, "fk", "--spec", spec_file, "--t", "2",
                            "--samples", "100", "--box", "-1")
@@ -325,6 +431,15 @@ class TestFkAndLbound:
         assert list(obj) == ["log_lb", "y_star"]
         assert obj["log_lb"] <= 0.0
 
+    def test_lbound_below_exact_point_value(self, capsys, frechet_file):
+        code, out, _ = run(capsys, "lbound", "--spec", frechet_file,
+                           "--t", "5", "--radius", "5", "--search", "40",
+                           "--seed", "3001", "--deterministic")
+        assert code == 0
+        fld = sample_field(spec_from_json(FRECHET_SPEC), -45, 45, 3001)
+        exact = solve_point_log(fld, 0, 45, 1.0, 5.0).log_u
+        assert json.loads(out)["log_lb"] <= exact + 1e-9
+
 
 class TestChiAndLegendre:
     def test_chi_gamma0_closed_form(self, capsys):
@@ -338,6 +453,27 @@ class TestChiAndLegendre:
         assert list(obj) == ["chi_tilde", "R_star", "psi_grid",
                              "constraint_value", "flags"]
 
+    @pytest.mark.parametrize("gamma, a, abs_tol, rel_tol, r_star", [
+        (0.5, "1", 1e-6, 0.0, 4.0), (0.25, "0.693147", 1e-4, 0.0, None),
+        (0.1, "0.693147", 0.0, 1e-3, None)],
+        ids=["gamma-0.5", "gamma-0.25", "gamma-0.1"])
+    def test_chi_meets_closed_form(self, capsys, gamma, a, abs_tol, rel_tol,
+                                   r_star):
+        # chi = [A^(1/(1-g)) B(p + 1/2, 1/2)]^(2(1-g)/(1+g)), p = g/(1-g),
+        # kappa = 1; at gamma = 1/2, A = 1 that is (pi/2)^(2/3), and R* = 4
+        # is the first power of two >= pi/(2 omega) = 2.70
+        code, out, _ = run(capsys, "chi", "--gamma", str(gamma), "--A", a,
+                           "--deterministic")
+        assert code == 0
+        obj = json.loads(out)
+        p = gamma / (1 - gamma)
+        log_b = math.lgamma(p + 0.5) + math.lgamma(0.5) - math.lgamma(p + 1)
+        exact = math.exp(2 * (1 - gamma) / (1 + gamma)
+                         * (math.log(float(a)) / (1 - gamma) + log_b))
+        assert abs(obj["chi_tilde"] - exact) <= max(abs_tol, rel_tol * exact)
+        if r_star is not None:
+            assert obj["R_star"] == r_star
+
     def test_legendre_constant_profile(self, capsys):
         code, out, _ = run(capsys, "legendre", "--gamma", "0", "--A", "2.0",
                            "--R", "1.0", "--depth", "0.5", "--deterministic")
@@ -346,6 +482,26 @@ class TestChiAndLegendre:
         # gamma = 0 budget: A * measure of the support (interior nodes)
         assert obj["legendre_l"] == pytest.approx(2.0 * 2.0 * 101 / 102)
 
+
+    def test_legendre_psi_file(self, capsys, tmp_path):
+        # a --psi file holding the profile of --R 1 --depth 0.5
+        path = tmp_path / "psi.json"
+        path.write_text(json.dumps({"R": 1.0, "values": [-0.5] * 101}))
+        args = ("legendre", "--gamma", "0.5", "--A", "2.0", "--deterministic")
+        assert (run(capsys, *args, "--psi", str(path))
+                == run(capsys, *args, "--R", "1", "--depth", "0.5"))
+
+    @pytest.mark.parametrize("text", ['{"R": 1.0}', '[1.0, [-0.5]]',
+                                      '{"R": [1], "values": [-0.5]}', "{"],
+                             ids=["no-values", "array", "R-array", "not-json"])
+    def test_legendre_bad_psi_file(self, capsys, tmp_path, text):
+        path = tmp_path / "psi.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "legendre", "--gamma", "0.5", "--A", "1",
+                             "--psi", str(path))
+        assert code == 2
+        assert out == ""
+        assert "pam1d: error: bad --psi file" in err
 
     def test_legendre_zero_nodes_rejected(self, capsys):
         code, _, err = run(capsys, "legendre", "--gamma", "0.5", "--A", "1",
@@ -400,6 +556,23 @@ class TestTables:
         lines = out.strip().splitlines()
         assert lines[0].strip() == "x,xi,log_neg_or1"
         assert len(lines) == 6
+
+    def test_field_small_gamma_strict_json(self, capsys, tmp_path):
+        # at gamma = 0.01 light values overflow a double as -xi; the decoded
+        # columns are still strict JSON: no Infinity or NaN
+        path = tmp_path / "small_gamma.json"
+        path.write_text(FRECHET_SPEC.replace('"gamma":0.5', '"gamma":0.01'))
+        code, out, _ = run(capsys, "field", "--spec", str(path),
+                           "--lo", "-100000", "--hi", "100000",
+                           "--format", "json", "--deterministic")
+        assert code == 0
+
+        def reject(name):
+            raise ValueError("non-finite JSON constant " + name)
+
+        cols = json.loads(out, parse_constant=reject)
+        assert list(cols) == ["x", "xi", "log_neg_or1"]
+        assert all(len(col) == 200001 for col in cols.values())
 
     def test_verify_lln_csv(self, capsys, spec_file):
         code, out, _ = run(capsys, "verify-lln", "--spec", spec_file,
@@ -461,3 +634,26 @@ class TestStartup:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["0"]
         assert len((tmp_path / "rate.csv").read_text().splitlines()) == 11
+
+    def test_fk_leaves_out_optimize_integrate_special(self, tmp_path):
+        # the README's fk command, run to the end without --deterministic
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+        spec, out = tmp_path / "frechet.json", tmp_path / "fk.json"
+        spec.write_text(FRECHET_SPEC)
+        code = ("import sys; from pam1d.cli import main; "
+                f"code = main(['fk', '--spec', {str(spec)!r}, '--t', '3', "
+                "'--samples', '100000', '--box', '10', "
+                f"'--out', {str(out)!r}]); "
+                "print(code, *sorted(m for m in ('scipy.optimize', "
+                "'scipy.integrate', 'scipy.special') if m in sys.modules))")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0"]
+        header, body = out.read_text().split("\n", 1)
+        assert header.startswith("# generated ")
+        res = json.loads(body)
+        assert 0.0 < res["mean"] <= 1.0 and res["stderr"] > 0.0
