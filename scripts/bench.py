@@ -22,7 +22,10 @@ memory that the process reports, its JSON output (without the profile of
 ``chi``), and the error against its oracle: for ``fk`` the z-score of the
 estimate against ``solve_box``, for ``chi`` the relative error against the
 closed form, for ``solve`` the gap log_u - log_lb to the certified screening
-bound that ``pam1d lbound --t 1e4 --radius 8 --seed 3`` prints.
+bound that ``pam1d lbound --t 1e4 --radius 8 --seed 3`` prints.  The table
+commands of the README, ``rate --seeds 2`` and the four ``verify-*``, run
+with ``--format json`` as well, and their rows keep whether the output meets
+the check that the README states for the command (``ok``).
 
 The tier-1 row (``tier1``) runs the tier-1 suite once in a fresh
 interpreter, as the README's Tests section runs it, with
@@ -33,6 +36,7 @@ each outcome and the 10 slowest test phases.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -60,6 +64,10 @@ SOLVE_SEED, SOLVE_T = 3, 1e4
 SOLVE_ARGS = ["solve", "--spec", "spec.json", "--seed", str(SOLVE_SEED),
               "--t", "1e4", "--deterministic"]
 LBOUND_RADIUS = 8  # pam1d lbound searches 20 radii by default
+# the README's microbox spec: xi = 0 on 85 % of sites
+MICRO_SPEC = {"gamma": 0.0, "upper": {"atom_p": 0.95}, "mix_q": 0.1,
+              "lower": {"pareto_zeta": 1.0}}
+TABLE_FLAGS = ["--format", "json", "--deterministic"]
 TIER1_ARGS = ["-m", "pytest", "-q", "--continue-on-collection-errors",
               "-p", "no:cacheprovider", "--durations=10"]
 # the child reports its own peak RSS (ru_maxrss, kB on Linux) on stderr
@@ -161,6 +169,46 @@ def _cli_solve() -> dict:
             "gap": row["output"]["log_u"] - log_lb}
 
 
+def _increasing(xs) -> bool:
+    return all(a < b for a, b in zip(xs, xs[1:]))
+
+
+def _rate_columns() -> list:
+    sys.path.insert(0, str(ROOT / "src"))
+    from pam1d.experiments import RateCurve
+    return [f.name for f in dataclasses.fields(RateCurve)]
+
+
+# The README's table commands: (arguments, spec, the README's check of the
+# JSON columns, that check in words)
+TABLE_ROWS = [
+    (["rate", "--spec", "spec.json", "--seeds", "2"], README_SPEC,
+     lambda c: (list(c) == _rate_columns()
+                and all(type(v) is bool for v in c["converged"])),
+     "columns are the fields of RateCurve, converged holds booleans"),
+    (["verify-h", "--spec", "spec.json"], README_SPEC,
+     lambda c: max(c["deviation"]) < 1e-12,
+     "every deviation is below 1e-12"),
+    (["verify-lln", "--spec", "spec.json", "--seeds", "100"], README_SPEC,
+     lambda c: _increasing(c["median"]) and c["frac_gt_1"][-1] == 1,
+     "medians grow along n, every seed is above 1 at the largest n"),
+    (["verify-last", "--spec", "spec.json"], README_SPEC,
+     lambda c: (_increasing(c["median"][::-1])
+                and _increasing(c["frac_le_1p2"])),
+     "medians fall and frac_le_1p2 rises along n"),
+    (["verify-microbox", "--spec", "micro.json", "--R", "0.5"], MICRO_SPEC,
+     lambda c: all(f == 1 for f in c["frequency"]),
+     "every frequency is 1"),
+]
+
+
+def _cli_table(args: list, spec: dict, check, statement: str) -> dict:
+    """A README table command, in JSON, against the README's check."""
+    row = _time_cli(args + TABLE_FLAGS, {args[2]: json.dumps(spec)})
+    return {**row, "spec": spec, "check": statement,
+            "ok": bool(check(row["output"]))}
+
+
 def _tier1() -> dict:
     """One tier-1 run: wall time, outcome counts, the slowest phases."""
     start = time.perf_counter()
@@ -203,6 +251,10 @@ def main(argv=None) -> int:
           f"rel err {cli[1]['rel_err']:.2e}", file=sys.stderr)
     print(f"pam1d solve: median {cli[2]['wall_s_median']:.3f} s, "
           f"log_u - log_lb {cli[2]['gap']:.2f}", file=sys.stderr)
+    for table in TABLE_ROWS:
+        cli.append(_cli_table(*table))
+        print(f"pam1d {table[0][0]}: median {cli[-1]['wall_s_median']:.3f} s, "
+              f"ok {cli[-1]['ok']}", file=sys.stderr)
     tier1 = _tier1()
     print(f"tier-1: {tier1['wall_s']:.1f} s, {tier1['counts']}",
           file=sys.stderr)

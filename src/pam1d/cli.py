@@ -19,9 +19,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime
-import io
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -41,14 +41,15 @@ CONFIG_ERROR = 2
 NUMERICAL_ERROR = 3
 
 
-def _fmt(x) -> str:
+def _cell(x):
+    """A table cell as both writers print it: None, bool, int or float."""
     if x is None:
-        return ""
+        return None
     if isinstance(x, (bool, np.bool_)):
-        return "true" if x else "false"
+        return bool(x)
     if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format(float(x), ".17g")
+        return int(x)
+    return float(x)
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -99,6 +100,15 @@ def _load_psi(args) -> ShapeFunction:
                          values=np.full(args.n_nodes, -abs(args.depth)))
 
 
+def _check_out(path: str | None) -> None:
+    """Before any work, and creating nothing: --out names a file in a
+    directory that exists."""
+    if path and (os.path.isdir(path)
+                 or not os.path.isdir(os.path.dirname(path) or ".")):
+        raise ValueError(f"cannot write --out file: {path!r} is a directory "
+                         f"or its directory is missing")
+
+
 def _emit(args, text: str) -> None:
     header = ""
     if not args.deterministic:
@@ -117,34 +127,22 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(payload)
 
 
-def _emit_csv(args, header: list[str], rows) -> None:
-    buf = io.StringIO()
-    buf.write(",".join(header) + "\r\n")
-    for row in rows:
-        buf.write(",".join(_fmt(v) for v in row) + "\r\n")
-    _emit(args, buf.getvalue())
-
-
 def _emit_json(args, obj: dict) -> None:
     _emit(args, json.dumps(obj, indent=2))
 
 
-def _rows_to_json(header: list[str], rows) -> dict:
-    cols = list(zip(*rows)) if rows else [[] for _ in header]
-    out = {}
-    for name, col in zip(header, cols):
-        out[name] = [v if v is None or isinstance(v, str) else
-                     bool(v) if isinstance(v, (bool, np.bool_)) else
-                     int(v) if isinstance(v, (int, np.integer)) else float(v)
-                     for v in col]
-    return out
-
-
 def _emit_table(args, header: list[str], rows) -> None:
+    """JSON columns of the typed cells, or CSV lines of the same cells: an
+    empty cell for None, true or false, an int, a float to 17 digits."""
+    cells = [[_cell(x) for x in row] for row in rows]
     if args.format == "json":
-        _emit_json(args, _rows_to_json(header, rows))
-    else:
-        _emit_csv(args, header, rows)
+        cols = list(zip(*cells)) or [()] * len(header)
+        _emit_json(args, {name: list(col) for name, col in zip(header, cols)})
+        return
+    lines = [header] + [["" if x is None else format(x, ".17g")
+                         if isinstance(x, float) else json.dumps(x)
+                         for x in row] for row in cells]
+    _emit(args, "".join(",".join(line) + "\r\n" for line in lines))
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +477,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 2, CONFIG_ERROR, on bad usage
         return int(exc.code or 0)
     try:
+        _check_out(args.out)
         args.func(args)
     except ValueError as exc:
         print(f"pam1d: error: {exc}", file=sys.stderr)

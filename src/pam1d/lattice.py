@@ -45,6 +45,7 @@ DENSE_LIMIT = 20000
 R_START = 8  # first box radius of solve_adaptive
 _BATCH = 8  # eigenvalues per bisection call of a point solve, from the top
 _GROWTH = 8  # most a point solve's round multiplies the modes it has
+_CUT = 46.0  # nats below the largest term at which a point solve drops the rest
 # entries of one (m, n) array of a point solve's _log_vectors call: 4 MB,
 # 63 vectors at n = 8193
 _SHOT_ENTRIES = 1 << 19
@@ -279,7 +280,7 @@ class _ModeSum:
     computed the first time some t reaches it.  Per mode only what the sum
     reads is kept: lam_j, log|v_j(x)|, log|<v_j, 1>| and the term's sign;
     the eigenvectors are dropped.  A t sums the batches up to the first one
-    after which the a-priori bound t*lam + 0.5 log n of the rest falls 46
+    after which the a-priori bound t*lam + 0.5 log n of the rest falls _CUT
     nats below the largest positive term of those batches.  That prefix is
     set by t alone, and every eigenvalue and vector is the same whatever
     was computed with it, so ``point(t)`` does not depend on earlier t.
@@ -293,6 +294,8 @@ class _ModeSum:
         self.log_vx = np.empty(0)     # log|v(x)|
         self.log_ip = np.empty(0)     # log|<v, 1>|
         self.term_sign = np.empty(0)  # sign of v(x) <v, 1>
+        self._bisect_batch()
+        self._shoot_new()
 
     def _bisect_batch(self) -> None:
         first = len(self.lam)
@@ -317,15 +320,16 @@ class _ModeSum:
     def _log_terms(self, t: float) -> np.ndarray:
         return t * self.lam[:len(self.term_sign)] + self.log_vx + self.log_ip
 
+    def _negligible(self, t: float, lam, best):
+        """Whether the modes from lam down are negligible against the term
+        best: their a-priori bound t*lam + 0.5 log n falls _CUT below it."""
+        return t * lam + 0.5 * math.log(self.op.n) < best - _CUT
+
     def point(self, t: float) -> PointSolution:
-        """log u_R(t, x): batches are summed until the a-priori bound
-        t*lam + 0.5 log n of the rest falls 46 nats below the largest term."""
+        """log u_R(t, x): batches are summed until the rest is negligible."""
         if t < 0:
             raise ValueError(f"t must be >= 0, got {t}")
         n = self.op.n
-        if not len(self.term_sign):
-            self._bisect_batch()
-            self._shoot_new()
         # bisect until the rest is negligible against the largest positive
         # term with a vector: that term is at most the best of the prefix, so
         # the prefix ends within the modes bisected.  It can lie far below
@@ -336,7 +340,7 @@ class _ModeSum:
             best = float(np.max(lt, where=self.term_sign > 0, initial=-math.inf))
             stop = min(n, _GROWTH * len(self.lam))
             while (len(self.lam) < stop
-                   and t * self.lam[-1] + 0.5 * math.log(n) >= best - 46.0):
+                   and not self._negligible(t, self.lam[-1], best)):
                 self._bisect_batch()
             if len(self.lam) == len(self.term_sign):
                 break
@@ -346,8 +350,8 @@ class _ModeSum:
         ends = np.append(np.arange(_BATCH, len(lt), _BATCH), len(lt))
         best_so_far = np.maximum.accumulate(
             np.where(self.term_sign > 0, lt, -math.inf))
-        done = (ends == n) | (t * self.lam[ends - 1] + 0.5 * math.log(n)
-                              < best_so_far[ends - 1] - 46.0)
+        done = (ends == n) | self._negligible(t, self.lam[ends - 1],
+                                              best_so_far[ends - 1])
         k_done = int(ends[np.argmax(done)])
         arr, sg = lt[:k_done], self.term_sign[:k_done]
         kept = arr > -math.inf  # a mode orthogonal to 1 contributes nothing
@@ -370,12 +374,9 @@ def solve_point_log(field: Field, z: int, R: int, kappa: float, t: float,
     """log u_R(t, x) via a pruned spectral mode sum, stable far below underflow.
 
     Contributions are summed in log space, from eigenvectors built in log
-    space by ``_log_vectors``.  Modes are taken from the top of the spectrum
-    in batches of _BATCH until the a-priori bound t*lam + 0.5 log n of the
-    rest falls 46 nats below the largest term, and eigenpairs are computed
-    about as deep as that cut.  The result's ``mode_sum`` evaluates the
-    same box and site at further t, computing only the modes that no
-    earlier t reached.
+    space by ``_log_vectors``, over the modes that ``_ModeSum`` keeps at t.
+    The result's ``mode_sum`` evaluates the same box and site at further t,
+    computing only the modes that no earlier t reached.
     """
     if x is None:
         x = z

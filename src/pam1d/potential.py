@@ -213,18 +213,18 @@ class PotentialSpec:
         return (math.log(d) - np.log(-np.log(u))) / a
 
 
+# Parameters of each lower-tail variant; the JSON key of one is
+# "<variant>_<parameter>", and each is required but loglog_x0.
+_LOWER_FIELDS = {"pareto": ("zeta",), "loglog": ("theta", "x0"), "bounded": ("wmax",)}
+
+
 def spec_to_json(spec: PotentialSpec) -> str:
     if spec.gamma == 0.0:
         upper = {"atom_p": spec.atom_p}
     else:
         upper = {"frechet_d": spec.frechet_d}
     lt = spec.lower
-    if lt.variant == "pareto":
-        lower = {"pareto_zeta": lt.zeta}
-    elif lt.variant == "loglog":
-        lower = {"loglog_theta": lt.theta, "loglog_x0": lt.x0}
-    else:
-        lower = {"bounded_wmax": lt.wmax}
+    lower = {f"{lt.variant}_{f}": getattr(lt, f) for f in _LOWER_FIELDS[lt.variant]}
     return json.dumps(
         {"gamma": spec.gamma, "upper": upper, "mix_q": spec.mix_q, "lower": lower},
         sort_keys=True,
@@ -273,15 +273,13 @@ def spec_from_json(text: str) -> PotentialSpec:
     else:
         raise ValueError(f"upper must be {{'atom_p'}} or {{'frechet_d'}}, got {sorted(upper)}")
     lower = _json_object(obj, "lower")
-    if set(lower) == {"pareto_zeta"}:
-        lt = LowerTailSpec.pareto(_json_number(lower, "pareto_zeta"))
-    elif set(lower) <= {"loglog_theta", "loglog_x0"} and "loglog_theta" in lower:
-        x0 = _json_number(lower, "loglog_x0") if "loglog_x0" in lower else math.e
-        lt = LowerTailSpec.loglog(_json_number(lower, "loglog_theta"), x0)
-    elif set(lower) == {"bounded_wmax"}:
-        lt = LowerTailSpec.bounded(_json_number(lower, "bounded_wmax"))
+    for variant, fields in _LOWER_FIELDS.items():
+        keys = {f"{variant}_{f}": f for f in fields}
+        if set(keys) - {"loglog_x0"} <= set(lower) <= set(keys):
+            break
     else:
         raise ValueError(f"unrecognized lower-tail fields {sorted(lower)}")
+    lt = LowerTailSpec(variant, **{keys[k]: _json_number(lower, k) for k in keys if k in lower})
     return PotentialSpec(
         gamma=_json_number(obj, "gamma"), mix_q=_json_number(obj, "mix_q"),
         lower=lt, atom_p=atom_p, frechet_d=frechet_d,

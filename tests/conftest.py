@@ -59,7 +59,8 @@ def _spec_text(gamma="0.0", upper='{"atom_p":0.5}', mix_q="0.2",
 
 
 # Spec JSON that must be rejected with a ValueError naming the field: a
-# parameter that is not a number, and one that is NaN or +-inf.
+# parameter that is not a number, one that is NaN or +-inf, and lower-tail
+# keys that name no one family.
 BAD_SPEC_JSON = {
     "upper-number": (_spec_text(upper="5"), "upper"),
     "upper-array": (_spec_text(upper='["atom_p"]'), "upper"),
@@ -79,4 +80,11 @@ BAD_SPEC_JSON = {
     "theta-nan": (_spec_text(lower='{"loglog_theta":NaN}'), "theta"),
     "x0-inf": (_spec_text(lower='{"loglog_theta":1.0,"loglog_x0":Infinity}'),
                "x0"),
+    "pareto-and-bounded": (_spec_text(lower='{"pareto_zeta":1,"bounded_wmax":2}'),
+                           "unrecognized lower-tail fields"),
+    "loglog-and-pareto": (_spec_text(lower='{"loglog_theta":1,"pareto_zeta":1}'),
+                          "unrecognized lower-tail fields"),
+    "x0-alone": (_spec_text(lower='{"loglog_x0":3}'),
+                 "unrecognized lower-tail fields"),
+    "lower-empty": (_spec_text(lower='{}'), "unrecognized lower-tail fields"),
 }

@@ -168,6 +168,25 @@ class TestExitCodes:
         assert "pam1d: error: cannot write --out file" in err
         assert not path.exists()
 
+    @pytest.mark.parametrize("path", ["missing/x.csv", "."],
+                             ids=["missing-directory", "a-directory"])
+    def test_out_checked_before_the_work(self, capsys, spec_file,
+                                         monkeypatch, tmp_path, path):
+        # found before rate_curve runs, and the check creates nothing
+        calls = []
+        monkeypatch.setattr(pam1d.cli.experiments, "rate_curve",
+                            lambda *a, **k: calls.append(a))
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        code, out, err = run(capsys, "rate", "--spec", spec_file,
+                             "--out", path)
+        assert code == 2
+        assert out == ""
+        assert "pam1d: error: cannot write --out file" in err
+        assert calls == []
+        assert list(work.iterdir()) == []
+
     @pytest.mark.parametrize("command", ["verify-lln", "verify-last"])
     def test_normalizer_beyond_double_range(self, capsys, tmp_path, command):
         # on the log-log spec the normalizers G^{-1}(1/n) and G~^{-1}(rho/n)
@@ -539,6 +558,39 @@ class TestTables:
         obj = json.loads(out)
         assert list(obj) == ["l", "G"]
         assert len(obj["l"]) == 3
+
+    @pytest.mark.parametrize("argv", [
+        ("field", "--lo", "-3", "--hi", "3"),
+        ("scales", "--t-grid", "1e3:1e6:geometric:3"),
+        ("rate", "--seeds", "2", "--t-grid", "1e2:1e3:geometric:2"),
+    ], ids=["field", "scales", "rate"])
+    @pytest.mark.parametrize("spec", [ATOM_SPEC, BOUNDED_SPEC],
+                             ids=["atom", "bounded"])
+    def test_csv_and_json_carry_the_same_cells(self, capsys, tmp_path, argv,
+                                               spec):
+        # an empty CSV cell is null, true/false are booleans, and a .17g
+        # float reads back to the bits that JSON prints
+        path = tmp_path / "spec.json"
+        path.write_text(spec)
+        outs = {}
+        for fmt in ("csv", "json"):
+            code, outs[fmt], err = run(capsys, *argv, "--spec", str(path),
+                                       "--format", fmt, "--deterministic")
+            assert code == 0, err
+        lines = outs["csv"].split("\r\n")
+        assert lines[-1] == ""
+        header, rows = lines[0].split(","), [ln.split(",")
+                                              for ln in lines[1:-1]]
+        cols = json.loads(outs["json"])
+        assert list(cols) == header
+        assert all(len(col) == len(rows) > 0 for col in cols.values())
+        for j, name in enumerate(header):
+            for row, value in zip(rows, cols[name]):
+                cell = None if row[j] == "" else json.loads(row[j])
+                if None in (cell, value) or bool in (type(cell), type(value)):
+                    assert cell is value, name
+                else:
+                    assert float(cell).hex() == float(value).hex(), name
 
     def test_g_saturated_deficit_exits_3(self, capsys, tmp_path):
         # with no light branch G(1e-3) is beyond the resolution of doubles

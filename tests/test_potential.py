@@ -18,8 +18,16 @@ from conftest import BAD_SPEC_JSON, make_spec
 
 class TestSpecs:
     def test_json_round_trip(self, atom_spec, frechet_spec, bounded_spec):
-        for spec in (atom_spec, frechet_spec, bounded_spec):
+        loglog = [PotentialSpec(gamma=0.0, mix_q=0.2, atom_p=0.5, lower=lower)
+                  for lower in (LowerTailSpec.loglog(1.0),
+                                LowerTailSpec.loglog(2.0, x0=5.0))]
+        for spec in (atom_spec, frechet_spec, bounded_spec, *loglog):
             assert spec_from_json(spec_to_json(spec)) == spec
+        # loglog_x0 may be left out: it is e
+        text = spec_to_json(loglog[0]).replace(
+            f', "loglog_x0": {math.e!r}', "")
+        assert "loglog_x0" not in text
+        assert spec_from_json(text) == loglog[0]
 
     def test_documented_example_form(self):
         text = ('{"gamma":0.0,"upper":{"atom_p":0.5},"mix_q":0.5,'
