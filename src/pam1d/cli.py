@@ -72,9 +72,9 @@ def _parse_grid(text: str) -> np.ndarray:
     raise ValueError(f"grid kind must be geometric or linear, got {kind!r}")
 
 
-def _load_spec(args) -> PotentialSpec:
+def _load_spec(path: str) -> PotentialSpec:
     try:
-        with open(args.spec, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             return spec_from_json(fh.read())
     except OSError as exc:
         raise ValueError(f"cannot read --spec file: {exc}") from exc
@@ -109,6 +109,25 @@ def _check_out(path: str | None) -> None:
                          f"or its directory is missing")
 
 
+def _render(args, out) -> str:
+    """A handler's output as text: JSON of a dict, with numpy scalars typed
+    by ``_cell``, or, where the command takes --format, a (header, rows)
+    table as JSON columns or CSV lines of the typed cells: an empty cell
+    for None, true or false, an int, a float to 17 digits."""
+    if "format" not in args:
+        return json.dumps(out, indent=2, default=_cell)
+    header, rows = out
+    cells = [[_cell(x) for x in row] for row in rows]
+    if args.format == "json":
+        cols = list(zip(*cells)) or [()] * len(header)
+        return json.dumps({name: list(col) for name, col in zip(header, cols)},
+                          indent=2)
+    lines = [header] + [["" if x is None else format(x, ".17g")
+                         if isinstance(x, float) else json.dumps(x)
+                         for x in row] for row in cells]
+    return "".join(",".join(line) + "\r\n" for line in lines)
+
+
 def _emit(args, text: str) -> None:
     header = ""
     if not args.deterministic:
@@ -127,45 +146,26 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(payload)
 
 
-def _emit_json(args, obj: dict) -> None:
-    _emit(args, json.dumps(obj, indent=2))
-
-
-def _emit_table(args, header: list[str], rows) -> None:
-    """JSON columns of the typed cells, or CSV lines of the same cells: an
-    empty cell for None, true or false, an int, a float to 17 digits."""
-    cells = [[_cell(x) for x in row] for row in rows]
-    if args.format == "json":
-        cols = list(zip(*cells)) or [()] * len(header)
-        _emit_json(args, {name: list(col) for name, col in zip(header, cols)})
-        return
-    lines = [header] + [["" if x is None else format(x, ".17g")
-                         if isinstance(x, float) else json.dumps(x)
-                         for x in row] for row in cells]
-    _emit(args, "".join(",".join(line) + "\r\n" for line in lines))
-
-
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each takes the parsed flags and the --spec file's
+# spec (None for a command without --spec) and returns its output, a dict
+# or, for a command that takes --format, (header, rows)
 
 
-def _cmd_field(args) -> None:
-    spec = _load_spec(args)
+def _cmd_field(args, spec) -> tuple:
     fld = sample_field(spec, args.lo, args.hi, args.seed)
     lo, hi = fld.lo, fld.hi
-    rows = zip(range(lo, hi + 1), fld.xi(lo, hi), fld.log_neg_or1(lo, hi))
-    _emit_table(args, ["x", "xi", "log_neg_or1"], list(rows))
+    return ["x", "xi", "log_neg_or1"], list(
+        zip(range(lo, hi + 1), fld.xi(lo, hi), fld.log_neg_or1(lo, hi)))
 
 
-def _cmd_cumulant(args) -> None:
-    spec = _load_spec(args)
+def _cmd_cumulant(args, spec) -> tuple:
     grid = _parse_grid(args.l_grid)
-    rows = [(l, args.cumulant(spec, float(l))) for l in grid]
-    _emit_table(args, ["l", args.column], rows)
+    return ["l", args.column], [(l, args.cumulant(spec, float(l)))
+                                for l in grid]
 
 
-def _cmd_scales(args) -> None:
-    spec = _load_spec(args)
+def _cmd_scales(args, spec) -> tuple:
     params = ScaleParams.from_spec(spec)
     grid = _parse_grid(args.t_grid)
     rows = []
@@ -180,43 +180,30 @@ def _cmd_scales(args) -> None:
                           gamma_box(spec, params, args.eta, args.rho, t))
         rows.append((t, g, alpha(params, b) ** 2, b, b_star(params, t),
                      r_box(spec, t), gamma_t))
-    _emit_table(args, ["t", "G", "alpha_bt_sq", "b_t", "b_star", "r_t",
-                       "gamma_t"], rows)
+    return ["t", "G", "alpha_bt_sq", "b_t", "b_star", "r_t", "gamma_t"], rows
 
 
-def _cmd_eigen(args) -> None:
-    spec = _load_spec(args)
+def _cmd_eigen(args, spec) -> dict:
     fld = sample_field(spec, args.z - args.radius, args.z + args.radius,
                        args.seed)
     op = hamiltonian(fld, args.z, args.radius, args.kappa)
     pe = principal_eigpair(op)
-    _emit_json(args, {
-        "lambda": float(pe.principal),
-        "log_e_center": float(pe.log_eigvec[args.radius]),
-        "residual": float(pe.residual),
-        "R": args.radius,
-        "z": args.z,
-    })
+    return {"lambda": pe.principal,
+            "log_e_center": pe.log_eigvec[args.radius],
+            "residual": pe.residual, "R": args.radius, "z": args.z}
 
 
-def _cmd_solve(args) -> None:
-    spec = _load_spec(args)
+def _cmd_solve(args, spec) -> dict:
     res = solve_adaptive(spec, args.seed, args.t, args.rtol, kappa=args.kappa,
                          r_cap=args.r_cap)
     if not res.converged:
         raise ArithmeticError(
             f"adaptive solve failed to converge (R cap reached at R={res.R})")
-    _emit_json(args, {
-        "log_u": float(res.log_u),
-        "R": int(res.R),
-        "lambda": float(res.principal),
-        "clamped_sites": int(res.clamped_sites),
-        "modes_used": int(res.modes_used),
-    })
+    return {"log_u": res.log_u, "R": res.R, "lambda": res.principal,
+            "clamped_sites": res.clamped_sites, "modes_used": res.modes_used}
 
 
-def _cmd_fk(args) -> None:
-    spec = _load_spec(args)
+def _cmd_fk(args, spec) -> dict:
     # walks reach neither past the box nor past the jump budget;
     # fk_estimate itself rejects a negative box
     half = jump_budget(args.kappa, args.t)
@@ -225,85 +212,68 @@ def _cmd_fk(args) -> None:
     fld = sample_field(spec, -half, half, args.seed)
     res = fk_estimate(fld, args.kappa, args.t, args.samples, args.seed,
                       box=args.box)
-    _emit_json(args, {
-        "mean": float(res.estimate),
-        "stderr": float(res.stderr),
-        "exit_fraction": float(res.exit_fraction),
-    })
+    return {"mean": res.estimate, "stderr": res.stderr,
+            "exit_fraction": res.exit_fraction, "ess": res.ess}
 
 
-def _cmd_lbound(args) -> None:
-    spec = _load_spec(args)
+def _cmd_lbound(args, spec) -> dict:
     search = args.search if args.search is not None else 20 * args.radius
     fld = sample_field(spec, -(search + args.radius), search + args.radius,
                        args.seed)
     log_lb, y_star = best_screening_bound(fld, args.kappa, args.t, search,
                                           args.radius)
-    _emit_json(args, {"log_lb": float(log_lb), "y_star": int(y_star)})
+    return {"log_lb": log_lb, "y_star": y_star}
 
 
-def _cmd_legendre(args) -> None:
+def _cmd_legendre(args, spec) -> dict:
     psi = _load_psi(args)
-    val = legendre_L(psi, args.A, args.gamma)
-    out = {"legendre_l": float(val)}
+    out = {"legendre_l": legendre_L(psi, args.A, args.gamma)}
     if args.brute:
-        out["brute_legendre"] = float(brute_legendre(psi, args.A, args.gamma))
-    _emit_json(args, out)
+        out["brute_legendre"] = brute_legendre(psi, args.A, args.gamma)
+    return out
 
 
-def _cmd_chi(args) -> None:
-    cfg = VariationalConfig(A=args.A, gamma=args.gamma, kappa=args.kappa)
-    res = chi_tilde(cfg)
+def _cmd_chi(args, spec) -> dict:
+    res = chi_tilde(VariationalConfig(A=args.A, gamma=args.gamma,
+                                      kappa=args.kappa))
     flags = ["analytic-interval"] if args.gamma == 0.0 else ["kkt-fixed-point"]
-    _emit_json(args, {
-        "chi_tilde": float(res.chi),
-        "R_star": float(res.R),
-        "psi_grid": [float(v) for v in res.psi.values],
-        "constraint_value": float(res.budget),
-        "flags": flags,
-    })
+    return {"chi_tilde": res.chi, "R_star": res.R,
+            "psi_grid": res.psi.values.tolist(),
+            "constraint_value": res.budget, "flags": flags}
 
 
-def _cmd_rate(args) -> None:
-    spec = _load_spec(args)
+def _cmd_rate(args, spec) -> tuple:
     cfg = experiments.ExperimentConfig(
         spec=spec, kappa=args.kappa, seeds=tuple(range(args.seeds)),
         rtol=args.rtol)
     curve = experiments.rate_curve(cfg, _parse_grid(args.t_grid))
     header = [f.name for f in dataclasses.fields(curve)]
-    _emit_table(args, header, list(zip(*(getattr(curve, h) for h in header))))
+    return header, list(zip(*(getattr(curve, h) for h in header)))
 
 
-def _cmd_verify_h(args) -> None:
-    spec = _load_spec(args)
+def _cmd_verify_h(args, spec) -> tuple:
     res = experiments.check_assumption_H(spec, _parse_grid(args.t_grid))
-    rows = list(zip(res["t"], res["deviation"]))
-    _emit_table(args, ["t", "deviation"], rows)
+    return ["t", "deviation"], list(zip(res["t"], res["deviation"]))
 
 
-def _cmd_verify_lln(args) -> None:
-    spec = _load_spec(args)
+def _cmd_verify_lln(args, spec) -> tuple:
     n_values = [int(n) for n in _parse_grid(args.n_grid)]
     tab = experiments.check_lln(spec, args.b, n_values, range(args.seeds))
     med = np.median(tab["stats"], axis=0)
-    rows = [(int(tab["n"][j]), med[j], tab["frac_gt_1"][j],
-             tab["frac_gt_10"][j]) for j in range(len(n_values))]
-    _emit_table(args, ["n", "median", "frac_gt_1", "frac_gt_10"], rows)
+    return ["n", "median", "frac_gt_1", "frac_gt_10"], list(
+        zip(tab["n"], med, tab["frac_gt_1"], tab["frac_gt_10"]))
 
 
-def _cmd_verify_last(args) -> None:
-    spec = _load_spec(args)
+def _cmd_verify_last(args, spec) -> tuple:
     n_values = [int(n) for n in _parse_grid(args.n_grid)]
     tab, rho = experiments.check_last(spec, args.eta, n_values,
                                       range(args.seeds))
     med = np.median(tab["stats"], axis=0)
-    rows = [(int(tab["n"][j]), med[j], tab["frac_le_1p2"][j], rho)
-            for j in range(len(n_values))]
-    _emit_table(args, ["n", "median", "frac_le_1p2", "rho"], rows)
+    return ["n", "median", "frac_le_1p2", "rho"], [
+        (n, m, f, rho) for n, m, f in zip(tab["n"], med, tab["frac_le_1p2"])]
 
 
-def _cmd_verify_microbox(args) -> None:
-    spec = _load_spec(args)
+def _cmd_verify_microbox(args, spec) -> tuple:
     psi = _load_psi(args)
     if args.t_grid is None:
         t_values = experiments.t_grid(spec, 8, 10)
@@ -311,8 +281,7 @@ def _cmd_verify_microbox(args) -> None:
         t_values = _parse_grid(args.t_grid)
     freqs = experiments.check_microbox(spec, psi, args.eps, args.eta,
                                        t_values, range(args.seeds))
-    rows = list(zip(t_values, freqs))
-    _emit_table(args, ["t", "frequency"], rows)
+    return ["t", "frequency"], list(zip(t_values, freqs))
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +447,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         _check_out(args.out)
-        args.func(args)
+        spec = _load_spec(args.spec) if "spec" in args else None
+        _emit(args, _render(args, args.func(args, spec)))
     except ValueError as exc:
         print(f"pam1d: error: {exc}", file=sys.stderr)
         return CONFIG_ERROR

@@ -232,8 +232,10 @@ def check_last(spec: PotentialSpec, eta: float, n_values,
         raise ValueError(
             "lower tail has a finite log-moment; the upper-bound statement "
             "does not apply to this spec")
-    rho = estimate_rho(spec, eta)
     n_values = [int(n) for n in np.atleast_1d(n_values)]
+    if min(n_values) < 1:
+        raise ValueError(f"n values must be >= 1, got {n_values}")
+    rho = estimate_rho(spec, eta)
     stats = np.empty((len(seeds), len(n_values)))
     for j, n in enumerate(n_values):
         norm = g_tilde_inverse(spec, eta, rho / n)

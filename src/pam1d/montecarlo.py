@@ -19,6 +19,7 @@ pathwise lower bound for u(t, 0).
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -44,6 +45,7 @@ class FkResult:
     stderr: float
     n_samples: int
     exit_fraction: float
+    ess: float  # effective sample size (sum w)^2 / sum w^2
 
 
 def jump_budget(kappa: float, t: float) -> int:
@@ -156,6 +158,8 @@ def fk_estimate(field: Field, kappa: float, t: float, n_samples: int,
     and so do a negative box and the kappa or t that ``jump_budget`` rejects.
     If every weight is 0 -- every walk left the box, or every path integral
     is below the double range -- it raises ArithmeticError, not 0 +- 0.
+    So does a sum of squared weights below the smallest normal double: the
+    stderr and ``ess`` are then formed from underflowed squares.
 
     Jump counts are sampled systematically (``_blocks``): one uniform u,
     then walk i makes the Poisson(2 kappa t) quantile at (i + u) / n jumps,
@@ -167,7 +171,9 @@ def fk_estimate(field: Field, kappa: float, t: float, n_samples: int,
     systematic ones at most (sum_k |h(k + 1) - h(k)|)^2 / n^2, since no n_k
     is off by a whole walk.  The stderr is the iid formula, so it overstates
     that term; once a few walks carry nearly all the weight, the sample
-    variance it is built on is itself unreliable.
+    variance it is built on is itself unreliable; ``ess``, the effective
+    sample size (sum w)^2 / sum w^2, tells when: it is near n when the
+    weights are even and near 1 when one walk carries them.
     """
     if n_samples <= 0:
         raise ValueError(f"n_samples must be > 0, got {n_samples}")
@@ -201,12 +207,17 @@ def fk_estimate(field: Field, kappa: float, t: float, n_samples: int,
             f"every Feynman-Kac weight is 0: {exited} of {n_samples} walks "
             f"left the box and the other {n_samples - exited} have weights "
             "below the double range")
+    if total_sq < sys.float_info.min:
+        raise ArithmeticError(
+            f"the sum of squared Feynman-Kac weights, {total_sq:.3g}, is "
+            "below the smallest normal double: the stderr cannot be formed")
     mean = total / n_samples
     var = max(total_sq / n_samples - mean * mean, 0.0)
     return FkResult(estimate=mean,
                     stderr=math.sqrt(var / n_samples),
                     n_samples=n_samples,
-                    exit_fraction=exited / n_samples)
+                    exit_fraction=exited / n_samples,
+                    ess=(total / math.sqrt(total_sq)) ** 2)
 
 
 def _crossing(field: Field, kappa: float, y: int

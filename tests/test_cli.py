@@ -149,7 +149,10 @@ class TestExitCodes:
         (("verify-lln", "--seeds", "0"), "seeds"),
         (("verify-last", "--seeds", "0"), "seeds"),
         (("verify-microbox", "--seeds", "0", "--R", "0.5"), "seeds"),
-    ], ids=["fk-kappa", "lln-no-seeds", "last-no-seeds", "microbox-no-seeds"])
+        (("verify-last", "--n-grid", "0:100:linear:3"),
+         "n values must be >= 1, got [0, 50, 100]"),
+    ], ids=["fk-kappa", "lln-no-seeds", "last-no-seeds", "microbox-no-seeds",
+            "last-n-below-1"])
     def test_config_error_names_its_setting(self, capsys, frechet_file, argv,
                                             name):
         code, out, err = run(capsys, *argv, "--spec", frechet_file)
@@ -209,6 +212,15 @@ class TestExitCodes:
                            "--seeds", "1", "--deterministic")
         assert code == 3
         assert "G~^-1" in err and "1e300" in err
+
+    def test_fk_underflowed_squared_weights_exit_3(self, capsys, spec_file):
+        # field and path seed 2001 at t = 30: every squared weight underflows
+        code, out, err = run(capsys, "fk", "--spec", spec_file, "--seed",
+                             "2001", "--t", "30", "--samples", "100000",
+                             "--box", "10", "--deterministic")
+        assert code == 3
+        assert out == ""
+        assert "pam1d: numerical failure: the sum of squared" in err
 
     @pytest.mark.parametrize("argv, flag", [
         (("solve", "--spec", "x.json", "--t", "5", "--format", "csv"),
@@ -394,7 +406,7 @@ class TestFkAndLbound:
                            "--deterministic")
         assert code == 0
         obj = json.loads(out)
-        assert list(obj) == ["mean", "stderr", "exit_fraction"]
+        assert list(obj) == ["mean", "stderr", "exit_fraction", "ess"]
         assert 0.0 < obj["mean"] <= 1.0
 
     def test_fk_unboxed(self, capsys, spec_file):
@@ -407,7 +419,7 @@ class TestFkAndLbound:
         fld = sample_field(spec_from_json(ATOM_SPEC), -half, half, 1)
         res = fk_estimate(fld, 1.0, 2.0, 2000, 1)
         assert obj == {"mean": res.estimate, "stderr": res.stderr,
-                       "exit_fraction": 0.0}
+                       "exit_fraction": 0.0, "ess": res.ess}
         assert 0.0 < obj["mean"] <= 1.0
 
     def test_fk_samples_only_the_reach(self, capsys, spec_file, monkeypatch):

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from pam1d import lattice
+from pam1d import experiments, lattice
 from pam1d.experiments import (ExperimentConfig, check_assumption_H,
                                check_last, check_lln, check_microbox,
                                estimate_rho, rate_curve, t_grid)
@@ -185,6 +185,17 @@ class TestLast:
     def test_no_seeds_rejected(self, atom_spec):
         with pytest.raises(ValueError, match="seeds must not be empty"):
             check_last(atom_spec, 0.5, [100], range(0))
+
+    def test_n_below_one_rejected_before_rho(self, atom_spec, monkeypatch):
+        # U_0 would divide by G~^{-1}(rho / 0); the n is named before
+        # estimate_rho samples anything, as check_lln names its n < 3
+        calls = []
+        monkeypatch.setattr(experiments, "estimate_rho",
+                            lambda *a: calls.append(a))
+        with pytest.raises(ValueError, match=r"n values must be >= 1, got "
+                                             r"\[0, 50, 100\]"):
+            check_last(atom_spec, 0.5, [0, 50, 100], range(3))
+        assert calls == []
 
     def test_rho_finite_loglog(self):
         # about 0.14 % of theta = 1 log-log sites have log W beyond the

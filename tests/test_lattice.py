@@ -152,6 +152,16 @@ class TestSolveBox:
         u = solve_box(fld, 0, 25, 1.0, 6.0)
         assert np.all(u >= 0.0)
 
+    @pytest.mark.xfail(strict=True, raises=np.linalg.LinAlgError,
+                       reason="stemr does not converge (LAPACK info=22) on "
+                       "this clamped box: ROADMAP item 2 needs a dense "
+                       "oracle that reaches R = 512")
+    def test_rate_sweep_box_at_radius_512(self):
+        # seed 10 of the rate_sweep spec holds 12 clamped sites at R = 512
+        fld = sample_field(make_spec(0.0, 1.0, atom_p=0.625), -512, 512, 10)
+        u = solve_box(fld, 0, 512, 1.0, 100.0)[512]
+        assert math.isfinite(u) and u >= 0.0
+
 
 class TestSolvePointLog:
     def test_matches_solve_box_moderate(self):

@@ -305,6 +305,33 @@ class TestFkEstimate:
         assert (res.estimate, res.stderr, res.exit_fraction) == (
             0.4201952959528573, 0.001303862955688829, 0.0)
 
+    def test_equal_weights_give_full_ess(self):
+        # xi = -1: every weight is e^{-t}, so (sum w)^2 / sum w^2 = n
+        res = fk_estimate(constant_field(-100, 100, -1.0), 1.0, 2.0, 10_000, 1)
+        assert res.ess == pytest.approx(10_000, rel=1e-12)
+
+    def test_ess_flags_a_few_heavy_walks(self):
+        # the field of test_frozen_estimates: 1e5 walks are worth 31864 at
+        # t = 3, but 1.5 at t = 30, where the estimate is 23 times below
+        # the exact value and the stderr is near the estimate
+        fld = sample_field(make_spec(0.5, 1.0), -10, 10, 2000)
+        assert fk_estimate(fld, 1.0, 3.0, 100_000, 2000, box=10).ess == (
+            pytest.approx(31864.2731, rel=1e-9))
+        res = fk_estimate(fld, 1.0, 30.0, 100_000, 2000, box=10)
+        assert res.ess == pytest.approx(1.51786761, rel=1e-8)
+        exact = solve_point_log(fld, 0, 10, 1.0, 30.0).log_u
+        assert math.exp(exact) > 20 * res.estimate
+        assert res.stderr > 0.8 * res.estimate
+
+    def test_underflowed_squared_weights_raise(self):
+        # at t = 30 every squared weight of this field underflows: the
+        # estimate is 7e-212 against 3.5e-23 exact, and its stderr would
+        # read exactly 0
+        fld = sample_field(make_spec(0.0, 1.0), -10, 10, 2001)
+        with pytest.raises(ArithmeticError, match="squared Feynman-Kac "
+                           "weights, 0, is below the smallest normal"):
+            fk_estimate(fld, 1.0, 30.0, 100_000, 2001, box=10)
+
     @pytest.mark.parametrize("gamma, field_seed", [(0.0, 2003), (0.5, 2000)])
     def test_stderr_is_honest(self, gamma, field_seed):
         # the reported stderr is the iid formula; under systematic counts
