@@ -36,7 +36,11 @@ __all__ = [
     "best_screening_bound",
 ]
 
-_CHUNK = 1 << 16  # holding variates per block of walks with one jump count
+# holding variates per block of walks with one jump count.  A block's e, idx
+# and terms arrays take 8 bytes a variate each, 384 KB in all, and stay in a
+# 2 MB L2 cache with room to spare; on such a cache, blocks of 2^14 and 2^15
+# were the fastest of 2^12..2^17, and 2^16 about 20 % slower
+_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -93,7 +97,8 @@ def _blocks(mean: float, max_jumps: int, n: int, rng: np.random.Generator
 
     Draw order: one uniform u, which fixes the counts (``_jump_strata``);
     then, for each count k in increasing order, blocks of ``rows`` walks,
-    with rows * (k + 1) about 2^16.  A block draws its (k + 1, rows) Exp(1)
+    with rows * (k + 1) at most ``_CHUNK`` = 2^14 (one row a block when
+    k + 1 exceeds it).  A block draws its (k + 1, rows) Exp(1)
     variates e, then ceil(k rows / 8) random bytes, whose bits in
     ``np.unpackbits`` order fill the (k, rows) int8 steps row by row (1 is
     +1, 0 is -1).  Column c is one walk: given k jumps on [0, t], its
@@ -122,12 +127,14 @@ def _log_weights(e: np.ndarray, steps: np.ndarray, t_xi: np.ndarray,
     ``t_xi[x + m]`` is t xi(x) for every site |x| <= m = (t_xi.size - 1) / 2
     that a walk can reach.  Returns (log_w, killed): log_w[c] is the integral
     of xi along walk c over [0, t], and -inf where killed[c], that is, where
-    the walk leaves [-box, box].
+    the walk leaves [-box, box].  The positions are a running sum of the
+    steps, row by row, in pointer-width integers (``np.intp``), which
+    ``t_xi[idx]`` reads without casting.
     """
     k, rows = steps.shape
     m = t_xi.size // 2
-    # idx = position + m, from 0 to 2m
-    idx = np.empty((k + 1, rows), dtype=np.int32)
+    # idx = position + m, from 0 to 2m; intp, as int32 costs a cast per read
+    idx = np.empty((k + 1, rows), dtype=np.intp)
     idx[0] = m
     idx[1:] = steps
     # numpy's accumulate along axis 0 does not vectorise; a row loop does
@@ -156,10 +163,12 @@ def fk_estimate(field: Field, kappa: float, t: float, n_samples: int,
     Walks reach at most r = jump_budget(kappa, t) sites, or the box radius if
     smaller; a field not covering [-r, r] raises ValueError before any draw,
     and so do a negative box and the kappa or t that ``jump_budget`` rejects.
-    If every weight is 0 -- every walk left the box, or every path integral
-    is below the double range -- it raises ArithmeticError, not 0 +- 0.
-    So does a sum of squared weights below the smallest normal double: the
-    stderr and ``ess`` are then formed from underflowed squares.
+    The sums of the weights and of their squares are kept relative to the
+    largest log-weight so far, so weights below the double range still
+    count.  If every weight is 0 -- every walk left the box, or every path
+    integral is below the double range -- it raises ArithmeticError, not
+    0 +- 0.  So does an estimate below the smallest normal double, which
+    could not be told from 0 +- 0 either.
 
     Jump counts are sampled systematically (``_blocks``): one uniform u,
     then walk i makes the Poisson(2 kappa t) quantile at (i + u) / n jumps,
@@ -190,6 +199,8 @@ def fk_estimate(field: Field, kappa: float, t: float, n_samples: int,
     # sites beyond the box read 0; a walk that gets there is killed
     t_xi = np.zeros(2 * max_jumps + 1)
     t_xi[max_jumps - reach:max_jumps + reach + 1] = t * field.xi(-reach, reach)
+    # the sums of w / e^top and its square, top the largest log-weight so far
+    top = -math.inf
     total = 0.0
     total_sq = 0.0
     exited = 0
@@ -197,27 +208,38 @@ def fk_estimate(field: Field, kappa: float, t: float, n_samples: int,
         # a path integral below the double range is -inf: weight 0
         with np.errstate(over="ignore", under="ignore"):
             log_w, killed = _log_weights(*block, t_xi, box)
-            w = np.exp(log_w)
-        exited += int(np.count_nonzero(killed))
+            exited += int(np.count_nonzero(killed))
+            block_top = float(log_w.max())
+            if block_top == -math.inf:
+                continue
+            if block_top > top:
+                scale = math.exp(top - block_top)
+                total *= scale
+                total_sq *= scale * scale
+                top = block_top
+            w = np.exp(log_w - top)
         total += float(w.sum())
         total_sq += float((w * w).sum())
-    if total == 0.0:
+    if top == -math.inf:
         # u(t, 0) > 0 on every field: 0 +- 0 would claim an exact zero
         raise ArithmeticError(
             f"every Feynman-Kac weight is 0: {exited} of {n_samples} walks "
             f"left the box and the other {n_samples - exited} have weights "
             "below the double range")
-    if total_sq < sys.float_info.min:
-        raise ArithmeticError(
-            f"the sum of squared Feynman-Kac weights, {total_sq:.3g}, is "
-            "below the smallest normal double: the stderr cannot be formed")
+    # 1 <= total <= n_samples: the walk at top has weight e^top
     mean = total / n_samples
+    estimate = math.exp(top) * mean
+    if estimate < sys.float_info.min:
+        raise ArithmeticError(
+            f"the Feynman-Kac estimate, e^{top + math.log(mean):.6g}, is "
+            f"below the smallest normal double ({exited} of {n_samples} "
+            "walks left the box)")
     var = max(total_sq / n_samples - mean * mean, 0.0)
-    return FkResult(estimate=mean,
-                    stderr=math.sqrt(var / n_samples),
+    return FkResult(estimate=estimate,
+                    stderr=math.exp(top) * math.sqrt(var / n_samples),
                     n_samples=n_samples,
                     exit_fraction=exited / n_samples,
-                    ess=(total / math.sqrt(total_sq)) ** 2)
+                    ess=total * total / total_sq)
 
 
 def _crossing(field: Field, kappa: float, y: int

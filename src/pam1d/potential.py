@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -530,8 +531,7 @@ def _heavy_g_deficit(spec: PotentialSpec, ell: float) -> float:
         z, x = lt.zeta, 1.0 / ell
         # gammaincc(0, x) * gamma(0) is 0 * inf, so zeta = 1 takes E1
         upper = exp1(x) if z == 1.0 else gammaincc(1.0 - z, x) * gamma(1.0 - z)
-        # upper is 0 long before ell^-zeta overflows, as it does for ell < 6e-309
-        return -math.expm1(-x) + (float(upper) * ell ** -z if upper else 0.0)
+        return -math.expm1(-x) + float(upper) * ell ** -z
     th = lt.theta
     c = th * math.log(lt.x0) ** th
     v_lo = math.log(lt.x0)
@@ -560,11 +560,55 @@ def _light_g_deficit(spec: PotentialSpec, ell: float) -> float:
     return _quad(f, 0.0, d)
 
 
+def _log_pareto_complement(zeta: float, x: float) -> float:
+    """log E[e^{-x W}] for exp-Pareto(zeta) W, at x = 1/ell >= 1.
+
+    E[e^{-x W}] = zeta x^zeta Gamma(-zeta, x) = zeta e^{-x} h, with h =
+    e^x x^zeta Gamma(-zeta, x) the continued fraction
+    1/(x + 1 + zeta - 1 (1 + zeta)/(x + 3 + zeta - 2 (2 + zeta)/(x + 5 + ...)))
+    (Legendre's, by the modified Lentz method).  Nothing cancels, so the log
+    holds its relative accuracy however small the complement is, where
+    1 - deficit loses it (to rounding below ell = 0.03 at zeta = 1).
+    """
+    if x == math.inf:
+        return -math.inf
+    b = x + 1.0 + zeta
+    c = math.inf
+    d = 1.0 / b
+    h = d
+    # x >= 1 converges in under 100 terms
+    for i in range(1, 1000):
+        an = -i * (i + zeta)
+        b += 2.0
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        delta = c * d
+        h *= delta
+        if abs(delta - 1.0) <= sys.float_info.epsilon:
+            return math.log(zeta) - x + math.log(h)
+    raise ArithmeticError(f"Gamma(-{zeta}, {x}) continued fraction did not converge")
+
+
 def cumulant_G(spec: PotentialSpec, ell: float) -> float:
-    """G(ell) = -log < (-xi(0) v 1)^{-1/ell} >; positive and decreasing."""
+    """G(ell) = -log < (-xi(0) v 1)^{-1/ell} >; positive and decreasing.
+
+    For an exp-Pareto heavy branch below ell = 1, G is -log(q C_h +
+    (1 - q) C_l) with the complements C = 1 - deficit, the heavy one in log
+    space (``_log_pareto_complement``): 1 - deficit would cancel there as
+    ell -> 0.  Elsewhere G is -log1p(-deficit).
+    """
     if ell <= 0:
         raise ValueError(f"ell must be > 0, got {ell}")
-    j = spec.mix_q * _heavy_g_deficit(spec, ell) + (1.0 - spec.mix_q) * _light_g_deficit(spec, ell)
+    q = spec.mix_q
+    if spec.lower.variant == "pareto" and ell < 1.0:
+        log_heavy = math.log(q) + _log_pareto_complement(spec.lower.zeta, 1.0 / ell)
+        light = (1.0 - q) * (1.0 - _light_g_deficit(spec, ell))
+        log_light = math.log(light) if light > 0.0 else -math.inf
+        hi, lo = max(log_heavy, log_light), min(log_heavy, log_light)
+        if hi == -math.inf:
+            raise ArithmeticError(f"G({ell:g}) overflows a double")
+        return -(hi + math.log1p(math.exp(lo - hi)))
+    j = q * _heavy_g_deficit(spec, ell) + (1.0 - q) * _light_g_deficit(spec, ell)
     # 1 - j is a cancellation: an error e of j (roundoff for the closed-form
     # deficits, up to _QUAD_RTOL where one is a quadrature) is a relative
     # error e / (1 - j) of 1 - j, so below _QUAD_RTOL G would rest on rounding

@@ -213,14 +213,17 @@ class TestExitCodes:
         assert code == 3
         assert "G~^-1" in err and "1e300" in err
 
-    def test_fk_underflowed_squared_weights_exit_3(self, capsys, spec_file):
-        # field and path seed 2001 at t = 30: every squared weight underflows
+    def test_fk_estimate_below_double_range_exit_3(self, capsys, spec_file):
+        # field and path seed 2001 at t = 30: the largest weight is e^-1830
+        # (the exact u is e^-51.7), and so the estimate, below the double
+        # range
         code, out, err = run(capsys, "fk", "--spec", spec_file, "--seed",
                              "2001", "--t", "30", "--samples", "100000",
                              "--box", "10", "--deterministic")
         assert code == 3
         assert out == ""
-        assert "pam1d: numerical failure: the sum of squared" in err
+        assert ("pam1d: numerical failure: the Feynman-Kac estimate, "
+                "e^-1830.47, is below the smallest normal double") in err
 
     @pytest.mark.parametrize("argv, flag", [
         (("solve", "--spec", "x.json", "--t", "5", "--format", "csv"),
@@ -604,14 +607,22 @@ class TestTables:
                 else:
                     assert float(cell).hex() == float(value).hex(), name
 
-    def test_g_saturated_deficit_exits_3(self, capsys, tmp_path):
-        # with no light branch G(1e-3) is beyond the resolution of doubles
+    def test_g_without_light_branch_against_mpmath(self, capsys, tmp_path):
+        # mix_q = 1, exp-Pareto(1): G = -log E2(1/ell), e^-1000 inside the
+        # log at ell = 1e-3, where 1 - deficit is 0 in doubles
+        mpmath = pytest.importorskip("mpmath")
         path = tmp_path / "spec.json"
         path.write_text(ATOM_SPEC.replace('"mix_q":0.2', '"mix_q":1.0'))
-        code, _, err = run(capsys, "g", "--spec", str(path),
-                           "--l-grid", "1e-3:1:geometric:4")
-        assert code == 3
-        assert "G(0.001)" in err
+        code, out, _ = run(capsys, "g", "--spec", str(path),
+                           "--l-grid", "1e-3:1:geometric:4",
+                           "--format", "json", "--deterministic")
+        assert code == 0
+        cols = json.loads(out)
+        assert len(cols["l"]) == 4
+        for ell, g in zip(cols["l"], cols["G"]):
+            with mpmath.workdps(40):
+                exact = -mpmath.log(mpmath.expint(2, 1 / mpmath.mpf(ell)))
+            assert g == pytest.approx(float(exact), rel=1e-12)
 
     def test_field_csv(self, capsys, spec_file):
         code, out, _ = run(capsys, "field", "--spec", spec_file,

@@ -171,7 +171,7 @@ class TestSimulateWalk:
     def test_draws_exactly_the_jumps_made(self):
         # one uniform, then per block (k + 1) rows Exp(1) variates and
         # ceil(k rows / 8) bytes of steps, counts in increasing order; a
-        # count with more than 2^16 variates takes several blocks
+        # count with more than _CHUNK = 2^14 variates takes several blocks
         kappa, t, n = 1.0, 3.0, 60_000
         m = jump_budget(kappa, t)
         rng = np.random.default_rng(3)
@@ -194,17 +194,22 @@ class TestSimulateWalk:
 
 
 def _reference_log_weights(e, steps, xi, t, box):
-    """Walk-by-walk loop: positions from the steps, holds t e / sum e, the
-    log-weight sum xi(x) * hold, and -inf for a walk that leaves the box."""
+    """Walk-by-walk loop: positions from the steps, and the log-weight
+    sum_i xi(x_i) h_i with holds h_i = t e_i / sum_j e_j, formed as
+    (sum_i t xi(x_i) e_i) / sum_i e_i with both sums taken site by site;
+    -inf for a walk that leaves the box."""
     m = (xi.size - 1) // 2
     out = []
     for c in range(steps.shape[1]):
         pos = np.concatenate([[0], np.cumsum(steps[:, c])])
-        ee = e[:, c]
         if box is not None and np.abs(pos).max() > box:
             out.append(-math.inf)
-        else:
-            out.append(float(np.sum(xi[pos + m] * (t * (ee / ee.sum())))))
+            continue
+        num = den = 0.0
+        for x, ee in zip(pos.tolist(), e[:, c].tolist()):
+            num += float(t * xi[x + m]) * ee
+            den += ee
+        out.append(num / den)
     return np.array(out)
 
 
@@ -228,6 +233,28 @@ class TestLogWeights:
                                rtol=1e-13, atol=0)
             if box is None or steps.shape[0] <= box:
                 assert not killed.any()
+
+    @pytest.mark.parametrize("t, n, box, k_min", [(30.0, 100_000, 10, 60),
+                                                  (360.0, 1000, None, 700)])
+    def test_large_jump_counts_bit_for_bit(self, t, n, box, k_min):
+        # the first block with at least k_min jumps and several walks, of a
+        # boxed t = 30 run and an unboxed t = 360 one.  numpy sums such a
+        # block down each column one site at a time, as the loop does, so
+        # the log-weights agree to the bit (a single-walk block is summed
+        # pairwise instead, and differs by rounding)
+        m = jump_budget(1.0, t)
+        fld = sample_field(make_spec(0.5, 1.0), -m, m, 22)
+        xi = fld.xi(-m, m)
+        e, steps = next((e, st) for e, st in _blocks(
+            2 * t, m, n, np.random.default_rng(6))
+            if st.shape[0] >= k_min and st.shape[1] > 1)
+        assert steps.shape[0] < k_min + 5
+        log_w, killed = _log_weights(e, steps, t * xi,
+                                     m if box is None else box)
+        ref = _reference_log_weights(e, steps, xi, t, box)
+        assert np.array_equal(log_w, ref)
+        assert np.array_equal(killed, ref == -math.inf)
+        assert killed.any() == (box is not None)
 
 
 class TestFkEstimate:
@@ -262,14 +289,21 @@ class TestFkEstimate:
         assert abs(a.estimate - b.estimate) < 4 * comb
 
     def test_all_weights_zero_raises(self):
-        # xi = -1000: a path integral of about -1000 underflows exp, and one
-        # walk of 2000 leaves the box; the sum of weights is exactly 0, and
-        # 0 +- 0 would claim u(1, 0) = 0
-        fld = Field(lo=-40, hi=40, log_neg_xi=np.full(81, math.log(1000.0)))
+        # 0 +- 0 would claim u(t, 0) = 0.  With box = 0 a walk survives only
+        # if it never jumps; at t = 20 none of 2000 walks does (2000 e^-40
+        # is far below one walk)
         with pytest.raises(ArithmeticError,
-                           match="1 of 2000 walks left the box and the other "
-                                 "1999 have weights below the double range"):
-            fk_estimate(fld, 1.0, 1.0, 2000, 0, box=5)
+                           match="every Feynman-Kac weight is 0: 2000 of "
+                                 "2000 walks left the box"):
+            fk_estimate(zero_field(-5, 5), 1.0, 20.0, 2000, 0, box=0)
+        # xi = -e^700 (the cap) at t = 200: some 400 jumps hold t sum e =
+        # 400 t, so each path integral, about -8e308, is -inf
+        m = jump_budget(1.0, 200.0)
+        fld = Field(lo=-m, hi=m, log_neg_xi=np.full(2 * m + 1, 700.0))
+        with pytest.raises(ArithmeticError,
+                           match="0 of 50 walks left the box and the other "
+                                 "50 have weights below the double range"):
+            fk_estimate(fld, 1.0, 200.0, 50, 0)
 
     def test_exit_raises_unbounded(self):
         fld = zero_field(-2, 2)
@@ -296,14 +330,14 @@ class TestFkEstimate:
         fld = sample_field(make_spec(0.5, 1.0), -10, 10, 2000)
         res = fk_estimate(fld, 1.0, 3.0, 100_000, 2000, box=10)
         assert (res.estimate, res.stderr, res.exit_fraction) == (
-            0.03830344858772356, 0.00017712232960761504, 5e-05)
+            0.03853112653015024, 0.00017750760995304787, 6e-05)
         exact = solve_box(fld, 0, 10, 1.0, 3.0)[10]
         assert exact == pytest.approx(0.0384166576, rel=1e-9)
         assert abs(res.estimate - exact) < 4 * res.stderr
         fld = sample_field(make_spec(0.5, 1.0), -200, 200, 40)
         res = fk_estimate(fld, 1.0, 1.0, 20_000, 7)
         assert (res.estimate, res.stderr, res.exit_fraction) == (
-            0.4201952959528573, 0.001303862955688829, 0.0)
+            0.42019529595285754, 0.0013038629556888252, 0.0)
 
     def test_equal_weights_give_full_ess(self):
         # xi = -1: every weight is e^{-t}, so (sum w)^2 / sum w^2 = n
@@ -311,26 +345,35 @@ class TestFkEstimate:
         assert res.ess == pytest.approx(10_000, rel=1e-12)
 
     def test_ess_flags_a_few_heavy_walks(self):
-        # the field of test_frozen_estimates: 1e5 walks are worth 31864 at
-        # t = 3, but 1.5 at t = 30, where the estimate is 23 times below
-        # the exact value and the stderr is near the estimate
+        # the field of test_frozen_estimates: 1e5 walks are worth 32027 at
+        # t = 3, but 1.65 at t = 30, where the estimate is half the exact
+        # value (ratio 2.07) and the stderr is 0.78 of the estimate
         fld = sample_field(make_spec(0.5, 1.0), -10, 10, 2000)
         assert fk_estimate(fld, 1.0, 3.0, 100_000, 2000, box=10).ess == (
-            pytest.approx(31864.2731, rel=1e-9))
+            pytest.approx(32027.48315, rel=1e-9))
         res = fk_estimate(fld, 1.0, 30.0, 100_000, 2000, box=10)
-        assert res.ess == pytest.approx(1.51786761, rel=1e-8)
+        assert res.ess == pytest.approx(1.65485875, rel=1e-8)
         exact = solve_point_log(fld, 0, 10, 1.0, 30.0).log_u
-        assert math.exp(exact) > 20 * res.estimate
-        assert res.stderr > 0.8 * res.estimate
+        assert math.exp(exact) > 2 * res.estimate
+        assert res.stderr > 0.75 * res.estimate
 
-    def test_underflowed_squared_weights_raise(self):
-        # at t = 30 every squared weight of this field underflows: the
-        # estimate is 7e-212 against 3.5e-23 exact, and its stderr would
-        # read exactly 0
-        fld = sample_field(make_spec(0.0, 1.0), -10, 10, 2001)
-        with pytest.raises(ArithmeticError, match="squared Feynman-Kac "
-                           "weights, 0, is below the smallest normal"):
-            fk_estimate(fld, 1.0, 30.0, 100_000, 2001, box=10)
+    def test_underflowed_squared_weights_keep_the_estimate(self):
+        # xi = -1, unboxed, t = 360: each weight is e^-360 = 4.5e-157, and
+        # the sum of the 1000 squares, 2.0e-310, is below the smallest
+        # normal double.  Both sums are relative to the largest weight, so
+        # the estimate is exact, with stderr 0 and ess n
+        m = jump_budget(1.0, 360.0)
+        res = fk_estimate(constant_field(-m, m, -1.0), 1.0, 360.0, 1000, 1)
+        assert res.estimate == pytest.approx(math.exp(-360.0), rel=1e-13)
+        assert res.stderr == 0.0
+        assert res.ess == pytest.approx(1000, rel=1e-12)
+        # an estimate below the smallest normal double still raises: xi =
+        # -1000 at t = 1 gives e^-1000, and one walk leaves the box
+        fld = Field(lo=-40, hi=40, log_neg_xi=np.full(81, math.log(1000.0)))
+        with pytest.raises(ArithmeticError,
+                           match=r"estimate, e\^-1000, is below the smallest "
+                                 r"normal double \(1 of 2000 walks left"):
+            fk_estimate(fld, 1.0, 1.0, 2000, 0, box=5)
 
     @pytest.mark.parametrize("gamma, field_seed", [(0.0, 2003), (0.5, 2000)])
     def test_stderr_is_honest(self, gamma, field_seed):

@@ -366,20 +366,31 @@ class TestCumulants:
             assert _heavy_g_deficit(spec, float(ell)) == pytest.approx(
                 quad, rel=1e-12, abs=0.0)
 
-    def test_g_saturated_deficit_raises(self):
-        # mix_q = 1, exp-Pareto(zeta = 1): 1 - <(-xi v 1)^(-1/ell)> is
-        # e^-x - x E1(x) with x = 1/ell, about e^-36 at ell = 0.03, which
-        # 1 - deficit cannot resolve in doubles; at ell = 0.05 it still can
+    @pytest.mark.parametrize("zeta", [0.5, 1.0])
+    def test_g_without_light_branch_against_mpmath(self, zeta):
+        # mix_q = 1, exp-Pareto: G = -log(zeta x^zeta Gamma(-zeta, x)) with
+        # x = 1/ell, about e^-36 inside the log at ell = 0.03, which
+        # 1 - deficit cannot resolve in doubles
         mpmath = pytest.importorskip("mpmath")
         spec = PotentialSpec(gamma=0.0, mix_q=1.0,
-                             lower=LowerTailSpec.pareto(1.0))
-        for ell in (0.01, 0.03):
-            with pytest.raises(ArithmeticError, match=f"G\\({ell:g}\\)"):
-                cumulant_G(spec, ell)
-        with mpmath.workdps(30):
-            x = 1 / mpmath.mpf(0.05)
-            exact = -mpmath.log(mpmath.exp(-x) - x * mpmath.e1(x))
-        assert cumulant_G(spec, 0.05) == pytest.approx(float(exact), rel=1e-7)
+                             lower=LowerTailSpec.pareto(zeta))
+        for ell in (0.05, 0.03, 1e-3):
+            with mpmath.workdps(40):
+                x, z = 1 / mpmath.mpf(ell), mpmath.mpf(zeta)
+                exact = -mpmath.log(z * x ** z * mpmath.gammainc(-z, x))
+            assert cumulant_G(spec, ell) == pytest.approx(float(exact),
+                                                          rel=1e-12)
+        # G(ell) > 1/ell, which overflows a double below ell = 5.6e-309
+        with pytest.raises(ArithmeticError, match="overflows a double"):
+            cumulant_G(spec, 1e-320)
+
+    def test_g_loglog_without_light_branch_keeps_its_guard(self):
+        # the log-log deficit is a quadrature, and no complement form
+        # replaces 1 - deficit there: below 1e-12 it still raises
+        spec = PotentialSpec(gamma=0.0, mix_q=1.0,
+                             lower=LowerTailSpec.loglog(1.0))
+        with pytest.raises(ArithmeticError, match="G\\(0.03\\)"):
+            cumulant_G(spec, 0.03)
 
     def test_quad_divergent_raises(self):
         # 1/x on (0, 1) exhausts QUADPACK's subdivisions; the failure is an
