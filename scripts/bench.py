@@ -22,7 +22,10 @@ output: the oracle numbers and ``ok``.  ``fk`` is judged by the z-score of
 its estimate against ``solve_box`` (|z| <= 4, the rule of ``fk_check``),
 ``chi`` by its relative error against the closed form (at most 1e-3, as in
 ``chi_scan``), ``solve`` by the gap log_u - log_lb to the certified bound of
-``pam1d lbound --t 1e4 --radius 8 --seed 3`` (not negative), and the table
+``pam1d lbound --t 1e4 --radius 8 --seed 3`` (not negative), ``scales`` by
+its ``G`` column against a 30-digit mpmath closed form (relative error at
+most 1e-12), ``lbound --t 50 --radius 5`` by ``log_lb`` against the point
+solve on a box that holds its search (not above it), and the other table
 commands by the checks that the README states for them.
 
 The tier-1 row (``tier1``) runs the tier-1 suite 3 times, each in a fresh
@@ -50,7 +53,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 from pam1d.experiments import RateCurve  # noqa: E402
-from pam1d.lattice import solve_box  # noqa: E402
+from pam1d.lattice import solve_box, solve_point_log  # noqa: E402
 from pam1d.montecarlo import best_screening_bound  # noqa: E402
 from pam1d.potential import sample_field, spec_from_json  # noqa: E402
 
@@ -65,6 +68,8 @@ README_SPEC = {"gamma": 0.0, "upper": {"atom_p": 0.625}, "mix_q": 0.2,
                "lower": {"pareto_zeta": 1.0}}
 SOLVE_SEED, SOLVE_T = 3, 1e4
 LBOUND_RADIUS = 8  # pam1d lbound searches 20 radii by default
+SCALES_RTOL = 1e-12
+LB_T, LB_RADIUS = 50, 5  # the README's lbound command
 # the README's microbox spec: xi = 0 on 85 % of sites
 MICRO_SPEC = {"gamma": 0.0, "upper": {"atom_p": 0.95}, "mix_q": 0.1,
               "lower": {"pareto_zeta": 1.0}}
@@ -133,6 +138,32 @@ def _judge_solve(out: dict) -> dict:
     return {"log_lb": log_lb, "y_star": y_star, "gap": gap, "ok": gap >= 0}
 
 
+def _judge_scales(c: dict) -> dict:
+    """The G column against the exp-Pareto(zeta = 1) closed form in 30
+    digits: G = -log(1 - q D) with the heavy deficit D = 1 - e^-x + x E1(x),
+    x = 1/t (the atom light branch has none), E1 from mpmath, not scipy."""
+    import mpmath
+
+    q = README_SPEC["mix_q"]
+    errs = []
+    with mpmath.workdps(30):
+        for t, g in zip(c["t"], c["G"]):
+            x = 1 / mpmath.mpf(t)
+            exact = -mpmath.log1p(-q * (-mpmath.expm1(-x) + x * mpmath.e1(x)))
+            errs.append(float(abs(g / exact - 1)))
+    return {"rel_err_max": max(errs), "ok": max(errs) <= SCALES_RTOL}
+
+
+def _judge_lbound(out: dict) -> dict:
+    """log_lb of ``pam1d lbound --t 50 --radius 5`` (seed 0, search 100)
+    against the point solve on the box of radius 105 that holds every
+    window of the search: a lower bound must not exceed it."""
+    half = 21 * LB_RADIUS
+    fld = sample_field(spec_from_json(json.dumps(README_SPEC)), -half, half, 0)
+    exact = float(solve_point_log(fld, 0, half, 1.0, LB_T).log_u)
+    return {"log_u": exact, "ok": out["log_lb"] <= exact}
+
+
 def _increasing(xs) -> bool:
     return all(a < b for a, b in zip(xs, xs[1:]))
 
@@ -150,6 +181,13 @@ CLI_ROWS = [
       "--deterministic"], README_SPEC,
      "log_u >= the bound of lbound --t 1e4 --radius 8 --seed 3",
      _judge_solve),
+    (["scales", "--spec", "spec.json", "--t-grid", "1e3:1e12:geometric:16",
+      *TABLE_FLAGS], README_SPEC,
+     f"G within {SCALES_RTOL:g} relative of a 30-digit mpmath closed form",
+     _judge_scales),
+    (["lbound", "--spec", "spec.json", "--t", str(LB_T), "--radius",
+      str(LB_RADIUS), "--deterministic"], README_SPEC,
+     "log_lb <= the point solve on a box holding the search", _judge_lbound),
     (["rate", "--spec", "spec.json", "--seeds", "2", *TABLE_FLAGS],
      README_SPEC,
      "columns are the fields of RateCurve, converged holds booleans",

@@ -196,9 +196,12 @@ def fk_estimate(field: Field, kappa: float, t: float, n_samples: int,
         raise ValueError(f"walks reach [{-reach}, {reach}], outside the "
                          f"sampled field [{field.lo}, {field.hi}]")
     rng = np.random.default_rng(seed)
-    # sites beyond the box read 0; a walk that gets there is killed
+    # sites beyond the box read 0; a walk that gets there is killed.  t xi
+    # past the double range is -inf, the right weight for a walk that sits
+    # there
     t_xi = np.zeros(2 * max_jumps + 1)
-    t_xi[max_jumps - reach:max_jumps + reach + 1] = t * field.xi(-reach, reach)
+    with np.errstate(over="ignore"):
+        t_xi[max_jumps - reach:max_jumps + reach + 1] = t * field.xi(-reach, reach)
     # the sums of w / e^top and its square, top the largest log-weight so far
     top = -math.inf
     total = 0.0

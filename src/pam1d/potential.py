@@ -369,37 +369,14 @@ def sample_field(spec: PotentialSpec, lo: int, hi: int, seed: int) -> Field:
 # Log-space quadrature helpers
 
 
-def _log_integral(log_f, lo: float, hi: float, peak: float) -> float:
-    """log of the integral of exp(log_f) over [lo, hi], peak-normalized.
+def _log_integral(log_f, a: float, b: float, peak: float) -> float:
+    """log of the integral of exp(log_f) over [a, b], peak-normalized.
 
-    ``peak`` is a point near the maximum of log_f; the domain is trimmed to
-    where log_f stays within _LOG_CUTOFF of the peak value before handing the
-    normalized integrand to adaptive quadrature.
+    ``peak`` in [a, b] is the maximum of log_f, and [a, b] is a window
+    outside which log_f lies more than _LOG_CUTOFF below its peak value;
+    each caller states its window in closed form.
     """
-    from scipy.optimize import brentq
-
-    peak = min(max(peak, lo), hi if math.isfinite(hi) else peak)
     m = float(log_f(np.array([peak]))[0])
-
-    def drop(x):
-        return float(log_f(np.array([x]))[0]) - m
-
-    # trim left edge
-    a = lo
-    if lo < peak and math.isfinite(lo):
-        if drop(lo) < -_LOG_CUTOFF:
-            a = brentq(lambda x: drop(x) + _LOG_CUTOFF, lo, peak, xtol=1e-12, rtol=1e-12)
-    # trim right edge; a peak at 0 can be narrower than any absolute xtol
-    b = hi
-    if not math.isfinite(hi):
-        step = max(abs(peak), 1.0)
-        b = peak + step
-        while drop(b) > -_LOG_CUTOFF:
-            step *= 2.0
-            b = peak + step
-        b = brentq(lambda x: drop(x) + _LOG_CUTOFF, peak, b, xtol=1e-300, rtol=1e-12)
-    elif hi > peak and drop(hi) < -_LOG_CUTOFF:
-        b = brentq(lambda x: drop(x) + _LOG_CUTOFF, peak, hi, xtol=1e-300, rtol=1e-12)
 
     def f(x):
         return float(np.exp(log_f(np.atleast_1d(x)) - m)[0])
@@ -433,6 +410,9 @@ def _log_heavy_laplace(spec: PotentialSpec, ell: float) -> float:
 
     The peak value -c = -ell e^{w_lo} is taken out, so quadrature sees
     -c expm1(d), small near the peak, not differences of values near -c.
+    No density of W increases on its support, so log_f falls at least
+    c expm1(d) below its value at d = 0, and the window ends where that
+    drop reaches _LOG_CUTOFF.
     """
     lt = spec.lower
     if lt.variant == "bounded" and lt.wmax == 0.0:
@@ -444,7 +424,8 @@ def _log_heavy_laplace(spec: PotentialSpec, ell: float) -> float:
         # cap the exponent; anything below the cutoff never matters
         return -c * np.expm1(np.minimum(d, _LOG_POW_MAX)) + lt.log_density_w(w_lo + d)
 
-    return -c + _log_integral(log_f, 0.0, w_hi - w_lo, 0.0)
+    d_max = min(w_hi - w_lo, math.log1p(_LOG_CUTOFF / c))
+    return -c + _log_integral(log_f, 0.0, d_max, 0.0)
 
 
 # 1/k! for k = 16..2: the Taylor series of e^x - 1 - x, Horner order
@@ -467,27 +448,28 @@ def _log_frechet_laplace(spec: PotentialSpec, ell: float) -> float:
     """log E[exp(-ell V)] for V Frechet(a, D), via the y = D x^{-a} substitution.
 
     The exponent -y - c y^{-1/a} peaks at y_p with value -(1+a) y_p, which is
-    taken out; quadrature sees -y_p phi(s) with s = log(y/y_p), not
-    differences of values near -(1+a) y_p.  phi(s) = expm1(s) + a expm1(-s/a)
-    cancels to first order at the peak, so it is summed as
-    (e^s - 1 - s) + a (e^z - 1 - z), z = -s/a, two non-negative terms.
+    taken out with the factor y_p of y = y_p (1 + u); quadrature sees
+    -y_p phi(s) in u, with s = log1p(u), not differences of values near
+    -(1+a) y_p, nor y / y_p, which rounds to 1 once y_p passes 1e19.
+    phi(s) = expm1(s) + a expm1(-s/a) cancels to first order at the peak,
+    so it is summed as E(s) + a E(-s/a), E(x) = e^x - 1 - x, two
+    non-negative terms.  E(x) >= k once x >= min(sqrt(2k), log(2(k + 1))),
+    so with k = _LOG_CUTOFF / y_p the window ends where s reaches that
+    bound, and where -s/a reaches it at k/a.
     """
     a, d = spec.frechet_a, spec.frechet_d
     c = ell * d ** (1.0 / a)
     y_p = (c / a) ** (a / (1.0 + a))
-    # a y_p e^{-s/a} exceeds the double range beyond this s; there log_f is
-    # at its limit -inf, so the exponential is not formed
-    s_max = _LOG_POW_MAX - max(math.log(a * y_p), 0.0)
+    k = _LOG_CUTOFF / y_p
+    s_hi = min(math.sqrt(2.0 * k), math.log(2.0 * (k + 1.0)))
+    s_lo = -a * min(math.sqrt(2.0 * k / a), math.log(2.0 * (k / a + 1.0)))
 
-    def log_f(y):
-        s = np.log(np.maximum(y, 1e-300) / y_p)
-        z = -s / a
-        phi = np.full_like(s, np.inf)
-        ok = z < s_max
-        phi[ok] = _expm1mx(s[ok]) + a * _expm1mx(z[ok])
-        return -y_p * phi
+    def log_f(u):
+        s = np.log1p(u)
+        return -y_p * (_expm1mx(s) + a * _expm1mx(-s / a))
 
-    return -(1.0 + a) * y_p + _log_integral(log_f, 0.0, math.inf, y_p)
+    return (-(1.0 + a) * y_p + math.log(y_p)
+            + _log_integral(log_f, math.expm1(s_lo), math.expm1(s_hi), 0.0))
 
 
 def cumulant_H(spec: PotentialSpec, ell: float) -> float:
@@ -523,8 +505,11 @@ def _heavy_g_deficit(spec: PotentialSpec, ell: float) -> float:
     if lt.variant == "bounded":
         if lt.wmax == 0.0:
             return 0.0
-        # closed form for uniform W on [0, wmax]
-        return 1.0 + ell * math.expm1(-lt.wmax / ell) / lt.wmax
+        # closed form for uniform W on [0, wmax]: 1 - (1 - e^-a) / a with
+        # a = wmax / ell, which is E(-a) / a, E(x) = e^x - 1 - x, and does
+        # not cancel at large ell, where a is small; a = inf is a deficit 1
+        a = lt.wmax / ell
+        return float(_expm1mx(np.array([-a]))[0]) / a if a < math.inf else 1.0
     if lt.variant == "pareto":
         from scipy.special import exp1, gamma, gammaincc
 

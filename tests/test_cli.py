@@ -244,6 +244,15 @@ class TestExitCodes:
                          "--l-grid", "1:10:geometric:2", "--deterministic")
         assert code == 0
 
+    def test_h_at_large_ell_on_frechet_spec(self, capsys, frechet_file):
+        # the Frechet transform is integrated in u = y / y_p - 1, so y / y_p
+        # never rounds to 1, as it does once y_p passes 1e19 (ell ~ 1e38)
+        code, out, _ = run(capsys, "h", "--spec", frechet_file, "--l-grid",
+                           "1e20:1e60:geometric:5", "--format", "json",
+                           "--deterministic")
+        assert code == 0
+        assert len(json.loads(out)["H"]) == 5
+
 
 class TestScales:
     def test_header_and_row_count(self, capsys, spec_file):

@@ -305,6 +305,15 @@ class TestFkEstimate:
                                  "50 have weights below the double range"):
             fk_estimate(fld, 1.0, 200.0, 50, 0)
 
+    def test_overflowing_t_xi_is_a_zero_weight(self):
+        # t xi = 1e5 (-e^700) is past the double range: the weight table
+        # holds -inf there, with no overflow warning, and the estimate
+        # raises as for any other all-zero weight sum
+        fld = Field(lo=-5, hi=5, log_neg_xi=np.full(11, 700.0))
+        with pytest.raises(ArithmeticError,
+                           match="every Feynman-Kac weight is 0"):
+            fk_estimate(fld, 1.0, 1e5, 10, 0, box=5)
+
     def test_exit_raises_unbounded(self):
         fld = zero_field(-2, 2)
         with pytest.raises(ValueError, match="outside the sampled"):

@@ -243,15 +243,16 @@ class TestCumulants:
 
     @pytest.mark.parametrize("gamma", [0.0, 0.1, 0.5, 0.9])
     def test_h_large_ell_warning_free(self, gamma):
-        # the exponent at the peak reaches -4e13 nats here; quadrature sees
-        # it only relative to the peak value, so it converges cleanly
+        # the exponent at the peak reaches -1e300 e^e nats here (log-log
+        # heavy branch); quadrature sees it only relative to the peak value,
+        # so it converges cleanly
         lowers = (LowerTailSpec.pareto(1.0), LowerTailSpec.pareto(0.5),
                   LowerTailSpec.loglog(1.0), LowerTailSpec.bounded(3.0))
         for lower in lowers:
             spec = PotentialSpec(gamma=gamma, mix_q=0.2, lower=lower,
                                  atom_p=0.5, frechet_d=1.0)
             prev = 0.0
-            for ell in (1e8, 1e9, 1e10, 1e12, 1e15):
+            for ell in (1e8, 1e9, 1e10, 1e12, 1e15, 1e40, 1e100, 1e300):
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
                     h = cumulant_H(spec, ell)
@@ -302,6 +303,33 @@ class TestCumulants:
         got = _expm1mx(np.array(xs))
         for g, e in zip(got, em):
             assert g == pytest.approx(float(e), rel=4e-16)
+
+    def test_h_against_bessel_closed_form(self, frechet_spec):
+        # gamma = 1/2, D = 1: V = 1/E with E ~ Exp(1), so E e^{-ell V} =
+        # int_0^inf e^{-y - ell/y} dy = 2 sqrt(ell) K_1(2 sqrt(ell)); the
+        # heavy branch is below e^{-e ell}, far below its rounding here
+        mpmath = pytest.importorskip("mpmath")
+        for ell in (1e2, 1e10, 1e40, 1e100, 1e300):
+            with mpmath.workdps(40):
+                r = 2 * mpmath.sqrt(mpmath.mpf(ell))
+                exact = mpmath.log(mpmath.mpf("0.8") * r * mpmath.besselk(1, r))
+            assert cumulant_H(frechet_spec, ell) == pytest.approx(
+                float(exact), rel=1e-14)
+
+    def test_g_bounded_against_mpmath(self, bounded_spec):
+        # W uniform on [0, 3]: the deficit is 1 - (1 - e^{-a}) / a with
+        # a = 3 / ell, which cancels in doubles as ell grows; at ell =
+        # 1e-320, a overflows a double and the deficit is 1
+        mpmath = pytest.importorskip("mpmath")
+        for ell in (*np.geomspace(1e-2, 1e14, 33), 1e-320):
+            with mpmath.workdps(50):
+                a = 3 / mpmath.mpf(ell)
+                deficit = 1 + mpmath.expm1(-a) / a
+                exact = -mpmath.log1p(-0.2 * deficit)
+            assert _heavy_g_deficit(bounded_spec, float(ell)) == pytest.approx(
+                float(deficit), rel=1e-14, abs=0.0)
+            assert cumulant_G(bounded_spec, float(ell)) == pytest.approx(
+                float(exact), rel=1e-14, abs=0.0)
 
     def test_g_loglog_beyond_capped_w(self):
         # log-log W reaches e^709.78, past W_CAP; at ell > e^700 the deficit
