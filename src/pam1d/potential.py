@@ -369,19 +369,22 @@ def sample_field(spec: PotentialSpec, lo: int, hi: int, seed: int) -> Field:
 # Log-space quadrature helpers
 
 
-def _log_integral(log_f, a: float, b: float, peak: float) -> float:
+def _log_integral(log_f, a: float, b: float, peak: float,
+                  points=()) -> float:
     """log of the integral of exp(log_f) over [a, b], peak-normalized.
 
     ``peak`` in [a, b] is the maximum of log_f, and [a, b] is a window
     outside which log_f lies more than _LOG_CUTOFF below its peak value;
-    each caller states its window in closed form.
+    each caller states its window in closed form.  The peak and any of
+    ``points`` inside (a, b) are breakpoints of the quadrature.
     """
     m = float(log_f(np.array([peak]))[0])
 
     def f(x):
         return float(np.exp(log_f(np.atleast_1d(x)) - m)[0])
 
-    return m + math.log(_quad(f, a, b, points=[peak] if a < peak < b else None))
+    breaks = [x for x in (peak, *points) if a < x < b]
+    return m + math.log(_quad(f, a, b, points=breaks or None))
 
 
 def _quad(f, a: float, b: float, points=None) -> float:
@@ -455,21 +458,40 @@ def _log_frechet_laplace(spec: PotentialSpec, ell: float) -> float:
     so it is summed as E(s) + a E(-s/a), E(x) = e^x - 1 - x, two
     non-negative terms.  E(x) >= k once x >= min(sqrt(2k), log(2(k + 1))),
     so with k = _LOG_CUTOFF / y_p the window ends where s reaches that
-    bound, and where -s/a reaches it at k/a.
+    bound, and where -s/a reaches it at k/a.  Where y_p < 1 the window is
+    far longer than the decay length 1/y_p, and between u ~ min(a, 1) and
+    1/y_p phi grows like s = log1p(u), which has a feature at every scale
+    of u; QUADPACK's error estimate misses it on such a long interval
+    (8.6e-9 off at gamma = 0.1, D = 100, ell = 1e-50), so the quadrature
+    takes a breakpoint at 1/y_p and at every power of ten in that range.
+    A feature on the scale u holds a share of about y_p^2 u of the
+    integral (about 1/y_p), so the decades more than 16 below 1/y_p are
+    below roundoff and get none.
+    c = ell D^{1/a} and c/a overflow a double before y_p does (gamma = 0.1,
+    D = 100, ell >= 1e290); there y_p is formed from its logarithm.
     """
     a, d = spec.frechet_a, spec.frechet_d
-    c = ell * d ** (1.0 / a)
-    y_p = (c / a) ** (a / (1.0 + a))
+    log_d_a = math.log(d) / a
+    log_c_a = math.log(ell) + log_d_a - math.log(a)  # log(c / a)
+    if max(log_d_a, log_c_a) < _LOG_POW_MAX:
+        c = ell * d ** (1.0 / a)
+        y_p = (c / a) ** (a / (1.0 + a))
+    else:
+        y_p = math.exp(a / (1.0 + a) * log_c_a)
     k = _LOG_CUTOFF / y_p
     s_hi = min(math.sqrt(2.0 * k), math.log(2.0 * (k + 1.0)))
     s_lo = -a * min(math.sqrt(2.0 * k / a), math.log(2.0 * (k / a + 1.0)))
+    top = math.ceil(-math.log10(y_p))
+    decades = range(max(math.floor(math.log10(min(a, 1.0))), top - 16), top)
 
     def log_f(u):
         s = np.log1p(u)
         return -y_p * (_expm1mx(s) + a * _expm1mx(-s / a))
 
     return (-(1.0 + a) * y_p + math.log(y_p)
-            + _log_integral(log_f, math.expm1(s_lo), math.expm1(s_hi), 0.0))
+            + _log_integral(log_f, math.expm1(s_lo), math.expm1(s_hi), 0.0,
+                            points=(*(10.0 ** j for j in decades),
+                                    1.0 / y_p)))
 
 
 def cumulant_H(spec: PotentialSpec, ell: float) -> float:

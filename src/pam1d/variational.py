@@ -19,11 +19,11 @@ whose closed form is, for psi < 0 (and +infinity for psi == 0),
 gamma = 0 the optimum is explicit -- psi -> 0- on an interval of length 1/A
 -- giving chi = kappa pi^2 A^2.  For gamma in (0, 1) the optimum is explicit
 as well (``_chi_closed``, ``_optimal_psi``); ``chi_tilde`` starts a damped
-KKT fixed-point iteration on the discretized profile from it and from a
-profile that does not use it, and reports the discrete optimum.  The
-iteration carries log|psi|, so each step is a weighted sum of logarithms;
-the box radius doubles from 1 until a box does not improve on the best or
-the box holds the closed-form well.
+KKT fixed-point iteration on the discretized profile from it, and from a
+profile that does not use it where that run hits its iteration cap, and
+reports the discrete optimum.  The iteration carries log|psi|, so each
+step is a weighted sum of logarithms; the box radius doubles from 1 until
+a box does not improve on the best or the box holds the closed-form well.
 No cap bounds the depth of a profile, nor the n_grid R nodes of its grid.
 """
 
@@ -369,20 +369,26 @@ def chi_tilde(cfg: VariationalConfig, r_max: float = 256.0) -> ChiResult:
     interval of length 1/A, so chi is -lambda of the free Dirichlet
     interval, kappa pi^2 A^2, read from ``_chi_closed`` with no eigen solve.
 
-    gamma > 0: damped KKT iteration at each R from two starting profiles,
-    doubling R from 1.  The search ends at the first R whose better run
-    does not beat the best eigenvalue so far by tol (1 + |lambda|), after
-    the first R >= pi / (2 omega), the half-width of the closed-form well
-    (``_optimal_psi``), or past r_max, whichever comes first.  In the
-    continuum the optimum over [-R, R] does not decrease in R and is flat
-    once the box holds the well, and every R starts one run at the
-    closed-form well.  So a box that does not improve ends the search, and
-    so does the first box that holds the well: past it the discrete search
-    gains only through walls that cost almost nothing, and those gains move
-    chi away from the closed form.  The warm start is the
-    closed-form optimum ``_optimal_psi`` on the grid; the cold start
-    1 + 10 (x/R)^2 keeps a route at every R that does not use the formula.
-    The returned chi is -lambda of the discrete profile.
+    gamma > 0: damped KKT iteration at each R, doubling R from 1.  Each R
+    first runs from the warm start, the closed-form optimum
+    ``_optimal_psi`` on the grid.  Only if that run reaches cfg.max_iter
+    (counted as not converged, even if its last step met tol) does the
+    cold start 1 + 10 (x/R)^2, which does not use the formula, run as
+    well, and the better of the two runs stands for R.  Where the warm run
+    converges the cold one never decides chi: on A in {0.5, ln 2, 1, 2} x
+    gamma in {0.1, 0.25, 0.5, 0.6, 0.75, 0.9} x n_grid in {201, 801} every
+    (chi, R) is the same as with both starts at every R.  The search ends
+    at the first R whose run does not beat the best eigenvalue so far by
+    tol (1 + |lambda|), after the first R >= pi / (2 omega), the
+    half-width of the closed-form well (``_optimal_psi``), or past r_max,
+    whichever comes first.  In the continuum the optimum over [-R, R] does
+    not decrease in R and is flat once the box holds the well, and every R
+    starts at the closed-form well.  So a box that does not improve ends
+    the search, and so does the first box that holds the well: past it the
+    discrete search gains only through walls that cost almost nothing, and
+    those gains move chi away from the closed form.  An ArithmeticError
+    from either run propagates.  The returned chi is -lambda of the
+    discrete profile.
     """
     if cfg.gamma == 0.0:
         L = 1.0 / cfg.A
@@ -400,17 +406,16 @@ def chi_tilde(cfg: VariationalConfig, r_max: float = 256.0) -> ChiResult:
         # eigenvalue improvements
         n = int(cfg.n_grid * R)
         x = -R + 2.0 * R / (n + 1) * np.arange(1, n + 1)
-        starts = [-_optimal_psi(cfg.A, cfg.gamma, cfg.kappa, x),
-                  1.0 + (x / R) ** 2 * 10.0]
-        lam_R = -math.inf
-        for u0 in starts:
-            lam, u, its = _optimize_profile(cfg, R, u0)
-            if lam > lam_R:
-                lam_R = lam
-                cand = (lam, R, u, its)
-        if not lam_R > best[0] + cfg.tol * (1.0 + abs(lam_R)):
+        lam, u, its = _optimize_profile(
+            cfg, R, -_optimal_psi(cfg.A, cfg.gamma, cfg.kappa, x))
+        if its >= cfg.max_iter:
+            # the closed-form start hit the cap: run the formula-free one too
+            cold = _optimize_profile(cfg, R, 1.0 + (x / R) ** 2 * 10.0)
+            if cold[0] > lam:
+                lam, u, its = cold
+        if not lam > best[0] + cfg.tol * (1.0 + abs(lam)):
             break
-        best = cand
+        best = (lam, R, u, its)
         if R >= r_well:
             break
         R *= 2.0

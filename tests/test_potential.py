@@ -316,6 +316,81 @@ class TestCumulants:
             assert cumulant_H(frechet_spec, ell) == pytest.approx(
                 float(exact), rel=1e-14)
 
+    def test_h_at_small_ell_against_mpmath(self, frechet_spec):
+        # ell = 1e-10: the Frechet integrand decays over u ~ 1/y_p = 1e5 in a
+        # window reaching 2.8e8, which QUADPACK resolves only with u = 1/y_p
+        # as a breakpoint.  The Frechet branch is 2 sqrt(ell) K_1(2 sqrt(ell))
+        # as above; the heavy one is int_1^inf e^{-ell e^w} w^{-2} dw, whose
+        # integrand is below e^{-1000} past w = 30
+        mpmath = pytest.importorskip("mpmath")
+        ell = 1e-10
+        with mpmath.workdps(40):
+            x = mpmath.mpf(ell)
+            r = 2 * mpmath.sqrt(x)
+            heavy = mpmath.quad(
+                lambda w: mpmath.exp(-x * mpmath.exp(w)) / w ** 2,
+                [1, 5, 10, 15, 20, 22, 23, 24, 26, 30, 35])
+            exact = mpmath.log(mpmath.mpf("0.2") * heavy
+                               + mpmath.mpf("0.8") * r * mpmath.besselk(1, r))
+        assert cumulant_H(frechet_spec, ell) == pytest.approx(
+            float(exact), rel=1e-13)
+
+    @pytest.mark.parametrize("gamma, d, ell", [
+        (0.1, 100.0, 1e-50), (0.1, 0.01, 1e-5), (0.75, 100.0, 1e-10)])
+    def test_frechet_laplace_at_small_ell_against_mpmath(self, gamma, d, ell):
+        # y_p < 1: the exponent grows like log1p(u) from u ~ min(a, 1) to
+        # 1/y_p.  With the peak as the only breakpoint these are 8.6e-9,
+        # 5.4e-7 and 1.1e-11 off; with u = 1/y_p as well the first and the
+        # last are still 8.6e-9 and 2.3e-12 off, and a breakpoint per decade
+        # below 1/y_p mends them.
+        # Reference: log of int_0^inf exp(-y - c y^{-1/a}) dy, 40 digits,
+        # broken at octaves of the cliff c^a and of the peak y_p
+        mpmath = pytest.importorskip("mpmath")
+        spec = PotentialSpec(gamma=gamma, mix_q=0.2,
+                             lower=LowerTailSpec.pareto(1.0), frechet_d=d)
+        with mpmath.workdps(40):
+            a = mpmath.mpf(gamma) / (1 - mpmath.mpf(gamma))
+            c = mpmath.mpf(ell) * mpmath.mpf(d) ** (1 / a)
+            y_p = (c / a) ** (a / (1 + a))
+            pts = sorted({mpmath.mpf(0), *(c ** a * mpmath.mpf(2) ** k
+                                           for k in range(-6, 7)),
+                          *(y_p * mpmath.mpf(2) ** k for k in range(-10, 11)),
+                          *map(mpmath.mpf, (1, 2, 5, 10, 20, 50, 100, 200))})
+            exact = mpmath.log(mpmath.quad(
+                lambda y: mpmath.exp(-y - c * y ** (-1 / a)) if y > 0 else 0,
+                [p for p in pts if p <= 200]))
+        assert abs(_log_frechet_laplace(spec, ell) - float(exact)) <= 1e-13
+
+    @pytest.mark.parametrize("inv_a, d, ells", [
+        (9, 100.0, (1e290, 1e300)), (99, 1e4, (1e10,))])
+    def test_h_where_c_overflows_against_mpmath(self, inv_a, d, ells):
+        # gamma = 0.1 (a = 1/9), D = 100: c / a = 9 ell D^9 passes the double
+        # range at ell = 1e290 while y_p ~ 1e31 does not; gamma = 0.01
+        # (a = 1/99), D = 1e4: D^99 alone does, and y_p ~ 1.2e4.  Reference
+        # as in test_frechet_laplace_against_mpmath, in 80 digits; the heavy
+        # branch is below e^{-e ell}
+        mpmath = pytest.importorskip("mpmath")
+        spec = PotentialSpec(gamma=1.0 / (inv_a + 1), mix_q=0.2,
+                             lower=LowerTailSpec.pareto(1.0), frechet_d=d)
+        for ell in ells:
+            with mpmath.workdps(80):
+                a = mpmath.mpf(1) / inv_a
+                c = mpmath.mpf(ell) * mpmath.mpf(d) ** inv_a
+                y_p = (c / a) ** (a / (1 + a))
+                sigma = mpmath.sqrt(y_p / (1 + 1 / a))
+
+                def f(u):
+                    y = y_p + sigma * u
+                    return mpmath.exp((1 + a) * y_p - y - c * y ** (-1 / a))
+
+                val = mpmath.quad(f, [-40, -10, -3, 0, 3, 10, 40])
+                exact = (mpmath.log(mpmath.mpf("0.8")) - (1 + a) * y_p
+                         + mpmath.log(sigma * val))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                h = cumulant_H(spec, ell)
+            assert h == pytest.approx(float(exact), rel=1e-14)
+
     def test_g_bounded_against_mpmath(self, bounded_spec):
         # W uniform on [0, 3]: the deficit is 1 - (1 - e^{-a}) / a with
         # a = 3 / ell, which cancels in doubles as ell grows; at ell =

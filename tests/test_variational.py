@@ -132,10 +132,11 @@ class TestPrincipalPair:
         assert lam == pytest.approx(exact, rel=1e-12)
 
     def test_warm_matches_bisection_on_kkt_iterates(self, monkeypatch):
-        # every warm solve of a full chi_tilde run, profiles with walls far
-        # past 1e12 included (they settle where the ground state underflows,
-        # 9e90 deep here); the coarse grid keeps the bisection's own error,
-        # which scales with kappa/h^2, far below the tolerance
+        # every warm solve of KKT runs from both starts at R = 1, 2, 4,
+        # profiles with walls far past 1e12 included (they settle where the
+        # ground state underflows, up to 4.8e149 deep here); the coarse grid
+        # keeps the bisection's own error, which scales with kappa/h^2, far
+        # below the tolerance
         calls = []
 
         def record(psi_vals, h, kappa, g0):
@@ -144,7 +145,13 @@ class TestPrincipalPair:
             return lam, g
 
         monkeypatch.setattr(variational, "_warm_principal", record)
-        chi_tilde(VariationalConfig(A=1.0, gamma=0.5, n_grid=41))
+        cfg = VariationalConfig(A=1.0, gamma=0.5, n_grid=41)
+        for R in (1.0, 2.0, 4.0):
+            n = int(cfg.n_grid * R)
+            x = -R + 2.0 * R / (n + 1) * np.arange(1, n + 1)
+            for u0 in (-_optimal_psi(cfg.A, cfg.gamma, cfg.kappa, x),
+                       1.0 + (x / R) ** 2 * 10.0):
+                variational._optimize_profile(cfg, R, u0)
         assert len(calls) > 100
         assert max(np.abs(c[0]).max() for c in calls) >= 1e12
         for psi_vals, h, kappa, lam, g in calls:
@@ -268,7 +275,7 @@ class TestChiTilde:
         assert res.chi == pytest.approx(exact, rel=5e-7)
 
     @staticmethod
-    def _radii(monkeypatch, cfg):
+    def _radii(monkeypatch, cfg, r_max=256.0):
         radii = []
         optimize = variational._optimize_profile
 
@@ -277,16 +284,28 @@ class TestChiTilde:
             return optimize(cfg, R, u0)
 
         monkeypatch.setattr(variational, "_optimize_profile", record)
-        return radii, chi_tilde(cfg)
+        return radii, chi_tilde(cfg, r_max=r_max)
 
-    def test_radius_search_runs_two_starts_per_radius(self, monkeypatch):
-        # A = ln 2, gamma = 1/2: R = 4 is the best box and the first to hold
-        # the closed-form well, of half-width 3.45, so the search ends there
-        # without running R = 8 only to see it not improve
+    def test_radius_search_runs_one_start_where_warm_converges(
+            self, monkeypatch):
+        # A = ln 2, gamma = 1/2: the closed-form start converges at every
+        # radius, so no cold start runs.  R = 4 is the best box and the first
+        # to hold the closed-form well, of half-width 3.45, so the search
+        # ends there without running R = 8 only to see it not improve
         radii, res = self._radii(
             monkeypatch, VariationalConfig(A=math.log(2.0), gamma=0.5))
-        assert radii == [1.0, 1.0, 2.0, 2.0, 4.0, 4.0]
+        assert radii == [1.0, 2.0, 4.0]
         assert res.R == 4.0
+
+    def test_radius_search_runs_cold_start_where_warm_hits_cap(
+            self, monkeypatch):
+        # max_iter = 5 stops every warm run at its cap, so each radius runs
+        # the cold start as well
+        radii, _ = self._radii(
+            monkeypatch,
+            VariationalConfig(A=1.0, gamma=0.5, n_grid=21, max_iter=5),
+            r_max=2.0)
+        assert radii == [1.0, 1.0, 2.0, 2.0]
 
     @pytest.mark.parametrize("a, gamma, last_R", [
         (1.0, 0.1, 1.0), (2.0, 0.25, 1.0), (math.log(2.0), 0.25, 2.0),
