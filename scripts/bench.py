@@ -26,7 +26,8 @@ its estimate against ``solve_box`` (|z| <= 4, the rule of ``fk_check``),
 its ``G`` column against a 30-digit mpmath closed form (relative error at
 most 1e-12), ``lbound --t 50 --radius 5`` by ``log_lb`` against the point
 solve on a box that holds its search (not above it), and the other table
-commands by the checks that the README states for them.
+commands by the checks that the README states for them; ``verify-last`` also
+by its ``rho`` against the closed form 3.2 (within 1e-12).
 
 The tier-1 row (``tier1``) runs the tier-1 suite 3 times, each in a fresh
 interpreter as the README's Tests section runs it, with ``--durations=10``.
@@ -70,6 +71,8 @@ SOLVE_SEED, SOLVE_T = 3, 1e4
 LBOUND_RADIUS = 8  # pam1d lbound searches 20 radii by default
 SCALES_RTOL = 1e-12
 LB_T, LB_RADIUS = 50, 5  # the README's lbound command
+# rho = 2 (q/(1 - eta) + eta zeta - q) on the README spec at eta = 0.8
+LAST_RHO, LAST_RHO_TOL = 3.2, 1e-12
 # the README's microbox spec: xi = 0 on 85 % of sites
 MICRO_SPEC = {"gamma": 0.0, "upper": {"atom_p": 0.95}, "mix_q": 0.1,
               "lower": {"pareto_zeta": 1.0}}
@@ -168,6 +171,16 @@ def _increasing(xs) -> bool:
     return all(a < b for a, b in zip(xs, xs[1:]))
 
 
+def _judge_last(c: dict) -> dict:
+    """Medians fall and frac_le_1p2 rises along n, and every rho is the
+    closed form."""
+    rho_err = max(abs(r - LAST_RHO) for r in c["rho"])
+    return {"rho_exact": LAST_RHO, "rho_err": rho_err,
+            "ok": (_increasing(c["median"][::-1])
+                   and _increasing(c["frac_le_1p2"])
+                   and rho_err <= LAST_RHO_TOL)}
+
+
 # (arguments, the spec that the --spec file holds or None, the check in
 # words, the judge: JSON output -> oracle numbers and ok)
 CLI_ROWS = [
@@ -201,9 +214,8 @@ CLI_ROWS = [
      "medians grow along n, every seed is above 1 at the largest n",
      lambda c: {"ok": _increasing(c["median"]) and c["frac_gt_1"][-1] == 1}),
     (["verify-last", "--spec", "spec.json", *TABLE_FLAGS], README_SPEC,
-     "medians fall and frac_le_1p2 rises along n",
-     lambda c: {"ok": (_increasing(c["median"][::-1])
-                       and _increasing(c["frac_le_1p2"]))}),
+     "medians fall and frac_le_1p2 rises along n, rho within "
+     f"{LAST_RHO_TOL:g} of {LAST_RHO}", _judge_last),
     (["verify-microbox", "--spec", "micro.json", "--R", "0.5", *TABLE_FLAGS],
      MICRO_SPEC, "every frequency is 1",
      lambda c: {"ok": all(f == 1 for f in c["frequency"])}),

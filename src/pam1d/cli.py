@@ -169,15 +169,17 @@ def _cmd_scales(args, spec) -> tuple:
     params = ScaleParams.from_spec(spec)
     grid = _parse_grid(args.t_grid)
     rows = []
-    # gamma_t needs G~, which a lower tail with finite log-moments lacks
-    gamma_t = -math.inf if spec.lower.has_infinite_log_moment() else None
+    # gamma_t needs rho, which exists for an exp-Pareto lower tail only: a
+    # bounded tail lacks G~, and a log-log rho lies beyond the double range
+    rho = (experiments.estimate_rho(spec, args.eta)
+           if spec.lower.variant == "pareto" else None)
+    gamma_t = None if rho is None else -math.inf
     for t in grid:
         t = float(t)
         g = cumulant_G(spec, t)
         b = b_scale(spec, params, t)
         if gamma_t is not None:
-            gamma_t = max(gamma_t,
-                          gamma_box(spec, params, args.eta, args.rho, t))
+            gamma_t = max(gamma_t, gamma_box(spec, params, args.eta, rho, t))
         rows.append((t, g, alpha(params, b) ** 2, b, b_star(params, t),
                      r_box(spec, t), gamma_t))
     return ["t", "G", "alpha_bt_sq", "b_t", "b_star", "r_t", "gamma_t"], rows
@@ -338,7 +340,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     _add_common(p, table=True)
     p.add_argument("--t-grid", default="1e3:1e12:geometric:16")
     p.add_argument("--eta", type=_finite_float, default=0.8)
-    p.add_argument("--rho", type=_finite_float, default=1.0)
     p.set_defaults(func=_cmd_scales)
 
     p = sub.add_parser("eigen", help="principal Dirichlet eigenpair of a box")

@@ -18,8 +18,8 @@ import numpy as np
 # at module level adds start-up time and memory to every ``pam1d`` command.
 
 from .lattice import solve_adaptive
-from .potential import (PotentialSpec, canonical_A, cumulant_H, g_tilde,
-                        g_tilde_inverse, sample_field)
+from .potential import (PotentialSpec, _frechet_light_mean, canonical_A,
+                        cumulant_H, g_tilde_inverse, sample_field)
 from .scales import ScaleParams, alpha, b_scale, gamma_box, invert_G
 from .variational import legendre_L
 
@@ -184,38 +184,30 @@ def check_lln(spec: PotentialSpec, b: float, n_values, seeds) -> dict:
             "frac_gt_10": (stats > 10.0).mean(axis=0)}
 
 
-_X0 = 1.0  # concavification point of 1/G^_eta, and log of the threshold a
+def estimate_rho(spec: PotentialSpec, eta: float) -> float:
+    """rho = 2 <1/G^_eta(Y)>, Y = log(-xi v e), in closed form.
 
-
-def _inv_g_hat_eta(spec: PotentialSpec, eta: float,
-                   x: np.ndarray) -> np.ndarray:
-    """Concavified 1/G^ at x > 0: linear below _X0, shifted 1/G~ above.
-
-    The linear piece has the right derivative of 1/G~ at _X0, making 1/G^
-    positive, increasing and concave on all of (0, infinity).
+    For an exp-Pareto tail 1/G~_eta(x) = x^{eta zeta}, so the concavified
+    1/G^_eta(Y) is Y^{eta zeta} + eta zeta - 1 on Y >= 1; <W^{eta zeta}> is
+    1/(1 - eta), and a light site has <Y^{eta zeta}> = 1 at gamma = 0.  A
+    bounded tail has no G~ (ValueError); a log-log rho takes much of its
+    mass from W past e^709.78, where G is out of reach (ArithmeticError).
     """
-    x = np.asarray(x, float)
-    dx = 1e-6 * _X0
-    inv0 = 1.0 / g_tilde(spec, eta, _X0)
-    d0 = (1.0 / g_tilde(spec, eta, _X0 + dx) - inv0) / dx
-    inv = d0 * x
-    big = x > _X0
-    inv[big] = np.array([1.0 / g_tilde(spec, eta, xi)
-                         for xi in x[big]]) + d0 * _X0 - inv0
-    return inv
-
-
-def estimate_rho(spec: PotentialSpec, eta: float,
-                 n_samples: int = 200_000) -> float:
-    """Monte Carlo estimate of rho = 2 <1/G^_eta(Y_a)>, Y_a = log(-xi v a).
-
-    Samples the field of seed 0.  The threshold a = e^{_X0} matches the
-    concavification point, so 1/G^_eta(Y_a) vanishes only where the site is
-    light enough.
-    """
-    fld = sample_field(spec, 1, n_samples, 0)
-    y = np.maximum(fld.log_neg_or1(1, n_samples), _X0)
-    return 2.0 * float(_inv_g_hat_eta(spec, eta, y).mean())
+    if not 0.0 < eta < 1.0:
+        raise ValueError(f"eta must be in (0,1), got {eta}")
+    lt = spec.lower
+    if lt.variant == "bounded":
+        raise ValueError("rho undefined: bounded lower tail has finite "
+                         "log-moments")
+    if lt.variant == "loglog":
+        raise ArithmeticError("rho of a log-log lower tail needs G~(ell) at "
+                              "ell = W > 1e300, beyond the double range")
+    p, q = eta * lt.zeta, spec.mix_q
+    light = 1.0
+    if q < 1.0 and spec.gamma > 0.0:  # -V Frechet: Y = 1 where log V <= 1
+        light = (math.exp(-spec.frechet_d * math.exp(-spec.frechet_a))
+                 + _frechet_light_mean(spec, lambda v: v ** p, 1.0))
+    return 2.0 * (q / (1.0 - eta) + (1.0 - q) * light + p - 1.0)
 
 
 def check_last(spec: PotentialSpec, eta: float, n_values,

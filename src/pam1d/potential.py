@@ -51,7 +51,7 @@ __all__ = [
 
 # Largest log(-xi) decoded exactly; deeper sites decode to -e^W_CAP, which
 # stays in double range and already kills anything it multiplies.  W itself
-# must stay finite too, or means over sites (estimate_rho) turn to NaN, so
+# must stay finite too, or a site sum of check_lln or check_last reads inf, so
 # sampling caps it at e^_LOG_POW_MAX (log-log draws; exp-Pareto, zeta < 0.053).
 W_CAP = 700.0
 # Log-log regularization exponent theta' of the minorant G~_eta.
@@ -553,18 +553,19 @@ def _heavy_g_deficit(spec: PotentialSpec, ell: float) -> float:
     return _quad(f, v_lo, split) + _quad(f, split, math.inf)
 
 
+def _frechet_light_mean(spec: PotentialSpec, h, v_lo: float = 0.0) -> float:
+    """E[h(log V); log V > v_lo] for the Frechet light variable V, in
+    y = D V^{-a}: density e^{-y}, and log V > v_lo where y < D e^{-a v_lo}."""
+    a, d = spec.frechet_a, spec.frechet_d
+    return _quad(lambda y: h(math.log(d / y) / a) * math.exp(-y), 0.0,
+                 d * math.exp(-a * v_lo))
+
+
 def _light_g_deficit(spec: PotentialSpec, ell: float) -> float:
     """E[1 - (-xi v 1)^{-1/ell}] over the light branch."""
     if spec.gamma == 0.0:
         return 0.0  # light values in {0, -1} have -xi v 1 = 1
-    a, d = spec.frechet_a, spec.frechet_d
-
-    # V > 1 corresponds to y = D x^{-a} < D
-    def f(y):
-        logv = math.log(d / y) / a
-        return -math.expm1(-logv / ell) * math.exp(-y)
-
-    return _quad(f, 0.0, d)
+    return _frechet_light_mean(spec, lambda v: -math.expm1(-v / ell))
 
 
 def _log_pareto_complement(zeta: float, x: float) -> float:
@@ -710,8 +711,7 @@ def log_moment(spec: PotentialSpec, delta: float) -> float:
         heavy = lt.zeta / (lt.zeta - delta)
     light = 0.0
     if spec.mix_q < 1.0 and spec.gamma > 0.0:
-        a, d = spec.frechet_a, spec.frechet_d
-        light = _quad(lambda y: (math.log(d / y) / a) ** delta * math.exp(-y), 0.0, d)
+        light = _frechet_light_mean(spec, lambda v: v ** delta)
     return spec.mix_q * heavy + (1.0 - spec.mix_q) * light
 
 

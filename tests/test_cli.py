@@ -13,18 +13,22 @@ import pytest
 
 import pam1d.cli
 from pam1d.cli import main
-from pam1d.experiments import (ExperimentConfig, RateCurve, rate_curve,
-                               t_grid)
+from pam1d.experiments import (ExperimentConfig, RateCurve, estimate_rho,
+                               rate_curve, t_grid)
 from pam1d.lattice import (hamiltonian, principal_eigpair, solve_box,
                            solve_point_log)
 from pam1d.montecarlo import fk_estimate, jump_budget
 from pam1d.potential import cumulant_G, sample_field, spec_from_json
+from pam1d.scales import ScaleParams, gamma_box
 
 from conftest import BAD_SPEC_JSON
 
 
 ATOM_SPEC = ('{"gamma":0.0,"upper":{"atom_p":0.5},"mix_q":0.2,'
              '"lower":{"pareto_zeta":1.0}}')
+# the README's spec
+README_SPEC = ('{"gamma":0.0,"upper":{"atom_p":0.625},"mix_q":0.2,'
+               '"lower":{"pareto_zeta":1.0}}')
 LOGLOG_SPEC = ('{"gamma":0.0,"upper":{"atom_p":0.5},"mix_q":0.2,'
                '"lower":{"loglog_theta":1.0}}')
 BOUNDED_SPEC = ('{"gamma":0.0,"upper":{"atom_p":0.625},"mix_q":0.2,'
@@ -192,8 +196,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["verify-lln", "verify-last"])
     def test_normalizer_beyond_double_range(self, capsys, tmp_path, command):
-        # on the log-log spec the normalizers G^{-1}(1/n) and G~^{-1}(rho/n)
-        # of the default n grid exceed ell = 1e300; the failure names it
+        # on the log-log spec the normalizers G^{-1}(1/n) of the default n
+        # grid exceed ell = 1e300, and verify-last fails sooner, at rho, which
+        # needs G~ past ell = 1e300, before any sampling; the failure names it
         path = tmp_path / "spec.json"
         path.write_text(LOGLOG_SPEC)
         code, _, err = run(capsys, command, "--spec", str(path),
@@ -201,8 +206,26 @@ class TestExitCodes:
         assert code == 3
         assert "1e300" in err
 
+    def test_loglog_microbox_rho_beyond_double_range(self, capsys, tmp_path,
+                                                     monkeypatch):
+        # the macrobox radius needs rho, which a log-log tail has beyond the
+        # double range; the failure comes before any field is sampled (the
+        # default t grid would fail sooner, at G^-1(e^-8) > 1e300)
+        path = tmp_path / "spec.json"
+        path.write_text(LOGLOG_SPEC)
+        calls = []
+        monkeypatch.setattr(pam1d.experiments, "sample_field",
+                            lambda *a: calls.append(a))
+        code, out, err = run(capsys, "verify-microbox", "--spec", str(path),
+                             "--R", "0.5", "--t-grid", "1e4:1e6:geometric:2",
+                             "--seeds", "2", "--deterministic")
+        assert code == 3
+        assert out == ""
+        assert "rho" in err and "double range" in err
+        assert calls == []
+
     def test_small_zeta_normalizer_beyond_double_range(self, capsys, tmp_path):
-        # at zeta = 0.01 every sampled W is finite, so rho is; the closed form
+        # at zeta = 0.01 rho is finite, 1.616 at eta = 0.8; the closed form
         # G~^{-1}(rho/n) = (rho/n)^(-1/(eta zeta)) then overflows, and the
         # failure names the limit as the search-based inverse does
         path = tmp_path / "spec.json"
@@ -283,6 +306,43 @@ class TestScales:
             assert [r["gamma_t"] for r in rows] == [""] * 3
         spec = spec_from_json(BOUNDED_SPEC)
         assert cols["G"] == [cumulant_G(spec, t) for t in cols["t"]]
+
+    def test_gamma_t_is_running_max_at_closed_form_rho(self, capsys,
+                                                       tmp_path):
+        # gamma_t takes rho at --eta from estimate_rho, as verify-microbox
+        # does, and is the running max of gamma_box over the grid
+        p = tmp_path / "spec.json"
+        p.write_text(README_SPEC)
+        code, out, err = run(capsys, "scales", "--spec", str(p),
+                             "--t-grid", "1e3:1e12:geometric:16",
+                             "--format", "json", "--deterministic")
+        assert code == 0, err
+        cols = json.loads(out)
+        spec = spec_from_json(README_SPEC)
+        params = ScaleParams.from_spec(spec)
+        rho = estimate_rho(spec, 0.8)
+        expected = np.maximum.accumulate(
+            [gamma_box(spec, params, 0.8, rho, t) for t in cols["t"]])
+        assert cols["gamma_t"] == expected.tolist()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_loglog_tail_leaves_gamma_t_empty(self, capsys, tmp_path, fmt):
+        # a log-log rho lies beyond the double range, so gamma_t is empty
+        # while the other columns are printed
+        p = tmp_path / "loglog.json"
+        p.write_text(LOGLOG_SPEC)
+        code, out, err = run(capsys, "scales", "--spec", str(p),
+                             "--t-grid", "1e3:1e6:geometric:3",
+                             "--format", fmt, "--deterministic")
+        assert code == 0, err
+        if fmt == "json":
+            cols = json.loads(out)
+            assert cols["gamma_t"] == [None] * 3
+            assert all(math.isfinite(r) for r in cols["r_t"])
+        else:
+            rows = list(csv.DictReader(io.StringIO(out)))
+            assert [r["gamma_t"] for r in rows] == [""] * 3
+            assert all(r["G"] for r in rows)
 
     def test_bounded_tail_default_grid(self, capsys, tmp_path):
         # the default t grid, 1e3:1e12:geometric:16, exits 0 as well

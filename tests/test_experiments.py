@@ -1,6 +1,5 @@
 import collections
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -188,7 +187,7 @@ class TestLast:
 
     def test_n_below_one_rejected_before_rho(self, atom_spec, monkeypatch):
         # U_0 would divide by G~^{-1}(rho / 0); the n is named before
-        # estimate_rho samples anything, as check_lln names its n < 3
+        # estimate_rho runs, as check_lln names its n < 3
         calls = []
         monkeypatch.setattr(experiments, "estimate_rho",
                             lambda *a: calls.append(a))
@@ -197,23 +196,39 @@ class TestLast:
             check_last(atom_spec, 0.5, [0, 50, 100], range(3))
         assert calls == []
 
-    def test_rho_finite_loglog(self):
-        # about 0.14 % of theta = 1 log-log sites have log W beyond the
-        # double range; they are capped, so rho stays finite
+    def test_rho_loglog_beyond_double_range(self):
+        # a log-log rho takes much of its mass from 1/G~(W) at W past
+        # e^709.78, where sampling caps W and G is out of reach
         spec = PotentialSpec(gamma=0.0, mix_q=0.2,
                              lower=LowerTailSpec.loglog(1.0), atom_p=0.5)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rho = estimate_rho(spec, 0.5, n_samples=20_000)
-        assert math.isfinite(rho) and rho > 0
+        with pytest.raises(ArithmeticError, match="double range"):
+            estimate_rho(spec, 0.5)
 
-    def test_rho_estimate_vs_analytic(self, atom_spec):
-        # exp-Pareto(zeta = 1): 1/g_hat is piecewise explicit, giving
-        # rho = 2 [ q (1/(1-eta) + eta - 1) + (1-q) eta ]
-        eta, q, zeta = 0.8, 0.2, 1.0
-        target = 2 * (q * (1 / (1 - eta) + eta * zeta - 1) + (1 - q) * eta * zeta)
-        rho = estimate_rho(atom_spec, eta, n_samples=400_000)
-        assert rho == pytest.approx(target, rel=0.02)
+    @pytest.mark.parametrize("eta", [0.3, 0.5, 0.8, 0.95])
+    @pytest.mark.parametrize("q, atom_p", [(0.2, 0.625), (0.1, 0.95)],
+                             ids=["readme", "micro"])
+    def test_rho_atom_closed_form(self, q, atom_p, eta):
+        # gamma = 0, zeta = 1: 1/G^(Y) = Y^eta + eta - 1, <W^eta> = 1/(1-eta)
+        # and a light site has Y = 1, so rho = 2 (q/(1-eta) + eta - q)
+        spec = make_spec(0.0, 1.0, mix_q=q, atom_p=atom_p)
+        assert estimate_rho(spec, eta) == pytest.approx(
+            2 * (q / (1 - eta) + eta - q), rel=1e-14)
+
+    @pytest.mark.parametrize("eta", [0.3, 0.5, 0.8, 0.95])
+    def test_rho_frechet_against_mpmath(self, frechet_spec, eta):
+        # gamma = 1/2, D = 1, zeta = 1: w = log V is Gumbel, density
+        # e^{-w - e^{-w}}, and a light site has Y = max(w, 1); below
+        # w = -6 lies a mass e^{-e^6} < 1e-175
+        import mpmath
+
+        q = frechet_spec.mix_q
+        with mpmath.workdps(30):
+            light = mpmath.quad(
+                lambda w: max(w, 1) ** eta * mpmath.exp(-w - mpmath.exp(-w)),
+                [-6, 1, mpmath.inf])
+            rho = 2 * (q / (1 - mpmath.mpf(eta)) + (1 - q) * light + eta - 1)
+        assert estimate_rho(frechet_spec, eta) == pytest.approx(float(rho),
+                                                                rel=1e-11)
 
 
 class TestMicrobox:
