@@ -22,8 +22,10 @@ as well (``_chi_closed``, ``_optimal_psi``); ``chi_tilde`` starts a damped
 KKT fixed-point iteration on the discretized profile from it, and from a
 profile that does not use it where that run hits its iteration cap, and
 reports the discrete optimum.  The iteration carries log|psi|, so each
-step is a weighted sum of logarithms; the box radius doubles from 1 until
-a box does not improve on the best or the box holds the closed-form well.
+step is a weighted sum of logarithms, and every eigenpair but the
+formula-free start's first comes from inverse iteration warm-started from
+a known ground state.  The box radius doubles from 1 until a box does not
+improve on the best or the box holds the closed-form well.
 No cap bounds the depth of a profile, nor the n_grid R nodes of its grid.
 """
 
@@ -208,7 +210,8 @@ def _warm_principal(psi_vals: np.ndarray, h: float, kappa: float,
     factorisation succeeds, and makes _WARM_SOLVES solves (``dpttrs``).  The
     start |g0| is positive, so it overlaps the positive principal vector, and
     the iteration converges to the principal pair.  Returns (rho, g), with g
-    normalised as in ``_fd_principal``; raises ``ArithmeticError`` if the
+    normalised as in ``_fd_principal``; raises ``ArithmeticError`` if a
+    Rayleigh quotient is not finite (a -inf or NaN node of psi) or if the
     residual misses its tolerance after _WARM_STEPS steps.
     """
     off = kappa / h ** 2
@@ -224,7 +227,7 @@ def _warm_principal(psi_vals: np.ndarray, h: float, kappa: float,
     hx, tmp, shifted = np.empty_like(x), np.empty_like(x), np.empty_like(x)
     dx = np.empty(len(x) + 1)
     x /= math.sqrt(total(np.multiply(x, x, out=tmp)))
-    for _ in range(_WARM_STEPS):
+    for step in range(1, _WARM_STEPS + 1):
         np.multiply(diag, x, out=hx)
         hx[:-1] += np.multiply(off, x[1:], out=tmp[:-1])
         hx[1:] += np.multiply(off, x[:-1], out=tmp[1:])
@@ -237,7 +240,10 @@ def _warm_principal(psi_vals: np.ndarray, h: float, kappa: float,
         rho = (float(total(np.multiply(tmp, x, out=tmp)))
                - off * float(total(np.multiply(dx, dx, out=dx))))
         if not math.isfinite(rho):
-            break
+            raise ArithmeticError(
+                f"inverse iteration for the principal pair: Rayleigh "
+                f"quotient {rho} is not finite at shift {step} of "
+                f"{_WARM_STEPS}")
         np.subtract(hx, np.multiply(rho, x, out=tmp), out=tmp)
         res = math.sqrt(total(np.multiply(tmp, tmp, out=tmp)))
         if res <= _WARM_RTOL * (1.0 + abs(rho)):
@@ -315,6 +321,7 @@ class ChiResult:
 
 
 def _optimize_profile(cfg: VariationalConfig, R: float, u0: np.ndarray,
+                      g0: np.ndarray | None = None,
                       ) -> tuple[float, np.ndarray, int]:
     """Damped KKT fixed point for gamma > 0 at fixed R; returns (lam, u, its).
 
@@ -326,9 +333,12 @@ def _optimize_profile(cfg: VariationalConfig, R: float, u0: np.ndarray,
     theta log(g^2)/(p+1), theta = 1/2, and the rescaling adds log(L)/p, so
     u is exponentiated once per iteration and no node takes a power.  Where
     g underflows, the floor of log(g^2 + 1e-300) puts walls near
-    e^{690.8/(p+1)}; each charges about pref h 1e-300^gamma.  The first pair
-    is bisected and every later one is found by inverse iteration
-    warm-started from the previous ground state.  The returned lambda is
+    e^{690.8/(p+1)}; each charges about pref h 1e-300^gamma.  Every later
+    pair is found by inverse iteration warm-started from the previous
+    ground state.  The first pair is found the same way from g0 where the
+    caller knows the ground state of u0 (``chi_tilde`` passes
+    u0^{-1/(2(1-gamma))} for the closed-form u0, the KKT relation above),
+    and is bisected where g0 is None.  The returned lambda is
     that pair's Rayleigh quotient on the returned profile, whose error is
     second order in the residual.  A bisection of the same profile sees its
     diagonal psi - 2 kappa/h^2 rounded to doubles, which puts lambda up to
@@ -348,7 +358,8 @@ def _optimize_profile(cfg: VariationalConfig, R: float, u0: np.ndarray,
     log_u = rescale(np.log(u0))
     u = np.exp(log_u)
     theta = 0.5
-    lam, g = _fd_principal(-u, h, kappa)
+    lam, g = (_fd_principal(-u, h, kappa) if g0 is None
+              else _warm_principal(-u, h, kappa, g0))
     lam_prev, it = -math.inf, 1
     while (it < cfg.max_iter
            and not abs(lam - lam_prev) < cfg.tol * (1.0 + abs(lam))):
@@ -371,13 +382,15 @@ def chi_tilde(cfg: VariationalConfig, r_max: float = 256.0) -> ChiResult:
 
     gamma > 0: damped KKT iteration at each R, doubling R from 1.  Each R
     first runs from the warm start, the closed-form optimum
-    ``_optimal_psi`` on the grid.  Only if that run reaches cfg.max_iter
-    (counted as not converged, even if its last step met tol) does the
-    cold start 1 + 10 (x/R)^2, which does not use the formula, run as
-    well, and the better of the two runs stands for R.  Where the warm run
-    converges the cold one never decides chi: on A in {0.5, ln 2, 1, 2} x
-    gamma in {0.1, 0.25, 0.5, 0.6, 0.75, 0.9} x n_grid in {201, 801} every
-    (chi, R) is the same as with both starts at every R.  The search ends
+    ``_optimal_psi`` on the grid, whose first pair starts from the ground
+    state cos(omega x)^{1/(1-gamma)} in the form u0^{-1/(2(1-gamma))}.
+    Only if that run reaches cfg.max_iter (counted as not converged, even
+    if its last step met tol) does the cold start 1 + 10 (x/R)^2, which
+    does not use the formula, run as well, and the better of the two runs
+    stands for R.  Where the warm run converges the cold one never decides
+    chi: on A in {0.5, ln 2, 1, 2} x gamma in {0.1, 0.25, 0.5, 0.6, 0.75,
+    0.9} x n_grid in {201, 801} every (chi, R) is the same as with both
+    starts at every R.  The search ends
     at the first R whose run does not beat the best eigenvalue so far by
     tol (1 + |lambda|), after the first R >= pi / (2 omega), the
     half-width of the closed-form well (``_optimal_psi``), or past r_max,
@@ -406,8 +419,9 @@ def chi_tilde(cfg: VariationalConfig, r_max: float = 256.0) -> ChiResult:
         # eigenvalue improvements
         n = int(cfg.n_grid * R)
         x = -R + 2.0 * R / (n + 1) * np.arange(1, n + 1)
+        u0 = -_optimal_psi(cfg.A, cfg.gamma, cfg.kappa, x)
         lam, u, its = _optimize_profile(
-            cfg, R, -_optimal_psi(cfg.A, cfg.gamma, cfg.kappa, x))
+            cfg, R, u0, u0 ** (-0.5 / (1.0 - cfg.gamma)))
         if its >= cfg.max_iter:
             # the closed-form start hit the cap: run the formula-free one too
             cold = _optimize_profile(cfg, R, 1.0 + (x / R) ** 2 * 10.0)

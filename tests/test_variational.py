@@ -2,12 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from pam1d import variational
 from pam1d.variational import (ChiResult, ShapeFunction, VariationalConfig,
                                _chi_closed, _fd_principal, _optimal_psi,
                                _warm_principal, brute_legendre, chi_tilde,
                                eig_continuum, functional_H, legendre_L)
+
+
+# the benchmark's chi_scan configurations at A = ln 2: (gamma, chi, the best
+# run's iterations)
+CHI_SCAN_FROZEN = [
+    (0.1, 2.672247260337549, 18), (0.25, 1.4646361550926112, 10),
+    (0.5, 0.8289222626428266, 2)]
 
 
 def _const_profile(R, depth, n=51):
@@ -136,12 +144,14 @@ class TestPrincipalPair:
         # profiles with walls far past 1e12 included (they settle where the
         # ground state underflows, up to 4.8e149 deep here); the coarse grid
         # keeps the bisection's own error, which scales with kappa/h^2, far
-        # below the tolerance
-        calls = []
+        # below the tolerance.  The closed-form start passes its ground
+        # state g0 as chi_tilde does, so its first pair is a warm solve too
+        calls, starts = [], []
 
         def record(psi_vals, h, kappa, g0):
             lam, g = _warm_principal(psi_vals, h, kappa, g0)
             calls.append((psi_vals, h, kappa, lam, g))
+            starts.append(g0)
             return lam, g
 
         monkeypatch.setattr(variational, "_warm_principal", record)
@@ -149,9 +159,13 @@ class TestPrincipalPair:
         for R in (1.0, 2.0, 4.0):
             n = int(cfg.n_grid * R)
             x = -R + 2.0 * R / (n + 1) * np.arange(1, n + 1)
-            for u0 in (-_optimal_psi(cfg.A, cfg.gamma, cfg.kappa, x),
-                       1.0 + (x / R) ** 2 * 10.0):
-                variational._optimize_profile(cfg, R, u0)
+            u_star = -_optimal_psi(cfg.A, cfg.gamma, cfg.kappa, x)
+            for u0, g0 in ((u_star, u_star ** (-0.5 / (1.0 - cfg.gamma))),
+                           (1.0 + (x / R) ** 2 * 10.0, None)):
+                before = len(starts)
+                variational._optimize_profile(cfg, R, u0, g0)
+                # a closed-form run's first warm solve starts from its g0
+                assert (starts[before] is g0) == (g0 is not None)
         assert len(calls) > 100
         assert max(np.abs(c[0]).max() for c in calls) >= 1e12
         for psi_vals, h, kappa, lam, g in calls:
@@ -170,6 +184,18 @@ class TestPrincipalPair:
         monkeypatch.setattr(variational, "_WARM_STEPS", 1)
         with pytest.raises(ArithmeticError, match="inverse iteration"):
             _warm_principal(psi, 2.0 / (n + 1), 1.0, start)
+
+    @pytest.mark.parametrize("node", [-math.inf, math.nan])
+    def test_warm_raises_on_non_finite_rayleigh_quotient(self, node):
+        # a -inf or NaN node makes the first quotient non-finite: the error
+        # names it and the shift, not a residual missed after every shift
+        n = 21
+        psi = -np.ones(n)
+        psi[5] = node
+        with pytest.raises(ArithmeticError,
+                           match=r"quotient (-inf|nan) is not finite at "
+                                 r"shift 1 of 30"):
+            _warm_principal(psi, 2.0 / (n + 1), 1.0, np.ones(n))
 
     def test_warm_leaves_its_inputs_alone(self):
         # the iterate is solved in place, in a copy of |g0|
@@ -279,9 +305,9 @@ class TestChiTilde:
         radii = []
         optimize = variational._optimize_profile
 
-        def record(cfg, R, u0):
+        def record(cfg, R, *args, **kwargs):
             radii.append(R)
-            return optimize(cfg, R, u0)
+            return optimize(cfg, R, *args, **kwargs)
 
         monkeypatch.setattr(variational, "_optimize_profile", record)
         return radii, chi_tilde(cfg, r_max=r_max)
@@ -323,15 +349,39 @@ class TestChiTilde:
             exact = variational._chi_closed(a, gamma, 1.0)
             assert abs(res.chi / exact - 1.0) <= 7.3e-4
 
-    @pytest.mark.parametrize("gamma, chi, iterations", [
-        (0.1, 2.672247260337549, 18), (0.25, 1.4646361550926112, 10),
-        (0.5, 0.8289222626428266, 2)])
+    @pytest.mark.parametrize("gamma, chi, iterations", CHI_SCAN_FROZEN)
     def test_chi_scan_answers_frozen(self, gamma, chi, iterations):
         # the benchmark's chi_scan configurations (A = ln 2, kappa = 1): chi
         # to roundoff, and the best run's iteration count exactly
         res = chi_tilde(VariationalConfig(A=math.log(2.0), gamma=gamma))
         assert res.chi == pytest.approx(chi, rel=1e-13, abs=0.0)
         assert res.iterations == iterations
+
+    @pytest.mark.parametrize("gamma, chi, iterations", CHI_SCAN_FROZEN)
+    def test_chi_scan_runs_without_bisection(self, monkeypatch, gamma, chi,
+                                             iterations):
+        # every chi_scan run converges from the closed-form start, whose
+        # first pair comes from its ground state by inverse iteration: no
+        # eigen solve bisects, and the frozen answers stand
+        def no_solve(*args, **kwargs):
+            raise AssertionError("bisection on a chi_scan configuration")
+        monkeypatch.setattr(variational, "eigh_tridiagonal", no_solve)
+        res = chi_tilde(VariationalConfig(A=math.log(2.0), gamma=gamma))
+        assert res.chi == pytest.approx(chi, rel=1e-13, abs=0.0)
+        assert res.iterations == iterations
+
+    def test_only_cold_runs_bisect(self, monkeypatch):
+        # max_iter = 5 caps the closed-form run at R = 1 and R = 2, so the
+        # cold start runs at both: one bisection each, for its first pair
+        calls = []
+
+        def count(*args, **kwargs):
+            calls.append(len(args[0]))
+            return eigh_tridiagonal(*args, **kwargs)
+        monkeypatch.setattr(variational, "eigh_tridiagonal", count)
+        chi_tilde(VariationalConfig(A=1.0, gamma=0.5, n_grid=21, max_iter=5),
+                  r_max=2.0)
+        assert calls == [21, 42]
 
     def test_gamma_tenth_near_closed_form(self):
         # the walls charge the budget about pref h 1e-300^gamma per node, so
